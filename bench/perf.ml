@@ -893,15 +893,16 @@ let classification ~smoke () =
 (* P12: the sharded large-n engine. Two gates ride the smoke job. The
    fidelity gate runs one small-n workload through [Sim.execute] and
    [Scale.Shard.execute ~shards:1] at domain counts 1/2/4 and requires
-   bit-identical run digests — the engines share Decision/Channel/History,
-   so any drift means a decision-stream change and every pinned digest in
-   the repo is suspect. The throughput gate times [Shard.execute]
-   directly (the estimator's wall clock includes scoring and digesting)
-   on a gossip ring at n = 100k (smoke: 10k). The ISSUE's 1e7
-   processes*ticks/sec target is out of reach on this toolchain: the
-   per-slot decision/delivery path costs ~3µs single-core without
-   flambda, sustaining ~1e5 — the gate sits 10x under that measurement
-   (conservative floor, same policy as P9). *)
+   bit-identical run digests. Both engines run the same slot kernel
+   ([Sim.tick]), so the gate is a tripwire for what each adds around
+   it: a drift means their views, barrier or set-up diverged, and every
+   pinned digest in the repo is suspect. The throughput gate times
+   [Shard.execute] directly (the estimator's wall clock includes
+   indexing, scoring and digesting) on a gossip ring at n = 100k
+   (smoke: 10k). The traced end-to-end benchmark (bench/e2e/README.md)
+   puts the kernel at about 2us per slot on one core of a 2-vCPU VM,
+   of which decision draws are 3.5%; the floor sits 10x under the
+   measured rate (conservative floor, same policy as P9). *)
 let sharded_engine ~smoke () =
   Util.header "P12: sharded engine (shards=1 digest gate + throughput)";
   let mk_pair =

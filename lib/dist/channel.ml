@@ -105,10 +105,12 @@ let create ?(link_loss = []) ?add ~n ~decide ~loss_rate ~max_consecutive_drops
 
 (* The loss decision half of [send]: consult the fairness table and the
    decision source, update the consecutive-loss count, but do not touch
-   the in-flight queues. The sharded simulator uses this for cross-shard
-   sends, where the decision belongs to the sender's shard but the queue
-   belongs to the destination's; [dst] may therefore be any pid, not just
-   one of this channel's [n] destinations. *)
+   the in-flight queues. The simulator's kernel gates every send with
+   global pids, because its channel indexes only one pid window: a send
+   inside the window is then injected at the local index, and a send
+   that leaves it (a cross-shard send) is injected on the destination
+   shard's channel. [dst] may therefore be any pid, not just one of this
+   channel's [n] destinations. *)
 let gate t ~now ~src ~dst msg =
   let key = (src, dst, Message.fairness_key msg) in
   let rate =

@@ -49,9 +49,10 @@ val send : t -> now:int -> src:Pid.t -> dst:Pid.t -> Message.t -> [ `Kept | `Dro
     fairness-table lookup, forced keep, decision source, consecutive-loss
     update — without enqueueing anything. Returns [true] when the message
     is kept. Unlike the queue operations, [dst] is not restricted to this
-    channel's [n] destinations: the sharded simulator gates cross-shard
-    sends on the sender's channel and enqueues on the destination
-    shard's. *)
+    channel's [n] destinations: the simulator's kernel gates every send
+    with global pids on the sender's window channel, and enqueues it on
+    that channel at the local index or, for a cross-shard send, on the
+    destination shard's. *)
 val gate : t -> now:int -> src:Pid.t -> dst:Pid.t -> Message.t -> bool
 
 (** [inject t ~src ~dst ~sent msg] enqueues a message whose loss decision

@@ -85,159 +85,215 @@ let pp_stop_reason ppf = function
   | Quiescent -> Format.pp_print_string ppf "quiescent"
   | Max_ticks -> Format.pp_print_string ppf "max ticks"
 
-(* The machine's hot state is dense: histories are arena builders
-   (History.Builder), pending inits and faults are indexed per owner pid
-   (the plan's relative order per owner is preserved, so "first due entry"
-   agrees with the old scan of the global list), and the crashed set is
-   mirrored both as a bool array (the per-slot test) and a cached
-   ascending pid list (the oracle view's ingredient), rebuilt only when a
-   crash actually happens. Plan entries whose owner/victim is outside [0, n)
-   could never fire under the old list scans but did block goal and
-   quiescence checks; they are kept aside in [orphan_*] so that behaviour
-   survives the dense indexing. *)
-type machine = {
+(* ---------- The scheduling kernel ---------- *)
+
+(* A window is a contiguous pid range [base, base + size) and the dense
+   state its slots touch, indexed locally (pid - base): history builders,
+   protocol states, crash flags, pending inits and faults per owner pid
+   (plan order per owner is preserved, so "first due entry" agrees with
+   the old scan of the global list), and a channel holding the in-flight
+   queues of the window's own destinations. Decisions, fairness rows and
+   events carry global pids. [execute] drives one window over [0, n);
+   [Shard.execute] drives one per shard plus its cross-shard barrier. *)
+type window = {
   cfg : config;
+  base : int;
+  size : int;
   source : Decision.source;
   channel : Channel.t;
   hists : History.Builder.t array;
   states : Protocol.t array;
   crashed : bool array;
-  mutable crashed_list : Pid.t list; (* mirrors [crashed]; ascending *)
+  order : Pid.t array; (* global pids; permuted in place every tick *)
   pending_inits : Init_plan.entry list array; (* per owner, plan order *)
   mutable pending_init_count : int; (* live entries, orphans included *)
   pending_faults : Fault_plan.entry list array; (* per victim, plan order *)
   orphan_faults : Fault_plan.entry list;
+  mutable schedule : (int * float) list; (* loss-schedule entries ahead *)
+  mutable crashes : Pid.t list; (* newest first; a caller may clear it *)
   mutable initiated : Action_id.t list; (* every Init event so far *)
   mutable any_do : bool;
-  mutable blackout_done : bool;
   mutable crash_budget_left : int;
   done_actions : Action_id.Set.t array; (* per pid, for After_did triggers *)
   mutable now : int;
 }
 
-let append m p e = History.Builder.append m.hists.(p) e ~tick:m.now
+(* The schedule is walked by a cursor: O(schedule) total. [validate] has
+   rejected unsorted and duplicate-tick schedules, and entries at tick 0
+   (or earlier) take effect before the first tick. *)
+let rec apply_schedule w =
+  match w.schedule with
+  | (at, rate) :: rest when at <= w.now ->
+      Channel.set_loss_rate w.channel rate;
+      w.schedule <- rest;
+      apply_schedule w
+  | _ -> ()
 
-(* The crashed-pid list is cached and invalidated only on crash, but the
-   oracle view still gets a {e fresh} [Pid.Set.of_list] per poll. That is
-   deliberate, not an oversight: oracles embed the view's set in their
-   reports physically ([Set.filter]/[Set.union] return an input unchanged
-   when nothing changes), run digests [Marshal] those reports with
-   default flags, and default [Marshal] encodes physical sharing as
-   back-references — so handing every poll the same cached set value
-   would change digest bytes. A fresh ascending [of_list] reproduces the
-   historical per-poll structure exactly while replacing the old O(n)
-   array -> list -> filter churn with an O(crashed) build. *)
-let rebuild_crashed_list m =
-  let acc = ref [] in
-  for p = m.cfg.n - 1 downto 0 do
-    if m.crashed.(p) then acc := p :: !acc
-  done;
-  m.crashed_list <- !acc
-
-let crash_process m p =
-  append m p Event.Crash;
-  m.crashed.(p) <- true;
-  rebuild_crashed_list m;
-  Channel.drop_in_flight_to m.channel ~dst:p;
-  Channel.forget m.channel ~pid:p;
-  (* a crashed owner will never initiate its planned actions *)
-  m.pending_init_count <-
-    m.pending_init_count - List.length m.pending_inits.(p);
-  m.pending_inits.(p) <- []
-
-let fault_due m p =
-  match m.pending_faults.(p) with
-  | [] -> false
-  | entries ->
-      let fires entry =
-        match entry.Fault_plan.trigger with
-        | Fault_plan.At tick -> m.now >= tick
-        | Fault_plan.After_did (q, a) -> Action_id.Set.mem a m.done_actions.(q)
-        | Fault_plan.After_any_do -> m.any_do
-      in
-      if List.exists fires entries then (
-        (* a process crashes once: all of its entries are consumed *)
-        m.pending_faults.(p) <- [];
-        true)
-      else false
-
-let pending_init m p =
-  List.find_opt (fun e -> e.Init_plan.at <= m.now) m.pending_inits.(p)
-
-let consume_init m entry =
-  let owner = Action_id.owner entry.Init_plan.action in
-  let keep, gone =
-    List.partition
-      (fun e -> not (Action_id.equal e.Init_plan.action entry.Init_plan.action))
-      m.pending_inits.(owner)
+(* Plan entries whose owner/victim is outside [0, n) can never fire but
+   do block goal and quiescence checks, as the old global-list scans did;
+   the window at base 0 keeps them aside ([orphan_faults], and inits in
+   the count only) so that behaviour survives the dense indexing. *)
+let window cfg ~base ~size ~source ~hists make_process =
+  let mine p = p >= base && p < base + size in
+  let orphan p = base = 0 && (p < 0 || p >= cfg.n) in
+  let pending_inits = Array.make size [] and init_count = ref 0 in
+  List.iter
+    (fun e ->
+      let owner = Action_id.owner e.Init_plan.action in
+      if mine owner then (
+        pending_inits.(owner - base) <- e :: pending_inits.(owner - base);
+        incr init_count)
+      else if orphan owner then incr init_count)
+    (List.rev (Init_plan.entries cfg.init_plan));
+  let pending_faults = Array.make size [] and orphan_faults = ref [] in
+  List.iter
+    (fun e ->
+      let v = e.Fault_plan.victim in
+      if mine v then pending_faults.(v - base) <- e :: pending_faults.(v - base)
+      else if orphan v then orphan_faults := e :: !orphan_faults)
+    (List.rev (Fault_plan.entries cfg.fault_plan));
+  let decide ~now ~src ~dst ~rate =
+    Decision.drop source ~tick:now ~src ~dst ~rate
   in
-  m.pending_inits.(owner) <- keep;
-  m.pending_init_count <- m.pending_init_count - List.length gone
+  let w =
+    {
+      cfg;
+      base;
+      size;
+      source;
+      channel =
+        Channel.create ~link_loss:cfg.link_loss ?add:cfg.add ~n:size ~decide
+          ~loss_rate:cfg.loss_rate
+          ~max_consecutive_drops:cfg.max_consecutive_drops ();
+      hists;
+      states = Array.init size (fun i -> make_process (base + i));
+      crashed = Array.make size false;
+      order = Array.init size (fun i -> base + i);
+      pending_inits;
+      pending_init_count = !init_count;
+      pending_faults;
+      orphan_faults = !orphan_faults;
+      schedule = cfg.loss_schedule;
+      crashes = [];
+      initiated = [];
+      any_do = false;
+      crash_budget_left = cfg.crash_budget;
+      done_actions = Array.make size Action_id.Set.empty;
+      now = 0;
+    }
+  in
+  apply_schedule w;
+  w
 
-let oracle_view m =
-  {
-    Oracle.now = m.now;
-    n = m.cfg.n;
-    crashed = Pid.Set.of_list m.crashed_list;
-    planned_faulty = Fault_plan.planned_faulty m.cfg.fault_plan;
-  }
+let append w lp e = History.Builder.append w.hists.(lp) e ~tick:w.now
 
-let deliver_message m p (src, msg, _sent_at) =
-  Channel.deliver m.channel ~src ~dst:p msg;
-  append m p (Event.Recv { src; msg });
-  m.states.(p) <- Protocol.on_recv m.states.(p) ~now:m.now ~src msg
+(* The single crash path, whatever caused the crash: a dead process
+   never initiates or crashes again, so its planned inits and faults are
+   consumed with it (a stale [At] entry would otherwise block quiescence
+   forever). *)
+let crash w lp =
+  let p = w.base + lp in
+  append w lp Event.Crash;
+  w.crashed.(lp) <- true;
+  w.crashes <- p :: w.crashes;
+  Channel.drop_in_flight_to w.channel ~dst:lp;
+  Channel.forget w.channel ~pid:p;
+  w.pending_init_count <-
+    w.pending_init_count - List.length w.pending_inits.(lp);
+  w.pending_inits.(lp) <- [];
+  w.pending_faults.(lp) <- []
 
-let protocol_step m p =
-  let state', act = Protocol.step m.states.(p) ~now:m.now in
-  m.states.(p) <- state';
-  match act with
-  | Protocol.No_op -> ()
-  | Protocol.Perform a ->
-      append m p (Event.Do a);
-      m.done_actions.(p) <- Action_id.Set.add a m.done_actions.(p);
-      m.any_do <- true
-  | Protocol.Send_to (dst, msg) ->
-      append m p (Event.Send { dst; msg });
-      if not m.crashed.(dst) then
-        ignore (Channel.send m.channel ~now:m.now ~src:p ~dst msg)
+(* [fires w ~by e]: [e]'s trigger holds at tick [by]; [~by:max_int] asks
+   whether it can still fire at all. *)
+let fires w ~by e =
+  match e.Fault_plan.trigger with
+  | Fault_plan.At tick -> by >= tick
+  | Fault_plan.After_did (q, a) ->
+      Action_id.Set.mem a w.done_actions.(q - w.base)
+  | Fault_plan.After_any_do -> w.any_do
+
+let fault_due w lp =
+  match w.pending_faults.(lp) with
+  | [] -> false
+  | entries -> List.exists (fires w ~by:w.now) entries
 
 (* Explorer-granted crash: queried only while the config's crash budget has
    anything left, so configs with the default [crash_budget = 0] never make
    the query and their decision traces keep their historical shape. *)
-let decision_crash m p =
-  m.crash_budget_left > 0
-  && Decision.crash m.source ~tick:m.now ~pid:p
-       ~events:(History.Builder.length m.hists.(p))
+let decision_crash w lp =
+  w.crash_budget_left > 0
+  && Decision.crash w.source ~tick:w.now ~pid:(w.base + lp)
+       ~events:(History.Builder.length w.hists.(lp))
   &&
-  (m.crash_budget_left <- m.crash_budget_left - 1;
+  (w.crash_budget_left <- w.crash_budget_left - 1;
    true)
+
+let pending_init w lp =
+  List.find_opt (fun e -> e.Init_plan.at <= w.now) w.pending_inits.(lp)
+
+let consume_init w lp entry =
+  let keep, gone =
+    List.partition
+      (fun e -> not (Action_id.equal e.Init_plan.action entry.Init_plan.action))
+      w.pending_inits.(lp)
+  in
+  w.pending_inits.(lp) <- keep;
+  w.pending_init_count <- w.pending_init_count - List.length gone
+
+let deliver_message w lp (src, msg, _sent_at) =
+  Channel.deliver w.channel ~src ~dst:lp msg;
+  append w lp (Event.Recv { src; msg });
+  w.states.(lp) <- Protocol.on_recv w.states.(lp) ~now:w.now ~src msg
+
+(* A send to a destination inside the window is gated and enqueued here
+   ([Channel.send] split in two, so the gate sees global pids); any other
+   destination goes to the caller's [send_out] hook. *)
+let protocol_step w ~send_out lp =
+  let p = w.base + lp in
+  let state', act = Protocol.step w.states.(lp) ~now:w.now in
+  w.states.(lp) <- state';
+  match act with
+  | Protocol.No_op -> ()
+  | Protocol.Perform a ->
+      append w lp (Event.Do a);
+      w.done_actions.(lp) <- Action_id.Set.add a w.done_actions.(lp);
+      w.any_do <- true
+  | Protocol.Send_to (dst, msg) ->
+      append w lp (Event.Send { dst; msg });
+      let ld = dst - w.base in
+      if ld < 0 || ld >= w.size then send_out ~src:p ~dst msg
+      else if
+        (not w.crashed.(ld))
+        && Channel.gate w.channel ~now:w.now ~src:p ~dst msg
+      then Channel.inject w.channel ~src:p ~dst:ld ~sent:w.now msg
 
 (* One scheduling slot for process p. Priorities: crash, then initiation,
    then a changed failure-detector report, then forced (overdue) delivery,
    then a coin flip between delivering a message and a protocol step. *)
-let schedule_process m p =
-  if m.crashed.(p) then ()
-  else if fault_due m p || decision_crash m p then crash_process m p
+let slot w ~view ~send_out p =
+  let lp = p - w.base in
+  if w.crashed.(lp) then ()
+  else if fault_due w lp || decision_crash w lp then crash w lp
   else
-    match pending_init m p with
+    match pending_init w lp with
     | Some entry ->
-        consume_init m entry;
-        append m p (Event.Init entry.Init_plan.action);
-        m.initiated <- entry.Init_plan.action :: m.initiated;
-        m.states.(p) <- Protocol.on_init m.states.(p) entry.Init_plan.action
+        consume_init w lp entry;
+        append w lp (Event.Init entry.Init_plan.action);
+        w.initiated <- entry.Init_plan.action :: w.initiated;
+        w.states.(lp) <- Protocol.on_init w.states.(lp) entry.Init_plan.action
     | None -> (
         let report =
-          match m.cfg.oracle.Oracle.poll p (oracle_view m) with
+          match w.cfg.oracle.Oracle.poll p (view ()) with
           | None -> None
           | Some r -> (
-              match History.Builder.last_suspect m.hists.(p) with
+              match History.Builder.last_suspect w.hists.(lp) with
               | Some prev when Report.equal prev r -> None
               | _ -> Some r)
         in
         match report with
         | Some r ->
-            append m p (Event.Suspect r);
-            m.states.(p) <- Protocol.on_suspect m.states.(p) r
+            append w lp (Event.Suspect r);
+            w.states.(lp) <- Protocol.on_suspect w.states.(lp) r
         | None -> (
             (* Delivery competes with protocol steps for the slot. The
                delivery probability grows with the backlog (a process
@@ -245,8 +301,8 @@ let schedule_process m p =
                but is capped below 1 so steps never starve; an overdue
                message (older than max_delay) is served first, so every
                kept message is eventually received. *)
-            let backlog = Channel.backlog m.channel ~dst:p in
-            if backlog = 0 then protocol_step m p
+            let backlog = Channel.backlog w.channel ~dst:lp in
+            if backlog = 0 then protocol_step w ~send_out lp
             else
               (* ADD delay bound: a kept message older than [bound] must
                  be received now — it preempts the whole slot and consumes
@@ -254,34 +310,34 @@ let schedule_process m p =
                  decision stream (replay and the explorer see nothing
                  new) and configs without [add] are bit-identical. *)
               let add_overdue =
-                match m.cfg.add with
+                match w.cfg.add with
                 | None -> None
                 | Some { Channel.bound; _ } -> (
-                    match Channel.oldest_in_flight m.channel ~dst:p with
-                    | Some (_, _, sent_at) as x when m.now - sent_at >= bound
+                    match Channel.oldest_in_flight w.channel ~dst:lp with
+                    | Some (_, _, sent_at) as x when w.now - sent_at >= bound
                       ->
                         x
                     | _ -> None)
               in
               match add_overdue with
-              | Some delivery -> deliver_message m p delivery
+              | Some delivery -> deliver_message w lp delivery
               | None ->
               let p_deliver =
                 Float.min 0.9 (0.5 +. (0.08 *. float_of_int backlog))
               in
               if
-                Decision.deliver m.source ~tick:m.now ~dst:p ~backlog
+                Decision.deliver w.source ~tick:w.now ~dst:p ~backlog
                   ~p:p_deliver
               then
                 let overdue =
-                  match Channel.oldest_in_flight m.channel ~dst:p with
+                  match Channel.oldest_in_flight w.channel ~dst:lp with
                   | Some (_, _, sent_at) as x
-                    when m.now - sent_at >= m.cfg.max_delay ->
+                    when w.now - sent_at >= w.cfg.max_delay ->
                       x
                   | _ -> None
                 in
                 match overdue with
-                | Some delivery -> deliver_message m p delivery
+                | Some delivery -> deliver_message w lp delivery
                 | None ->
                     (* [Hashtbl.hash] here is collision-tolerant: keys
                        only decide which pick alternatives the explorer
@@ -295,53 +351,58 @@ let schedule_process m p =
                     let keys () =
                       Array.init backlog (fun i ->
                           let src, msg, _ =
-                            Channel.nth_in_flight m.channel ~dst:p i
+                            Channel.nth_in_flight w.channel ~dst:lp i
                           in
                           Hashtbl.hash (src, msg))
                     in
                     let i =
-                      Decision.pick m.source ~tick:m.now ~dst:p ~keys
+                      Decision.pick w.source ~tick:w.now ~dst:p ~keys
                         ~arity:backlog
                     in
-                    deliver_message m p (Channel.nth_in_flight m.channel ~dst:p i)
-              else protocol_step m p))
+                    deliver_message w lp
+                      (Channel.nth_in_flight w.channel ~dst:lp i)
+              else protocol_step w ~send_out lp))
 
-let goal_holds m =
-  m.pending_init_count = 0
+let tick w ~view ~send_out now =
+  w.now <- now;
+  apply_schedule w;
+  Decision.order w.source ~tick:now w.order;
+  Array.iter (fun p -> slot w ~view ~send_out p) w.order
+
+let quiescent w =
+  let rec quiet lp =
+    lp >= w.size
+    || (w.crashed.(lp) || Protocol.quiescent w.states.(lp)) && quiet (lp + 1)
+  in
+  w.pending_init_count = 0
+  && Channel.in_flight_count w.channel = 0
+  && quiet 0
+  && (* no pending fault whose trigger can still fire *)
+  (not (Array.exists (List.exists (fires w ~by:max_int)) w.pending_faults))
+  && not (List.exists (fires w ~by:max_int) w.orphan_faults)
+
+(* ---------- The unsharded engine: one window over [0, n) ---------- *)
+
+let goal_holds w =
+  w.pending_init_count = 0
   &&
-  match m.cfg.goal with
+  match w.cfg.goal with
   | Run_to_max -> false
   | All_alive_decided ->
       List.for_all
         (fun p ->
-          m.crashed.(p)
-          || not (Action_id.Set.is_empty (Protocol.performed m.states.(p))))
-        (Pid.all m.cfg.n)
+          w.crashed.(p)
+          || not (Action_id.Set.is_empty (Protocol.performed w.states.(p))))
+        (Pid.all w.cfg.n)
   | All_alive_performed ->
       List.for_all
         (fun a ->
           List.for_all
             (fun p ->
-              m.crashed.(p)
-              || Action_id.Set.mem a (Protocol.performed m.states.(p)))
-            (Pid.all m.cfg.n))
-        m.initiated
-
-let fault_can_still_fire m e =
-  match e.Fault_plan.trigger with
-  | Fault_plan.At _ -> true (* will fire; keep running *)
-  | Fault_plan.After_did (q, a) -> Action_id.Set.mem a m.done_actions.(q)
-  | Fault_plan.After_any_do -> m.any_do
-
-let system_quiescent m =
-  m.pending_init_count = 0
-  && Channel.in_flight_count m.channel = 0
-  && List.for_all
-       (fun p -> m.crashed.(p) || Protocol.quiescent m.states.(p))
-       (Pid.all m.cfg.n)
-  && (* no pending fault whose trigger can still fire *)
-  (not (Array.exists (List.exists (fault_can_still_fire m)) m.pending_faults))
-  && not (List.exists (fault_can_still_fire m) m.orphan_faults)
+              w.crashed.(p)
+              || Action_id.Set.mem a (Protocol.performed w.states.(p)))
+            (Pid.all w.cfg.n))
+        w.initiated
 
 (* One history arena per domain, reused across every run executed on that
    worker (the Ensemble pool keeps its domains alive across jobs, so the
@@ -357,107 +418,60 @@ let execute ?decisions cfg make_process =
     | Some s -> s
     | None -> Decision.random ~seed:cfg.seed ()
   in
-  let decide ~now ~src ~dst ~rate =
-    Decision.drop source ~tick:now ~src ~dst ~rate
-  in
-  let in_range p = p >= 0 && p < cfg.n in
-  (* an out-of-range owner's entries stay pending forever: they are
-     counted (blocking goal and quiescence, as the old global-list scan
-     did) but never stored, since no slot can consume them *)
-  let pending_inits = Array.make cfg.n [] in
-  List.iter
-    (fun e ->
-      let owner = Action_id.owner e.Init_plan.action in
-      if in_range owner then pending_inits.(owner) <- e :: pending_inits.(owner))
-    (Init_plan.entries cfg.init_plan);
-  Array.iteri (fun p l -> pending_inits.(p) <- List.rev l) pending_inits;
-  let pending_faults = Array.make cfg.n [] in
-  let orphan_faults = ref [] in
-  List.iter
-    (fun e ->
-      let v = e.Fault_plan.victim in
-      if in_range v then pending_faults.(v) <- e :: pending_faults.(v)
-      else orphan_faults := e :: !orphan_faults)
-    (Fault_plan.entries cfg.fault_plan);
-  Array.iteri (fun p l -> pending_faults.(p) <- List.rev l) pending_faults;
   let hists, release =
     History.Builder.acquire (Domain.DLS.get arena_key) ~n:cfg.n
   in
   Fun.protect ~finally:release @@ fun () ->
-  let m =
+  let w = window cfg ~base:0 ~size:cfg.n ~source ~hists make_process in
+  (* The oracle view is a parameter of [tick] because [Run.digest] Marshals
+     reports with their physical sharing. Oracles embed the view's sets
+     in their reports ([Set.filter]/[Set.union] return an input unchanged
+     when nothing changes), and default [Marshal] encodes sharing as
+     back-references, so handing every poll the same set values would
+     change digest bytes. Every poll therefore gets a fresh ascending
+     [Pid.Set.of_list] (the list is re-sorted only after a crash) and a
+     fresh planned-faulty set: the historical per-poll structure. *)
+  let seen = ref [] and ascending = ref [] in
+  let view () =
+    if w.crashes != !seen then begin
+      seen := w.crashes;
+      ascending := List.sort Pid.compare w.crashes
+    end;
     {
-      cfg;
-      source;
-      channel =
-        Channel.create ~link_loss:cfg.link_loss ?add:cfg.add ~n:cfg.n ~decide
-          ~loss_rate:cfg.loss_rate
-          ~max_consecutive_drops:cfg.max_consecutive_drops ();
-      hists;
-      states = Array.init cfg.n make_process;
-      crashed = Array.make cfg.n false;
-      crashed_list = [];
-      pending_inits;
-      pending_init_count = List.length (Init_plan.entries cfg.init_plan);
-      pending_faults;
-      orphan_faults = !orphan_faults;
-      initiated = [];
-      any_do = false;
-      blackout_done = false;
-      crash_budget_left = cfg.crash_budget;
-      done_actions = Array.make cfg.n Action_id.Set.empty;
-      now = 0;
+      Oracle.now = w.now;
+      n = cfg.n;
+      crashed = Pid.Set.of_list !ascending;
+      planned_faulty = Fault_plan.planned_faulty cfg.fault_plan;
     }
   in
-  let order = Array.of_list (Pid.all cfg.n) in
+  let send_out ~src:_ ~dst _ =
+    invalid_arg (Printf.sprintf "Sim: send to pid %d outside [0, %d)" dst cfg.n)
+  in
   let reason = ref Max_ticks in
   let drained = ref 0 in
-  (* The schedule is walked by a cursor over a stable sort: O(schedule)
-     total instead of the old O(schedule × ticks) rescan per tick.
-     [validate] has already rejected unsorted and duplicate-tick
-     schedules, so the sort is a no-op kept for defence in depth.
-     Entries at tick 0 (or earlier) take effect before the first tick;
-     the old loop, starting at tick 1, silently dropped them. *)
-  let schedule_cursor =
-    ref
-      (List.stable_sort
-         (fun (a, _) (b, _) -> Int.compare a b)
-         cfg.loss_schedule)
-  in
-  let apply_schedule tick =
-    let rec go = function
-      | (at, rate) :: rest when at <= tick ->
-          Channel.set_loss_rate m.channel rate;
-          go rest
-      | rest -> schedule_cursor := rest
-    in
-    go !schedule_cursor
-  in
-  apply_schedule 0;
+  let blackout_done = ref false in
   (try
-     for tick = 1 to cfg.max_ticks do
-       m.now <- tick;
-       apply_schedule tick;
-       Decision.order m.source ~tick order;
-       Array.iter (fun p -> schedule_process m p) order;
-       if cfg.blackout_after_do && m.any_do && not m.blackout_done then (
-         Channel.drop_all_in_flight m.channel;
-         m.blackout_done <- true);
-       if goal_holds m then (
+     for now = 1 to cfg.max_ticks do
+       tick w ~view ~send_out now;
+       if cfg.blackout_after_do && w.any_do && not !blackout_done then (
+         Channel.drop_all_in_flight w.channel;
+         blackout_done := true);
+       if goal_holds w then (
          incr drained;
          if !drained > cfg.drain_margin then (
            reason := Goal_reached;
            raise Exit))
        else drained := 0;
-       if system_quiescent m then (
+       if quiescent w then (
          reason := Quiescent;
          raise Exit)
      done
    with Exit -> ());
   {
     run =
-      Run.make ~n:cfg.n ~horizon:m.now (Array.map History.Builder.seal m.hists);
+      Run.make ~n:cfg.n ~horizon:w.now (Array.map History.Builder.seal w.hists);
     reason = !reason;
-    final_states = m.states;
+    final_states = w.states;
   }
 
 let execute_uniform ?decisions cfg proto =

@@ -9,7 +9,12 @@
     when the whole system is quiescent (no process will ever emit another
     event), or at [max_ticks] — the cap is how violating executions
     surface, since the paper's protocols never terminate on their own
-    (footnote 10). *)
+    (footnote 10).
+
+    The scheduling slot itself lives in a kernel over a pid window (at
+    the end of this interface): [execute] drives one window over
+    [[0, n)], and [Scale.Shard.execute] drives one per shard, so the two
+    engines share every slot rule by construction. *)
 
 type stop_reason = Goal_reached | Quiescent | Max_ticks
 
@@ -117,3 +122,74 @@ val replay :
   trace:Decision.t list -> config -> (Pid.t -> Protocol.t) -> result
 
 val pp_stop_reason : Format.formatter -> stop_reason -> unit
+
+(** {1 The scheduling kernel}
+
+    The slot logic both engines share, over a contiguous pid {e window}
+    [[base, base + size)]. Per-pid arrays are indexed locally
+    ([pid - base]); decisions, fairness rows and events carry global
+    pids. [execute] drives one window over [[0, n)] and adds the goal,
+    drain, blackout and a fresh oracle view per poll; [Scale.Shard]
+    drives one window per shard and adds the cross-shard barrier and a
+    committed view per tick. *)
+
+type window = {
+  cfg : config;
+  base : int;
+  size : int;
+  source : Decision.source;
+  channel : Channel.t;  (** in-flight queues of the window's destinations *)
+  hists : History.Builder.t array;
+  states : Protocol.t array;
+  crashed : bool array;
+  order : Pid.t array;  (** the slot order, permuted in place every tick *)
+  pending_inits : Init_plan.entry list array;  (** per owner, plan order *)
+  mutable pending_init_count : int;  (** orphans included *)
+  pending_faults : Fault_plan.entry list array;  (** per victim, plan order *)
+  orphan_faults : Fault_plan.entry list;
+  mutable schedule : (int * float) list;  (** loss-schedule entries ahead *)
+  mutable crashes : Pid.t list;
+      (** crashed pids, newest first; the caller may clear it once read *)
+  mutable initiated : Action_id.t list;
+  mutable any_do : bool;
+  mutable crash_budget_left : int;
+  done_actions : Action_id.Set.t array;
+  mutable now : int;  (** the current (or last) tick *)
+}
+
+(** [window cfg ~base ~size ~source ~hists make_process] builds the window
+    [[base, base + size)]: its slice of the init and fault plans, a
+    channel that draws drop decisions from [source], [size] empty
+    builders [hists], and the states [make_process p]. The window at base
+    0 also keeps the plan entries that name no pid of [[0, n)]: they
+    never fire but block quiescence (and the goal). Loss-schedule entries
+    at tick 0 or earlier are applied at once. [cfg] must pass
+    {!validate}. *)
+val window :
+  config ->
+  base:int ->
+  size:int ->
+  source:Decision.source ->
+  hists:History.Builder.t array ->
+  (Pid.t -> Protocol.t) ->
+  window
+
+(** [tick w ~view ~send_out now] runs tick [now] on [w]: it applies the
+    loss schedule, draws the slot order and gives every live process one
+    slot (R2). Priorities within a slot: crash (planned or granted by the
+    crash budget), then initiation, then a changed oracle report (polled
+    with [view ()]), then forced delivery (ADD bound, then [max_delay]),
+    then the deliver-vs-step coin. A send to a pid inside the window is
+    gated and enqueued here; [send_out ~src ~dst msg] receives every
+    other send, ungated. *)
+val tick :
+  window ->
+  view:(unit -> Oracle.view) ->
+  send_out:(src:Pid.t -> dst:Pid.t -> Message.t -> unit) ->
+  int ->
+  unit
+
+(** No process of the window will emit another event unprompted: no
+    pending init, nothing in flight, every live process quiescent, and no
+    pending fault whose trigger can still fire. *)
+val quiescent : window -> bool

@@ -1,13 +1,16 @@
-(* Sharded large-n execution. The machine of [Sim.execute] is split into
-   contiguous pid windows (shards); each shard owns its slice of every
-   dense per-pid structure — history builders, protocol states, the
-   crashed flags, the in-flight queues of its own destinations — plus a
-   decision stream of its own, keyed by [Prng.shard_seed (seed, k)]. One
-   global tick runs every shard's slots (an [Ensemble.map_array] over the
-   shard array, so the per-tick work parallelises without any lock on the
-   step path), then a sequential barrier routes the double-buffered
-   cross-shard outboxes and commits this tick's crashes into the shared
-   read-only view of the failure pattern.
+(* Sharded large-n execution: [s] kernel windows ticked together. The
+   pids are split into contiguous windows (shards); each is a [Sim.window]
+   owning its slice of every dense per-pid structure — history builders,
+   protocol states, the crashed flags, the in-flight queues of its own
+   destinations — plus a decision stream of its own, keyed by
+   [Prng.shard_seed (seed, k)]. Every slot rule is [Sim.tick]'s; this
+   module adds only the partition, the barrier, the committed view and
+   record/replay. One global tick runs every shard's [Sim.tick] (an
+   [Ensemble.map_array] over the shard array, so the per-tick work
+   parallelises without any lock on the step path), then a sequential
+   barrier routes the double-buffered cross-shard outboxes and commits
+   this tick's crashes into the shared read-only view of the failure
+   pattern.
 
    Determinism does not depend on the domain count: within a tick, shards
    touch only their own state, the read-only barrier products of the
@@ -17,45 +20,33 @@
    the happens-before edges between a shard's mutations and the next
    tick's reader.
 
-   Cross-shard sends split [Channel.send] into its two halves: the loss
-   decision ([Channel.gate], on the sender's channel and decision stream,
-   with {e global} pids so fairness classes and link overrides are
+   A send to another shard leaves the kernel through its [send_out] hook,
+   which splits [Channel.send] into its two halves: the loss decision
+   ([Channel.gate], on the sender's channel and decision stream, with
+   {e global} pids so fairness classes and link overrides are
    topology-independent) and the enqueue ([Channel.inject], on the
-   destination shard, at the barrier). A sender consults the committed
+   destination shard, at its next tick). A sender consults the committed
    crash bitmap — up to one tick stale, but deterministic — and the
    destination shard re-checks its exact local flag at injection, so a
    message is never enqueued for a crashed process.
 
-   With [shards = 1] the engine degenerates to [Sim.execute] exactly:
-   shard 0's stream is seeded with the run seed itself
-   ([Prng.shard_seed seed 0 = seed]), every query is issued in the same
-   order with the same arguments, and histories are built by the same
-   appends — runs are bit-identical (digest-equal), which the perf gate
-   and the test suite assert. The price of sharding is a restricted
-   configuration surface (validated up front, below) and an oracle
-   restriction that cannot be validated structurally: the oracle view is
-   built {e once per tick} (and refreshed at crash commits) instead of
-   freshly per poll, so oracles must not be sensitive to the view's
-   physical identity — true of the detector-backend cell oracles and
-   [Oracle.none], not of the axiomatic oracles that embed the view's
-   crashed set in their reports. *)
+   With [shards = 1] the single window is [Sim.execute]'s: shard 0's
+   stream is seeded with the run seed itself
+   ([Prng.shard_seed seed 0 = seed]) and no send leaves the window, so
+   the two engines differ only in their oracle views, and runs are
+   bit-identical (digest-equal) whenever the oracle ignores the view's
+   crash set — which the perf gate and the test suite assert. The price
+   of sharding is a restricted configuration surface (validated up
+   front, below) and an oracle restriction that cannot be validated
+   structurally: the oracle view is built {e once per tick} (and
+   refreshed at crash commits) instead of freshly per poll, so oracles
+   must not be sensitive to the view's physical identity — true of the
+   detector-backend cell oracles and [Oracle.none], not of the axiomatic
+   oracles that embed the view's crashed set in their reports. *)
 
 type shard = {
   k : int;
-  base : int;
-  size : int;
-  source : Decision.source;
-  channel : Channel.t;
-  hists : History.Builder.t array; (* local index: global pid - base *)
-  states : Protocol.t array;
-  crashed : bool array; (* exact, unlike the committed bitmap *)
-  order : int array; (* global pids; permuted in place, reused per tick *)
-  pending_inits : Init_plan.entry list array;
-  mutable pending_init_count : int;
-  pending_faults : Fault_plan.entry list array;
-  mutable fault_entries_left : int;
-  mutable schedule : (int * float) list; (* sorted loss-schedule cursor *)
-  mutable new_crashes : Pid.t list; (* this tick, newest first *)
+  w : Sim.window;
   outbox : (Pid.t * Pid.t * Message.t) list array;
       (* per destination shard, newest first; drained at the barrier *)
   mutable inbox : (Pid.t * Pid.t * Message.t) list; (* delivery order *)
@@ -97,51 +88,6 @@ let shard_base ~n ~s k =
   let q = n / s and r = n mod s in
   (k * q) + min k r
 
-let fault_due sh ~now lp =
-  match sh.pending_faults.(lp) with
-  | [] -> false
-  | entries ->
-      let fires e =
-        match e.Fault_plan.trigger with
-        | Fault_plan.At tick -> now >= tick
-        | _ -> false
-      in
-      if List.exists fires entries then begin
-        (* a process crashes once: all of its entries are consumed *)
-        sh.fault_entries_left <- sh.fault_entries_left - List.length entries;
-        sh.pending_faults.(lp) <- [];
-        true
-      end
-      else false
-
-let crash sh ~now gp lp =
-  History.Builder.append sh.hists.(lp) Event.Crash ~tick:now;
-  sh.crashed.(lp) <- true;
-  Channel.drop_in_flight_to sh.channel ~dst:lp;
-  Channel.forget sh.channel ~pid:gp;
-  sh.pending_init_count <-
-    sh.pending_init_count - List.length sh.pending_inits.(lp);
-  sh.pending_inits.(lp) <- [];
-  sh.new_crashes <- gp :: sh.new_crashes
-
-let pending_init sh ~now lp =
-  List.find_opt (fun e -> e.Init_plan.at <= now) sh.pending_inits.(lp)
-
-let consume_init sh lp entry =
-  let keep, gone =
-    List.partition
-      (fun e ->
-        not (Action_id.equal e.Init_plan.action entry.Init_plan.action))
-      sh.pending_inits.(lp)
-  in
-  sh.pending_inits.(lp) <- keep;
-  sh.pending_init_count <- sh.pending_init_count - List.length gone
-
-let deliver_message sh ~now lp (src, msg, _sent_at) =
-  Channel.deliver sh.channel ~src ~dst:lp msg;
-  History.Builder.append sh.hists.(lp) (Event.Recv { src; msg }) ~tick:now;
-  sh.states.(lp) <- Protocol.on_recv sh.states.(lp) ~now ~src msg
-
 let execute ?(shards = 1) ?domains ?decisions (cfg : Sim.config) make_process =
   validate cfg;
   let n = cfg.n in
@@ -150,24 +96,6 @@ let execute ?(shards = 1) ?domains ?decisions (cfg : Sim.config) make_process =
   | Some a when Array.length a <> s ->
       invalid_arg "Shard.execute: one decision source per shard"
   | _ -> ());
-  let sorted_schedule =
-    List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) cfg.loss_schedule
-  in
-  let in_range p = p >= 0 && p < n in
-  (* Plan entries whose owner/victim is out of range can never fire but do
-     block quiescence, as in [Sim.execute]. *)
-  let orphan_init_count =
-    List.length
-      (List.filter
-         (fun e -> not (in_range (Action_id.owner e.Init_plan.action)))
-         (Init_plan.entries cfg.init_plan))
-  in
-  let orphan_fault_count =
-    List.length
-      (List.filter
-         (fun e -> not (in_range e.Fault_plan.victim))
-         (Fault_plan.entries cfg.fault_plan))
-  in
   let make_shard k =
     let base = shard_base ~n ~s k in
     let size = shard_base ~n ~s (k + 1) - base in
@@ -176,231 +104,57 @@ let execute ?(shards = 1) ?domains ?decisions (cfg : Sim.config) make_process =
       | Some a -> a.(k)
       | None -> Decision.random ~seed:(Prng.shard_seed cfg.seed k) ()
     in
-    let decide ~now ~src ~dst ~rate =
-      Decision.drop source ~tick:now ~src ~dst ~rate
+    let hists =
+      Array.init size (fun _ ->
+          History.Builder.fresh ~capacity:builder_capacity ())
     in
-    let channel =
-      Channel.create ~link_loss:cfg.link_loss ?add:cfg.add ~n:size ~decide
-        ~loss_rate:cfg.loss_rate
-        ~max_consecutive_drops:cfg.max_consecutive_drops ()
-    in
-    let pending_inits = Array.make size [] in
-    let count = ref 0 in
-    List.iter
-      (fun e ->
-        let owner = Action_id.owner e.Init_plan.action in
-        if in_range owner && shard_of ~n ~s owner = k then begin
-          pending_inits.(owner - base) <- e :: pending_inits.(owner - base);
-          incr count
-        end)
-      (Init_plan.entries cfg.init_plan);
-    Array.iteri (fun p l -> pending_inits.(p) <- List.rev l) pending_inits;
-    let pending_faults = Array.make size [] in
-    let fault_entries_left = ref 0 in
-    List.iter
-      (fun e ->
-        let v = e.Fault_plan.victim in
-        if in_range v && shard_of ~n ~s v = k then begin
-          pending_faults.(v - base) <- e :: pending_faults.(v - base);
-          incr fault_entries_left
-        end)
-      (Fault_plan.entries cfg.fault_plan);
-    Array.iteri (fun p l -> pending_faults.(p) <- List.rev l) pending_faults;
-    let sh =
-      {
-        k;
-        base;
-        size;
-        source;
-        channel;
-        hists =
-          Array.init size (fun _ ->
-              History.Builder.fresh ~capacity:builder_capacity ());
-        states = Array.init size (fun i -> make_process (base + i));
-        crashed = Array.make size false;
-        order = Array.init size (fun i -> base + i);
-        pending_inits;
-        pending_init_count = !count;
-        pending_faults;
-        fault_entries_left = !fault_entries_left;
-        schedule = sorted_schedule;
-        new_crashes = [];
-        outbox = Array.make s [];
-        inbox = [];
-      }
-    in
-    (* entries at tick 0 or earlier take effect before the first tick *)
-    let rec apply0 = function
-      | (at, rate) :: rest when at <= 0 ->
-          Channel.set_loss_rate channel rate;
-          apply0 rest
-      | rest -> sh.schedule <- rest
-    in
-    apply0 sh.schedule;
-    sh
+    {
+      k;
+      w = Sim.window cfg ~base ~size ~source ~hists make_process;
+      outbox = Array.make s [];
+      inbox = [];
+    }
   in
   let shards_arr = Array.init s make_shard in
   let committed = Bytes.make n '\000' in
-  let committed_crashed p = Bytes.unsafe_get committed p <> '\000' in
   let committed_list = ref [] in
-  let planned_faulty = Fault_plan.planned_faulty cfg.fault_plan in
   let view =
-    ref { Oracle.now = 0; n; crashed = Pid.Set.empty; planned_faulty }
+    ref
+      {
+        Oracle.now = 0;
+        n;
+        crashed = Pid.Set.empty;
+        planned_faulty = Fault_plan.planned_faulty cfg.fault_plan;
+      }
   in
-  let oracle = cfg.oracle in
-  let protocol_step sh ~now gp lp =
-    let state', act = Protocol.step sh.states.(lp) ~now in
-    sh.states.(lp) <- state';
-    match act with
-    | Protocol.No_op -> ()
-    | Protocol.Perform a ->
-        (* [After_did]/[After_any_do] triggers and performance goals are
-           rejected by [validate], so the Do only needs to reach the
-           history *)
-        History.Builder.append sh.hists.(lp) (Event.Do a) ~tick:now
-    | Protocol.Send_to (dst, msg) ->
-        History.Builder.append sh.hists.(lp) (Event.Send { dst; msg })
-          ~tick:now;
-        if dst >= sh.base && dst < sh.base + sh.size then begin
-          if not sh.crashed.(dst - sh.base) then
-            (* gate with global pids, enqueue at the local index: exactly
-               [Channel.send] split in two (the channel documents the
-               equivalence) *)
-            if Channel.gate sh.channel ~now ~src:gp ~dst msg then
-              Channel.inject sh.channel ~src:gp ~dst:(dst - sh.base)
-                ~sent:now msg
-        end
-        else if not (committed_crashed dst) then
-          if Channel.gate sh.channel ~now ~src:gp ~dst msg then begin
-            let dk = shard_of ~n ~s dst in
-            sh.outbox.(dk) <- (gp, dst, msg) :: sh.outbox.(dk)
-          end
-  in
-  (* One scheduling slot, mirroring [Sim.schedule_process] query for
-     query: crash, then initiation, then a changed detector report, then
-     forced (overdue) delivery, then the deliver-vs-step coin. *)
-  let slot sh ~now v gp =
-    let lp = gp - sh.base in
-    if sh.crashed.(lp) then ()
-    else if fault_due sh ~now lp then crash sh ~now gp lp
-    else
-      match pending_init sh ~now lp with
-      | Some entry ->
-          consume_init sh lp entry;
-          History.Builder.append sh.hists.(lp)
-            (Event.Init entry.Init_plan.action)
-            ~tick:now;
-          sh.states.(lp) <-
-            Protocol.on_init sh.states.(lp) entry.Init_plan.action
-      | None -> (
-          let report =
-            match oracle.Oracle.poll gp v with
-            | None -> None
-            | Some r -> (
-                match History.Builder.last_suspect sh.hists.(lp) with
-                | Some prev when Report.equal prev r -> None
-                | _ -> Some r)
-          in
-          match report with
-          | Some r ->
-              History.Builder.append sh.hists.(lp) (Event.Suspect r)
-                ~tick:now;
-              sh.states.(lp) <- Protocol.on_suspect sh.states.(lp) r
-          | None -> (
-              let backlog = Channel.backlog sh.channel ~dst:lp in
-              if backlog = 0 then protocol_step sh ~now gp lp
-              else
-                (* ADD delay bound, exactly as in [Sim.schedule_process]:
-                   preempts the slot, consumes no Decision *)
-                let add_overdue =
-                  match cfg.add with
-                  | None -> None
-                  | Some { Channel.bound; _ } -> (
-                      match Channel.oldest_in_flight sh.channel ~dst:lp with
-                      | Some (_, _, sent_at) as x when now - sent_at >= bound
-                        ->
-                          x
-                      | _ -> None)
-                in
-                match add_overdue with
-                | Some delivery -> deliver_message sh ~now lp delivery
-                | None ->
-                let p_deliver =
-                  Float.min 0.9 (0.5 +. (0.08 *. float_of_int backlog))
-                in
-                if
-                  Decision.deliver sh.source ~tick:now ~dst:gp ~backlog
-                    ~p:p_deliver
-                then
-                  let overdue =
-                    match Channel.oldest_in_flight sh.channel ~dst:lp with
-                    | Some (_, _, sent_at) as x
-                      when now - sent_at >= cfg.max_delay ->
-                        x
-                    | _ -> None
-                  in
-                  match overdue with
-                  | Some delivery -> deliver_message sh ~now lp delivery
-                  | None ->
-                      let keys () =
-                        Array.init backlog (fun i ->
-                            let src, msg, _ =
-                              Channel.nth_in_flight sh.channel ~dst:lp i
-                            in
-                            Hashtbl.hash (src, msg))
-                      in
-                      let i =
-                        Decision.pick sh.source ~tick:now ~dst:gp ~keys
-                          ~arity:backlog
-                      in
-                      deliver_message sh ~now lp
-                        (Channel.nth_in_flight sh.channel ~dst:lp i)
-                else protocol_step sh ~now gp lp))
-  in
-  let apply_schedule sh tick =
-    let rec go = function
-      | (at, rate) :: rest when at <= tick ->
-          Channel.set_loss_rate sh.channel rate;
-          go rest
-      | rest -> sh.schedule <- rest
-    in
-    go sh.schedule
+  let send_out sh ~src ~dst msg =
+    if
+      Bytes.unsafe_get committed dst = '\000'
+      && Channel.gate sh.w.channel ~now:sh.w.now ~src ~dst msg
+    then
+      let dk = shard_of ~n ~s dst in
+      sh.outbox.(dk) <- (src, dst, msg) :: sh.outbox.(dk)
   in
   let tick_shard sh ~now v =
     (* messages routed at the previous barrier; a destination that
        crashed after the sender's staleness window closed is re-checked
        here with the exact local flag *)
-    (match sh.inbox with
-    | [] -> ()
-    | inbound ->
-        List.iter
-          (fun (src, dst, msg) ->
-            let lp = dst - sh.base in
-            if not sh.crashed.(lp) then
-              Channel.inject sh.channel ~src ~dst:lp ~sent:(now - 1) msg)
-          inbound;
-        sh.inbox <- []);
-    apply_schedule sh now;
-    Decision.order sh.source ~tick:now sh.order;
-    Array.iter (fun gp -> slot sh ~now v gp) sh.order
-  in
-  let rec all_quiet sh lp =
-    lp >= sh.size
-    || (sh.crashed.(lp) || Protocol.quiescent sh.states.(lp))
-       && all_quiet sh (lp + 1)
+    List.iter
+      (fun (src, dst, msg) ->
+        let lp = dst - sh.w.base in
+        if not sh.w.crashed.(lp) then
+          Channel.inject sh.w.channel ~src ~dst:lp ~sent:(now - 1) msg)
+      sh.inbox;
+    sh.inbox <- [];
+    Sim.tick sh.w ~view:(fun () -> v) ~send_out:(send_out sh) now
   in
   let reason = ref Sim.Max_ticks in
-  let horizon = ref 0 in
   (try
      for tick = 1 to cfg.max_ticks do
-       horizon := tick;
        view := { !view with Oracle.now = tick };
        let v = !view in
        ignore
-         (Ensemble.map_array ?domains
-            (fun sh ->
-              tick_shard sh ~now:tick v;
-              ())
+         (Ensemble.map_array ?domains (fun sh -> tick_shard sh ~now:tick v)
             shards_arr);
        (* barrier, sequential in shard order: route outboxes ... *)
        if s > 1 then
@@ -420,7 +174,7 @@ let execute ?(shards = 1) ?domains ?decisions (cfg : Sim.config) make_process =
        let any_crash = ref false in
        Array.iter
          (fun sh ->
-           match sh.new_crashes with
+           match sh.w.crashes with
            | [] -> ()
            | l ->
                any_crash := true;
@@ -433,25 +187,17 @@ let execute ?(shards = 1) ?domains ?decisions (cfg : Sim.config) make_process =
                    Array.iter
                      (fun other ->
                        if other.k <> sh.k then
-                         Channel.forget other.channel ~pid:gp)
+                         Channel.forget other.w.channel ~pid:gp)
                      shards_arr)
                  (List.rev l);
-               sh.new_crashes <- [])
+               sh.w.crashes <- [])
          shards_arr;
        if !any_crash then
          view :=
            { !view with Oracle.crashed = Pid.Set.of_list !committed_list };
-       (* quiescence, cheap guards first; the per-state scan runs only
-          when nothing is pending or in flight anywhere *)
        if
-         orphan_init_count = 0 && orphan_fault_count = 0
-         && Array.for_all
-              (fun sh ->
-                sh.pending_init_count = 0 && sh.fault_entries_left = 0
-                && Channel.in_flight_count sh.channel = 0
-                && sh.inbox = [])
-              shards_arr
-         && Array.for_all (fun sh -> all_quiet sh 0) shards_arr
+         Array.for_all (fun sh -> sh.inbox = [] && Sim.quiescent sh.w)
+           shards_arr
        then begin
          reason := Sim.Quiescent;
          raise Exit
@@ -461,17 +207,18 @@ let execute ?(shards = 1) ?domains ?decisions (cfg : Sim.config) make_process =
   let hists = Array.make n History.empty in
   Array.iter
     (fun sh ->
-      for lp = 0 to sh.size - 1 do
-        hists.(sh.base + lp) <- History.Builder.seal sh.hists.(lp)
+      for lp = 0 to sh.w.size - 1 do
+        hists.(sh.w.base + lp) <- History.Builder.seal sh.w.hists.(lp)
       done)
     shards_arr;
   let final_states =
     Array.init n (fun p ->
         let sh = shards_arr.(shard_of ~n ~s p) in
-        sh.states.(p - sh.base))
+        sh.w.states.(p - sh.w.base))
   in
   {
-    Sim.run = Run.make ~n ~horizon:!horizon hists;
+    (* every window runs the same ticks *)
+    Sim.run = Run.make ~n ~horizon:shards_arr.(0).w.now hists;
     reason = !reason;
     final_states;
   }

@@ -1,24 +1,29 @@
 (** Sharded large-n simulation (the two-tier execution mode).
 
-    [Sim.execute] is a single machine over dense per-pid arrays; at
-    [n = 10^6] its per-tick loop is fine but everything global about it —
-    one decision stream, one channel, one crash list rebuilt per crash —
-    serialises. This engine partitions the pids into contiguous {e shards},
-    each owning its slice of every per-pid structure plus a decision
-    stream of its own keyed by [Prng.shard_seed (seed, shard)], ticks all
-    shards through the standard scheduling slots (an {!Ensemble} map, no
-    locks on the step path), and runs a sequential barrier per tick that
-    routes double-buffered cross-shard outboxes and commits crashes into
-    a shared read-only failure-pattern view.
+    [Sim.execute] drives one kernel window over every pid: one decision
+    stream, one channel, one crash list. At [n = 10^6] everything global
+    about it serialises. This engine drives the same kernel
+    ({!Sim.window}, {!Sim.tick}) over contiguous {e shards}: each is a
+    window owning its slice of every per-pid structure plus a decision
+    stream of its own keyed by [Prng.shard_seed (seed, shard)]. Every
+    tick maps {!Sim.tick} over the shards (an {!Ensemble} map, no locks
+    on the step path), then runs a sequential barrier that routes
+    double-buffered cross-shard outboxes and commits crashes into a
+    shared read-only failure-pattern view. This module owns only the
+    partition, the barrier, the committed view and record/replay; every
+    slot rule is the kernel's.
 
-    {b Fidelity.} With [shards = 1] the engine is bit-identical to
-    [Sim.execute] — same decision queries in the same order, same
-    histories, same {!Run.digest} — asserted by the perf gate and tests.
-    With [shards > 1] runs are deterministic for a given [(seed, shards)]
-    at {e every} domain count, and remote sends see a committed crash
-    bitmap that is at most one tick stale (the destination shard
-    re-checks its exact flag at injection), mirroring what a real
-    distributed deployment of the simulator would observe.
+    {b Fidelity.} With [shards = 1] the single window is
+    [Sim.execute]'s, so the engines share every decision query and every
+    history append by construction; they differ only in the oracle view
+    (below). Runs are bit-identical to [Sim.execute] — same
+    {!Run.digest} — for oracles that ignore the view's crash set, which
+    the perf gate and tests assert. With [shards > 1] runs are
+    deterministic for a given [(seed, shards)] at {e every} domain
+    count, and remote sends see a committed crash bitmap that is at most
+    one tick stale (the destination shard re-checks its exact flag at
+    injection), mirroring what a real distributed deployment of the
+    simulator would observe.
 
     {b Restrictions} (validated, [Invalid_argument] otherwise): goal
     [Run_to_max]; no [blackout_after_do]; no explorer crash budget; fault

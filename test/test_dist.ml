@@ -609,6 +609,36 @@ let sim_pinned_digest () =
     "7f1a31145dd8ebf8f291a10dd476ff6d"
     (digest_with ~seed:2026L ~loss_rate:0.3 ~schedule:[ (15, 0.05); (30, 0.6) ])
 
+(* A crash the decision source grants consumes the victim's planned fault:
+   the run goes quiescent at the same tick as when the plan itself crashes
+   the victim there, instead of waiting forever on an [At] entry for a
+   process that is already dead. *)
+let decision_crash_consumes_fault () =
+  let run ~at =
+    let cfg =
+      {
+        (Sim.config ~n:2 ~seed:1L) with
+        Sim.goal = Sim.Run_to_max;
+        max_ticks = 100;
+        crash_budget = 1;
+        fault_plan = Fault_plan.crash_at [ (0, at) ];
+      }
+    in
+    (* decision 0 is tick 1's slot order, decision 1 pid 0's crash query *)
+    let decisions = Decision.scripted ~plan:[ (1, Decision.Crash true) ] () in
+    let r = Sim.execute_uniform ~decisions cfg (module Core.Reliable_udc.P) in
+    (r.Sim.reason, Run.horizon r.Sim.run)
+  in
+  List.iter
+    (fun at ->
+      let reason, horizon = run ~at in
+      Alcotest.(check string)
+        (Printf.sprintf "fault at %d: stop reason" at)
+        "quiescent"
+        (Format.asprintf "%a" Sim.pp_stop_reason reason);
+      Alcotest.(check int) (Printf.sprintf "fault at %d: horizon" at) 1 horizon)
+    [ 1; 50 ]
+
 (* ---------- ADD channels ---------- *)
 
 (* The per-link loss window: under an always-drop decision source an ADD
@@ -741,5 +771,7 @@ let suite =
     Alcotest.test_case "channel: oldest in flight" `Quick
       channel_oldest_in_flight;
     Alcotest.test_case "sim: pinned reference digest" `Quick sim_pinned_digest;
+    Alcotest.test_case "sim: decision crash consumes planned fault" `Quick
+      decision_crash_consumes_fault;
   ]
   @ qsuite
