@@ -714,6 +714,17 @@ let sim_add_regime () =
     (Result.is_ok
        (Run.check_well_formed replayed.Sim.run ~max_consecutive_drops:8))
 
+(* [Action_id.to_string] builds its bytes without [Format]; they must stay
+   those of [pp], since fairness and outbox keys are made of them. [make]
+   rejects negative tags, so negative numbers reach the printer through
+   the owner. *)
+let action_id_to_string_matches_pp =
+  QCheck.Test.make ~name:"Action_id.to_string = pp" ~count:500
+    QCheck.(pair int int)
+    (fun (owner, tag) ->
+      let a = Action_id.make ~owner ~tag:(tag land max_int) in
+      Action_id.to_string a = Format.asprintf "%a" Action_id.pp a)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [
     prng_int_bounds;
@@ -724,6 +735,7 @@ let qsuite = List.map QCheck_alcotest.to_alcotest
     sim_runs_well_formed;
     schedule_representation_invariant;
     schedule_order_invariant;
+    action_id_to_string_matches_pp;
   ]
 
 let suite =

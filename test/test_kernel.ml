@@ -101,6 +101,102 @@ let interning_canonicalizes () =
   let fa' = Formula.intern fa in
   Alcotest.(check bool) "idempotent" true (Formula.intern fa' == fa')
 
+(* The intern keys must induce exactly the partition of the printed form:
+   two formulas share an id (and an interned node) iff they print alike.
+   Formulas are drawn from a small space, so the same content recurs, and
+   every [Pid.Set]/[Fact.Set] payload — in [Dk]/[Ck]/[At_least_crashed]
+   and in the [Gossip]/[Coord_request]/[Coord_ack] messages inside
+   [Sent]/[Received] — is built in an insertion order drawn apart from
+   the content, so equal sets recur with different tree shapes. *)
+let shuffled order l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Prng.int order (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  Array.to_list a
+
+let subset shape universe = List.filter (fun _ -> Prng.int shape 2 = 0) universe
+
+let pid_set_of ~shape ~order =
+  List.fold_left
+    (fun s p -> Pid.Set.add p s)
+    Pid.Set.empty
+    (shuffled order (subset shape [ 0; 1; 2; 3 ]))
+
+let alpha1 = Action_id.make ~owner:1 ~tag:0
+
+let fact_set_of ~shape ~order =
+  List.fold_left
+    (fun s f -> Fact.Set.add f s)
+    Fact.Set.empty
+    (shuffled order
+       (subset shape
+          Fact.[ Inited alpha0; Inited alpha1; Did (1, alpha0); Crashed 0; Crashed 2 ]))
+
+let msg_of ~shape ~order =
+  let alpha = if Prng.int shape 2 = 0 then alpha0 else alpha1 in
+  match Prng.int shape 4 with
+  | 0 -> Message.Coord_request (alpha, fact_set_of ~shape ~order)
+  | 1 -> Message.Coord_ack (alpha, fact_set_of ~shape ~order)
+  | 2 -> Message.Gossip (pid_set_of ~shape ~order)
+  | _ -> Message.Heartbeat (Prng.int shape 2)
+
+let prim_of ~shape ~order =
+  let pid () = Prng.int shape 3 in
+  match Prng.int shape 7 with
+  | 0 -> Formula.Sent (pid (), pid (), msg_of ~shape ~order)
+  | 1 -> Formula.Received (pid (), pid (), msg_of ~shape ~order)
+  | 2 -> Formula.Crashed (pid ())
+  | 3 -> Formula.Did (pid (), alpha0)
+  | 4 -> Formula.Inited alpha1
+  | 5 -> Formula.Suspects (pid (), pid ())
+  | _ -> Formula.At_least_crashed (pid_set_of ~shape ~order, Prng.int shape 2)
+
+let rec formula_of ~shape ~order depth =
+  let sub () = formula_of ~shape ~order (depth - 1) in
+  if depth = 0 then
+    match Prng.int shape 5 with
+    | 0 -> Formula.True
+    | 1 -> Formula.False
+    | _ -> Formula.Prim (prim_of ~shape ~order)
+  else
+    match Prng.int shape 10 with
+    | 0 -> Formula.Not (sub ())
+    | 1 -> Formula.And (sub (), sub ())
+    | 2 -> Formula.Or (sub (), sub ())
+    | 3 -> Formula.Implies (sub (), sub ())
+    | 4 -> Formula.Always (sub ())
+    | 5 -> Formula.Eventually (sub ())
+    | 6 -> Formula.K (Prng.int shape 3, sub ())
+    | 7 -> Formula.Dk (pid_set_of ~shape ~order, sub ())
+    | 8 -> Formula.Ck (pid_set_of ~shape ~order, sub ())
+    | _ -> Formula.Prim (prim_of ~shape ~order)
+
+let intern_partition =
+  QCheck.Test.make ~name:"intern ids partition formulas as their printed form"
+    ~count:200 QCheck.int64 (fun seed ->
+      let prng = Prng.create seed in
+      let fs =
+        List.init 16 (fun _ ->
+            (* few contents, each drawn in many insertion orders *)
+            let shape = Prng.create (Int64.of_int (Prng.int prng 12)) in
+            let order = Prng.create (Int64.of_int (Prng.int prng 1_000_000)) in
+            formula_of ~shape ~order (Prng.int shape 3))
+      in
+      List.for_all
+        (fun a ->
+          Formula.to_string (Formula.intern a) = Formula.to_string a
+          && List.for_all
+               (fun b ->
+                 let printed = Formula.to_string a = Formula.to_string b in
+                 Bool.equal (Formula.id a = Formula.id b) printed
+                 && Bool.equal (Formula.intern a == Formula.intern b) printed)
+               fs)
+        fs)
+
 (* A compact exhaustively-enumerated system shared by the kernel tests. *)
 let enum_envs =
   lazy
@@ -258,7 +354,8 @@ let determinism_under_domains () =
     seq par
 
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest [ bitvec_model; differential ]
+  List.map QCheck_alcotest.to_alcotest
+    [ bitvec_model; intern_partition; differential ]
 
 let suite =
   [

@@ -108,6 +108,32 @@ let naive_counts run =
     (0, 0, 0, 0, 0, 0)
     (Pid.all (Run.n run))
 
+(* -- rebuilt and foreign messages ----------------------------------------- *)
+
+(* [msg] with its set payload rebuilt in reverse insertion order: equal
+   under [Message.equal], built as a different tree. *)
+let reshaped = function
+  | Message.Coord_request (a, f) ->
+      Message.Coord_request
+        (a, List.fold_right Fact.Set.add (Fact.Set.elements f) Fact.Set.empty)
+  | Message.Coord_ack (a, f) ->
+      Message.Coord_ack
+        (a, List.fold_right Fact.Set.add (Fact.Set.elements f) Fact.Set.empty)
+  | Message.Gossip s ->
+      Message.Gossip
+        (List.fold_right Pid.Set.add (Pid.Set.elements s) Pid.Set.empty)
+  | m -> m
+
+(* A message no run carries: [msg]'s set payload grown by an element no
+   run of at most six processes can hold, or a negative heartbeat. *)
+let never_carried = function
+  | Message.Coord_request (a, f) ->
+      Message.Coord_request (a, Fact.Set.add (Fact.Crashed 99) f)
+  | Message.Coord_ack (a, f) ->
+      Message.Coord_ack (a, Fact.Set.add (Fact.Crashed 99) f)
+  | Message.Gossip s -> Message.Gossip (Pid.Set.add 99 s)
+  | _ -> Message.Heartbeat (-1)
+
 (* -- one full cross-check of a run -------------------------------------- *)
 
 let opt_int = Alcotest.(option int)
@@ -136,18 +162,28 @@ let cross_check run =
       Alcotest.check opt_int
         (Printf.sprintf "decision p%d" p)
         (naive_decision run p) (Run_index.decision idx p);
-      (* every send/recv that occurred is found at its first tick *)
+      (* every send/recv that occurred is found at its first tick, also
+         when asked with an equal message built as a different tree; a
+         message the run never carried is never found *)
       List.iter
         (fun (e, _) ->
           match e with
           | Event.Send { dst; msg } ->
-              Alcotest.check opt_int "first_send"
-                (naive_first_send run ~src:p ~dst msg)
-                (Run_index.first_send idx ~src:p ~dst msg)
+              let expected = naive_first_send run ~src:p ~dst msg in
+              Alcotest.check opt_int "first_send" expected
+                (Run_index.first_send idx ~src:p ~dst msg);
+              Alcotest.check opt_int "first_send, reshaped" expected
+                (Run_index.first_send idx ~src:p ~dst (reshaped msg));
+              Alcotest.check opt_int "first_send, never carried" None
+                (Run_index.first_send idx ~src:p ~dst (never_carried msg))
           | Event.Recv { src; msg } ->
-              Alcotest.check opt_int "first_recv"
-                (naive_first_recv run ~dst:p ~src msg)
-                (Run_index.first_recv idx ~dst:p ~src msg)
+              let expected = naive_first_recv run ~dst:p ~src msg in
+              Alcotest.check opt_int "first_recv" expected
+                (Run_index.first_recv idx ~dst:p ~src msg);
+              Alcotest.check opt_int "first_recv, reshaped" expected
+                (Run_index.first_recv idx ~dst:p ~src (reshaped msg));
+              Alcotest.check opt_int "first_recv, never carried" None
+                (Run_index.first_recv idx ~dst:p ~src (never_carried msg))
           | _ -> ())
         (timed run p);
       (* suspicion timelines, at every tick of the run *)
@@ -209,12 +245,55 @@ let cross_check run =
 (* -- random runs --------------------------------------------------------- *)
 
 (* A run from a random workload: size, faults, loss, oracle and protocol
-   all drawn from the seed (shared generators in {!Helpers}). *)
+   all drawn from the seed (shared generators in {!Helpers}). The random
+   protocols never send a non-empty set, so one seed in three wraps the
+   protocol in full-information piggybacking (non-empty [Fact.Set]
+   payloads) and one in three in the gossip conversion over a churning
+   strong detector (non-empty [Gossip] sets). *)
 let random_run seed =
-  Helpers.random_run ~max_ticks:600 (Int64.of_int ((seed * 7919) + 3))
+  let seed64 = Int64.of_int ((seed * 7919) + 3) in
+  let _, proto, cfg = Helpers.random_setup ~max_ticks:600 seed64 in
+  let proto, cfg =
+    match seed mod 3 with
+    | 0 -> (proto, cfg)
+    | 1 -> (Core.Fip.make proto, cfg)
+    | _ ->
+        let module P = (val proto) in
+        ( (module Detector.Convert.With_gossip (P) : Protocol.S),
+          { cfg with Sim.oracle = Detector.Oracles.strong ~seed:seed64 () } )
+  in
+  (Sim.execute_uniform cfg proto).Sim.run
+
+(* The generator really carries set payloads: some Fip run sends a
+   non-empty fact set and some gossip run a non-empty [Gossip] set. *)
+let test_generator_carries_sets () =
+  let sends seeds pred =
+    List.exists
+      (fun seed ->
+        let run = random_run seed in
+        List.exists
+          (fun p ->
+            List.exists
+              (fun (e, _) ->
+                match e with Event.Send { msg; _ } -> pred msg | _ -> false)
+              (timed run p))
+          (Pid.all (Run.n run)))
+      seeds
+  in
+  Alcotest.(check bool)
+    "non-empty fact set" true
+    (sends [ 1; 4; 7; 10 ] (function
+      | Message.Coord_request (_, f) | Message.Coord_ack (_, f) ->
+          not (Fact.Set.is_empty f)
+      | _ -> false));
+  Alcotest.(check bool)
+    "non-empty gossip set" true
+    (sends [ 2; 5; 8; 11 ] (function
+      | Message.Gossip s -> not (Pid.Set.is_empty s)
+      | _ -> false))
 
 let qcheck_index_agrees =
-  QCheck.Test.make ~count:25 ~name:"index agrees with naive timed_events scan"
+  QCheck.Test.make ~count:45 ~name:"index agrees with naive timed_events scan"
     QCheck.(map (fun i -> abs i) small_int)
     (fun seed ->
       cross_check (random_run seed);
@@ -230,4 +309,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_index_agrees;
     Alcotest.test_case "index memoized per run" `Quick test_memoized;
+    Alcotest.test_case "generator carries set payloads" `Quick
+      test_generator_carries_sets;
   ]
