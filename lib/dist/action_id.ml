@@ -15,7 +15,7 @@ let compare a b =
 
 let hash t = Fnv.mix (Fnv.mix Fnv.seed (Pid.hash t.owner)) t.tag
 let pp ppf t = Format.fprintf ppf "a%d.%d" t.owner t.tag
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = "a" ^ string_of_int t.owner ^ "." ^ string_of_int t.tag
 
 module Ord = struct
   type nonrec t = t

@@ -10,8 +10,6 @@ type counts = {
 type t = {
   run : Run.t;
   events : (Event.t * int) array array; (* [p] -> chronological *)
-  first_sends : (int * int * string, int) Hashtbl.t; (* src,dst,msg *)
-  first_recvs : (int * int * string, int) Hashtbl.t; (* dst,src,msg *)
   first_dos : (int * int * int, int) Hashtbl.t; (* p,owner,tag *)
   first_inits : (int * int, int) Hashtbl.t; (* owner,tag *)
   initiated : (Action_id.t * int) list;
@@ -26,17 +24,10 @@ type t = {
   counts : counts;
 }
 
-(* Canonical key for a message: [Message.pp] prints set-valued payloads in
-   sorted element order, so messages equal under [Message.equal] map to the
-   same key — the same canonicalization trick as [System.of_runs]. *)
-let msg_key m = Format.asprintf "%a" Message.pp m
-
 let action_key a = (Action_id.owner a, Action_id.tag a)
 
 let build r =
   let n = Run.n r in
-  let first_sends = Hashtbl.create 64 in
-  let first_recvs = Hashtbl.create 64 in
   let first_dos = Hashtbl.create 16 in
   let first_inits = Hashtbl.create 16 in
   let performers = Hashtbl.create 16 in
@@ -69,13 +60,10 @@ let build r =
     Array.iter
       (fun (e, tick) ->
         match e with
-        | Event.Send { dst; msg } ->
-            incr sends;
-            first first_sends (p, dst, msg_key msg) tick
-        | Event.Recv { src; msg } ->
+        | Event.Send _ -> incr sends
+        | Event.Recv { msg; _ } -> (
             incr recvs;
-            first first_recvs (p, src, msg_key msg) tick;
-            (match msg with
+            match msg with
             | Message.Gossip s -> gossip_grow tick s
             | _ -> ())
         | Event.Do a ->
@@ -113,8 +101,6 @@ let build r =
   {
     run = r;
     events;
-    first_sends;
-    first_recvs;
     first_dos;
     first_inits;
     initiated = List.rev !initiated_rev;
@@ -174,11 +160,23 @@ let n t = Run.n t.run
 let horizon t = Run.horizon t.run
 let events t p = t.events.(p)
 
+(* A scan, not a table: see [first_send] in the interface. *)
+let first_event t p matches =
+  if p < 0 || p >= Array.length t.events then None
+  else
+    Array.find_map
+      (fun (e, tick) -> if matches e then Some tick else None)
+      t.events.(p)
+
 let first_send t ~src ~dst msg =
-  Hashtbl.find_opt t.first_sends (src, dst, msg_key msg)
+  first_event t src (function
+    | Event.Send { dst = d; msg = m } -> Pid.equal d dst && Message.equal m msg
+    | _ -> false)
 
 let first_recv t ~dst ~src msg =
-  Hashtbl.find_opt t.first_recvs (dst, src, msg_key msg)
+  first_event t dst (function
+    | Event.Recv { src = s; msg = m } -> Pid.equal s src && Message.equal m msg
+    | _ -> false)
 
 let crash_tick t p = Run.crash_tick t.run p
 let first_do t p a = Hashtbl.find_opt t.first_dos (p, Action_id.owner a, Action_id.tag a)

@@ -10,8 +10,9 @@
     tables those questions read in O(1)/O(log) time:
 
     - per-process chronological event arrays with ticks;
-    - first-tick tables for each primitive ([Sent]/[Received]/[Crashed]/
-      [Did]/[Inited]);
+    - first-tick tables for the [Crashed]/[Did]/[Inited] primitives
+      ([Sent]/[Received] scan one process's event array instead: see
+      {!first_send});
     - per-watcher suspicion timelines as sorted change-lists (both the raw
       detector timeline and the derived gossip timeline of Prop 2.1), and
       generalized [(S,k)] report lists;
@@ -34,10 +35,15 @@ val horizon : t -> int
 (** All events of [p], chronological, with ticks. *)
 val events : t -> Pid.t -> (Event.t * int) array
 
-(** First tick at which [src] sent exactly [msg] to [dst], if ever. *)
+(** First tick at which [src] sent [msg] (under [Message.equal]) to [dst],
+    if ever. A scan of [src]'s event array, O(events of [src]): only the
+    model checker's [Sent] tables ask, once per (primitive, run), so a
+    table keyed by message would cost every send of every indexed run far
+    more than the scans it saves. *)
 val first_send : t -> src:Pid.t -> dst:Pid.t -> Message.t -> int option
 
-(** First tick at which [dst] received exactly [msg] from [src], if ever. *)
+(** First tick at which [dst] received [msg] (under [Message.equal]) from
+    [src], if ever. A scan of [dst]'s event array, as {!first_send}. *)
 val first_recv : t -> dst:Pid.t -> src:Pid.t -> Message.t -> int option
 
 (** Crash tick of [p] (same as {!Run.crash_tick}). *)

@@ -45,9 +45,10 @@ let from_tick env tick_of =
   Array.init (System.run_count env.sys) (fun ri ->
       Bitvec.from_bit (row_len env ri) (tick_of (System.index env.sys ri)))
 
-(* Primitive tables read the per-run {!Run_index} first-tick tables and
-   suspicion change-lists: O(1)/O(changes) per run instead of a full
-   [timed_events] scan per (primitive, run). *)
+(* Primitive tables read the per-run {!Run_index}: first-tick tables and
+   suspicion change-lists, O(1)/O(changes) per run, and for [Sent]/
+   [Received] a scan of the one process's events instead of a full
+   [timed_events] scan of the run per (primitive, run). *)
 let prim_table env (p : Formula.prim) =
   match p with
   | Formula.Sent (src, dst, msg) ->

@@ -80,10 +80,60 @@ let everyone g f = conj (List.map (fun p -> K (p, f)) (Pid.Set.elements g))
    canonical, physically-unique representative with a dense id, giving
    checkers O(1) sound memo keys.
 
-   Canonical keys: primitives are keyed by their printed form (every set
-   printer emits elements in sorted order, and the per-constructor
-   prefixes make printing injective); composite nodes are keyed by
-   operator + child ids, so a key is O(1) in the subformula count. *)
+   Canonical keys: a primitive is keyed by itself, compared with
+   [Message.equal]/[Pid.Set.equal]/[Action_id.equal] and hashed with the
+   shape-independent [Message.hash]/[Pid.Set.hash]; a composite node by
+   operator + child ids, and [Dk]/[Ck] by member list + child id, so a
+   key is O(1) in the subformula count. Two formulas share a key iff
+   they print alike (a property test checks it). *)
+
+type key =
+  | Key_true
+  | Key_false
+  | Key_prim of prim
+  | Key_not of int
+  | Key_and of int * int
+  | Key_or of int * int
+  | Key_implies of int * int
+  | Key_always of int
+  | Key_eventually of int
+  | Key_knows of Pid.t * int
+  | Key_dk of Pid.t list * int
+  | Key_ck of Pid.t list * int
+
+let prim_equal a b =
+  match (a, b) with
+  | Sent (p, q, m), Sent (p', q', m')
+  | Received (p, q, m), Received (p', q', m') ->
+      Pid.equal p p' && Pid.equal q q' && Message.equal m m'
+  | Crashed p, Crashed p' -> Pid.equal p p'
+  | Did (p, a), Did (p', a') -> Pid.equal p p' && Action_id.equal a a'
+  | Inited a, Inited a' -> Action_id.equal a a'
+  | Suspects (p, q), Suspects (p', q') -> Pid.equal p p' && Pid.equal q q'
+  | At_least_crashed (s, k), At_least_crashed (s', k') ->
+      Int.equal k k' && Pid.Set.equal s s'
+  | _ -> false
+
+let prim_hash = function
+  | Sent (p, q, m) -> Fnv.mix (Fnv.mix (Fnv.mix 1 p) q) (Message.hash m)
+  | Received (q, p, m) -> Fnv.mix (Fnv.mix (Fnv.mix 2 q) p) (Message.hash m)
+  | Crashed p -> Fnv.mix 3 p
+  | Did (p, a) -> Fnv.mix (Fnv.mix 4 p) (Action_id.hash a)
+  | Inited a -> Fnv.mix 5 (Action_id.hash a)
+  | Suspects (p, q) -> Fnv.mix (Fnv.mix 6 p) q
+  | At_least_crashed (s, k) -> Fnv.mix (Fnv.mix 7 k) (Pid.Set.hash s)
+
+module Nodes = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    match (a, b) with
+    | Key_prim p, Key_prim q -> prim_equal p q
+    | Key_prim _, _ | _, Key_prim _ -> false
+    | _ -> a = b (* ints and pid lists only *)
+
+  let hash = function Key_prim p -> prim_hash p | k -> Hashtbl.hash k
+end)
 
 module Phys = Hashtbl.Make (struct
   type nonrec t = t
@@ -93,7 +143,7 @@ module Phys = Hashtbl.Make (struct
 end)
 
 let intern_lock = Mutex.create ()
-let nodes : (string, t * int) Hashtbl.t = Hashtbl.create 256
+let nodes : (t * int) Nodes.t = Nodes.create 256
 
 (* canonical node -> id: the O(1) fast path for already-interned
    formulas (and their subterms, which are interned by construction) *)
@@ -123,13 +173,15 @@ let canon_prim = function
   | At_least_crashed (s, k) -> At_least_crashed (canon_pid_set s, k)
   | (Crashed _ | Did _ | Inited _ | Suspects _) as p -> p
 
+(* [node ()] builds the canonical node, only when [key] is new *)
 let hashcons key node =
-  match Hashtbl.find_opt nodes key with
-  | Some (canon, id) -> (canon, id)
+  match Nodes.find_opt nodes key with
+  | Some hit -> hit
   | None ->
+      let node = node () in
       let id = !next_id in
       incr next_id;
-      Hashtbl.add nodes key (node, id);
+      Nodes.add nodes key (node, id);
       Phys.add ids node id;
       (node, id)
 
@@ -138,45 +190,43 @@ let rec go f =
   | Some id -> (f, id)
   | None -> (
       match f with
-      | True -> hashcons "T" f
-      | False -> hashcons "F" f
-      | Prim p ->
-          let p = canon_prim p in
-          hashcons (Format.asprintf "P%a" pp_prim p) (Prim p)
+      | True -> hashcons Key_true (fun () -> f)
+      | False -> hashcons Key_false (fun () -> f)
+      | Prim p -> hashcons (Key_prim p) (fun () -> Prim (canon_prim p))
       | Not a ->
           let a, ia = go a in
-          hashcons (Printf.sprintf "!%d" ia) (Not a)
+          hashcons (Key_not ia) (fun () -> Not a)
       | And (a, b) ->
           let a, ia = go a in
           let b, ib = go b in
-          hashcons (Printf.sprintf "&%d,%d" ia ib) (And (a, b))
+          hashcons (Key_and (ia, ib)) (fun () -> And (a, b))
       | Or (a, b) ->
           let a, ia = go a in
           let b, ib = go b in
-          hashcons (Printf.sprintf "|%d,%d" ia ib) (Or (a, b))
+          hashcons (Key_or (ia, ib)) (fun () -> Or (a, b))
       | Implies (a, b) ->
           let a, ia = go a in
           let b, ib = go b in
-          hashcons (Printf.sprintf ">%d,%d" ia ib) (Implies (a, b))
+          hashcons (Key_implies (ia, ib)) (fun () -> Implies (a, b))
       | Always a ->
           let a, ia = go a in
-          hashcons (Printf.sprintf "A%d" ia) (Always a)
+          hashcons (Key_always ia) (fun () -> Always a)
       | Eventually a ->
           let a, ia = go a in
-          hashcons (Printf.sprintf "E%d" ia) (Eventually a)
+          hashcons (Key_eventually ia) (fun () -> Eventually a)
       | K (p, a) ->
           let a, ia = go a in
-          hashcons (Printf.sprintf "K%d:%d" p ia) (K (p, a))
+          hashcons (Key_knows (p, ia)) (fun () -> K (p, a))
       | Dk (s, a) ->
           let a, ia = go a in
           hashcons
-            (Printf.sprintf "D%s:%d" (Pid.Set.to_string s) ia)
-            (Dk (canon_pid_set s, a))
+            (Key_dk (Pid.Set.elements s, ia))
+            (fun () -> Dk (canon_pid_set s, a))
       | Ck (s, a) ->
           let a, ia = go a in
           hashcons
-            (Printf.sprintf "C%s:%d" (Pid.Set.to_string s) ia)
-            (Ck (canon_pid_set s, a)))
+            (Key_ck (Pid.Set.elements s, ia))
+            (fun () -> Ck (canon_pid_set s, a)))
 
 let intern f = Mutex.protect intern_lock (fun () -> fst (go f))
 let id f = Mutex.protect intern_lock (fun () -> snd (go f))

@@ -48,8 +48,11 @@ val to_string : t -> string
     {!System} documents for events). [intern f] returns the canonical,
     physically-unique representative of [f]: set payloads rebalanced to
     their canonical shape, subterms shared, and semantically equal
-    formulas mapped to the {e same} node. Thread-safe (the intern table
-    is shared across domains). *)
+    formulas mapped to the {e same} node. Nodes are keyed structurally,
+    without printing: a primitive by its content under [Message.equal]/
+    [Pid.Set.equal], a composite by operator and child ids. Two formulas
+    intern to the same node iff they print alike. Thread-safe (the
+    intern table is shared across domains). *)
 val intern : t -> t
 
 (** Dense unique id of [intern f] — equal iff the formulas are

@@ -95,7 +95,7 @@ let parse_init s =
       with
       | [ owner; tag ], Some at -> (
           match (int_of_string_opt owner, int_of_string_opt tag) with
-          | Some owner, Some tag ->
+          | Some owner, Some tag when tag >= 0 ->
               Ok { Init_plan.action = Action_id.make ~owner ~tag; at }
           | _ -> Error (Printf.sprintf "repro file: bad init entry %S" s))
       | _ -> Error (Printf.sprintf "repro file: bad init entry %S" s))
@@ -127,6 +127,9 @@ let of_string text =
   let* prop_s = field fields "property" in
   let* property = Property.of_string prop_s in
   let* n = int_field fields "n" in
+  let* () =
+    if n < 1 then Error (Printf.sprintf "repro file: n %d < 1" n) else Ok ()
+  in
   let* seed_s = field fields "seed" in
   let* seed =
     match Int64.of_string_opt seed_s with
@@ -184,6 +187,11 @@ let of_string text =
       add;
       init_plan;
     }
+  in
+  let* () =
+    match Sim.validate config with
+    | () -> Ok ()
+    | exception Invalid_argument e -> Error ("repro file: " ^ e)
   in
   let problem =
     Problem.make ~name ~adversarial_oracle ~config ~protocol ~protocol_label

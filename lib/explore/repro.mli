@@ -23,7 +23,12 @@ type t = {
 val of_shrunk : Problem.t -> Shrink.shrunk -> t
 val to_string : t -> string
 val save : string -> t -> unit
+
+(** [of_string text] parses a repro file. A malformed file — a missing or
+    ill-typed field, [n < 1], a negative action tag, or a configuration
+    {!Sim.validate} rejects — is an [Error], never an exception. *)
 val of_string : string -> (t, string) result
+
 val load : string -> (t, string) result
 
 (** Strict replay + verification: returns the result and the violation

@@ -10,18 +10,46 @@ let cli =
     (Filename.dirname (Filename.dirname Sys.executable_name))
     "bin/udc_cli.exe"
 
-let run args =
-  let cmd =
-    Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote cli)
-      (String.concat " " args)
-  in
-  match Unix.system cmd with
-  | Unix.WEXITED c -> c
-  | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-      Alcotest.failf "cli killed by signal %d" s
+(* exit code and standard error of one run *)
+let run_capture args =
+  let err = Filename.temp_file "udc_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove err with Sys_error _ -> ())
+    (fun () ->
+      let cmd =
+        Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote cli)
+          (String.concat " " args) (Filename.quote err)
+      in
+      match Unix.system cmd with
+      | Unix.WEXITED c ->
+          (c, In_channel.with_open_text err In_channel.input_all)
+      | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+          Alcotest.failf "cli killed by signal %d" s)
+
+let run args = fst (run_capture args)
 
 let check_exit what expected args =
   Alcotest.(check int) what expected (run args)
+
+let read path = In_channel.with_open_text path In_channel.input_all
+
+let write path text =
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text)
+
+(* [text] with the value of every [key: value] line replaced *)
+let with_field text key value =
+  let prefix = key ^ ":" in
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+         if String.starts_with ~prefix line then prefix ^ " " ^ value else line)
+  |> String.concat "\n"
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 (* a tiny search that reliably finds a k-set violation: the adversary
    plays the detector, so two suspicions split the min rule *)
@@ -48,18 +76,8 @@ let expect_contract () =
       check_exit "replay: --expect none" 1
         [ "explore"; "--replay"; repro; "--expect"; "none" ];
       (* a tampered digest is an outcome mismatch (1), not usage (2) *)
-      let text = In_channel.with_open_text repro In_channel.input_all in
-      let tampered =
-        String.concat "\n"
-          (List.map
-             (fun line ->
-               if String.length line > 7 && String.sub line 0 7 = "digest:"
-               then "digest: 00000000000000000000000000000000"
-               else line)
-             (String.split_on_char '\n' text))
-      in
-      Out_channel.with_open_text repro (fun oc ->
-          Out_channel.output_string oc tampered);
+      write repro
+        (with_field (read repro) "digest" "00000000000000000000000000000000");
       check_exit "replay: tampered digest" 1
         [ "explore"; "--replay"; repro ]);
   (* usage errors are 2 on both subcommands *)
@@ -69,6 +87,41 @@ let expect_contract () =
     [ "classify"; "--regime"; "bogus" ];
   check_exit "classify: bad problem" 2
     [ "classify"; "--problem"; "bogus" ]
+
+(* A malformed repro file is a usage error (2), never an uncaught
+   exception, nor a witness gone stale (1): each case edits one field of
+   a real witness. *)
+let malformed_repro () =
+  let repro = Filename.temp_file "udc_solo" ".repro" in
+  let bad = Filename.temp_file "udc_bad" ".repro" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ repro; bad ])
+    (fun () ->
+      check_exit "solo witness found" 0
+        [
+          "explore"; "--scenario"; "solo"; "-n"; "4"; "--depth"; "2";
+          "--expect"; "violation"; "--out"; repro;
+        ];
+      let text = read repro in
+      List.iter
+        (fun (key, value) ->
+          write bad (with_field text key value);
+          let what = Printf.sprintf "%s: %s" key value in
+          let code, err = run_capture [ "explore"; "--replay"; bad ] in
+          Alcotest.(check int) what 2 code;
+          Alcotest.(check bool)
+            (what ^ ", no uncaught exception")
+            false
+            (contains err "uncaught exception"))
+        [
+          ("n", "-1");
+          ("max-consecutive-drops", "-1");
+          ("n", "0");
+          ("init", "0.-1@1");
+        ])
 
 let classify_expect () =
   let cell extra =
@@ -88,5 +141,7 @@ let suite =
   [
     Alcotest.test_case "explore --expect exit codes (search and replay)"
       `Slow expect_contract;
+    Alcotest.test_case "explore --replay: malformed repro exits 2" `Slow
+      malformed_repro;
     Alcotest.test_case "classify --expect exit codes" `Slow classify_expect;
   ]

@@ -134,7 +134,14 @@ let fact_set_of ~shape ~order =
     Fact.Set.empty
     (shuffled order
        (subset shape
-          Fact.[ Inited alpha0; Inited alpha1; Did (1, alpha0); Crashed 0; Crashed 2 ]))
+          Fact.
+            [
+              Inited alpha0;
+              Inited alpha1;
+              Did (1, alpha0);
+              Crashed 0;
+              Crashed 2;
+            ]))
 
 let msg_of ~shape ~order =
   let alpha = if Prng.int shape 2 = 0 then alpha0 else alpha1 in
