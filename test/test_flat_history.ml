@@ -179,11 +179,163 @@ let pinned_digests () =
     "heartbeat protocol, seed 11" "7a2c4f2e60bd5770d0aa546b0c8a3186"
     (Run.digest (Sim.execute_uniform cfg (module Core.Heartbeat_nudc.P)).Sim.run)
 
+(* ---------- The run digest depends only on structure ---------- *)
+
+(* A copy of [run] that shares nothing with it: every event, action id,
+   fact and list is a fresh allocation, and every [Pid.Set]/[Fact.Set]
+   payload is rebuilt in reverse insertion order (largest element first),
+   so it is an equal set with its own tree. *)
+let rebuilt run =
+  let pids s =
+    List.fold_right Pid.Set.add (Pid.Set.elements s) Pid.Set.empty
+  in
+  let action a =
+    Action_id.make ~owner:(Action_id.owner a) ~tag:(Action_id.tag a)
+  in
+  let fact = function
+    | Fact.Inited a -> Fact.Inited (action a)
+    | Fact.Did (p, a) -> Fact.Did (p, action a)
+    | Fact.Crashed p -> Fact.Crashed p
+  in
+  let facts f =
+    List.fold_right
+      (fun x acc -> Fact.Set.add (fact x) acc)
+      (Fact.Set.elements f) Fact.Set.empty
+  in
+  let message = function
+    | Message.Coord_request (a, f) -> Message.Coord_request (action a, facts f)
+    | Message.Coord_ack (a, f) -> Message.Coord_ack (action a, facts f)
+    | Message.Gossip s -> Message.Gossip (pids s)
+    | Message.Heartbeat seq -> Message.Heartbeat seq
+    | Message.Cons_estimate { round; value; ts } ->
+        Message.Cons_estimate { round; value; ts }
+    | Message.Cons_propose { round; value } ->
+        Message.Cons_propose { round; value }
+    | Message.Cons_ack { round; ok } -> Message.Cons_ack { round; ok }
+    | Message.Cons_decide { value } -> Message.Cons_decide { value }
+    | Message.Swim_ping { origin; seq } -> Message.Swim_ping { origin; seq }
+    | Message.Swim_ack { origin; seq } -> Message.Swim_ack { origin; seq }
+    | Message.Swim_ping_req { target; seq } ->
+        Message.Swim_ping_req { target; seq }
+    | Message.Gossip_counters l ->
+        Message.Gossip_counters (List.map (fun (p, c) -> (p, c)) l)
+  in
+  let report = function
+    | Report.Std s -> Report.Std (pids s)
+    | Report.Gen (s, k) -> Report.Gen (pids s, k)
+    | Report.Correct_set c -> Report.Correct_set (pids c)
+  in
+  let event = function
+    | Event.Send { dst; msg } -> Event.Send { dst; msg = message msg }
+    | Event.Recv { src; msg } -> Event.Recv { src; msg = message msg }
+    | Event.Do a -> Event.Do (action a)
+    | Event.Init a -> Event.Init (action a)
+    | Event.Crash -> Event.Crash
+    | Event.Suspect r -> Event.Suspect (report r)
+  in
+  let history p =
+    let b = History.Builder.fresh () in
+    History.iter
+      (fun e ~tick -> History.Builder.append b (event e) ~tick)
+      (Run.history run p);
+    History.Builder.seal b
+  in
+  Run.make ~n:(Run.n run) ~horizon:(Run.horizon run)
+    (Array.init (Run.n run) history)
+
+(* Runs from the run-index generator (plain, full-information and
+   gossip-converted protocols, so set payloads occur) and small sharded
+   runs of the ring backends. *)
+type source = Simulated of int | Sharded of int * Test_scale.case
+
+let source_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Simulated s) (int_range 0 1000);
+        map2 (fun k c -> Sharded (k, c)) (int_range 1 3) Test_scale.case_gen;
+      ])
+
+let show_source = function
+  | Simulated s -> Printf.sprintf "random_run %d" s
+  | Sharded (k, c) -> Printf.sprintf "shards=%d %s" k (Test_scale.show_case c)
+
+let run_of = function
+  | Simulated s -> Test_run_index.random_run s
+  | Sharded (shards, c) ->
+      let cfg, proto = Test_scale.build c in
+      (Scale.Shard.execute ~shards cfg proto).Sim.run
+
+let digest_ignores_shape =
+  QCheck.Test.make ~name:"run digest ignores set shape and sharing" ~count:120
+    (QCheck.make ~print:show_source source_gen)
+    (fun src ->
+      let run = run_of src in
+      let copy = rebuilt run in
+      Run.equal run copy && String.equal (Run.digest run) (Run.digest copy))
+
+(* [run] with its first non-empty history one event shorter. *)
+let drop_last run =
+  let n = Run.n run in
+  let hists = Array.init n (Run.history run) in
+  (match List.find_opt (fun p -> History.length hists.(p) > 0) (Pid.all n) with
+  | None -> ()
+  | Some p ->
+      let events = History.timed_events hists.(p) in
+      hists.(p) <-
+        List.fold_left
+          (fun h (e, tick) -> History.append h e ~tick)
+          History.empty
+          (List.filteri (fun i _ -> i < List.length events - 1) events));
+  Run.make ~n ~horizon:(Run.horizon run) hists
+
+type variant = Same | Drop_last | Longer_horizon
+
+(* Seeds from a small range, so equal runs occur, plus near misses: one
+   event fewer, or the same histories over a longer horizon. *)
+let digest_iff_equal =
+  QCheck.Test.make ~name:"equal digests iff Run.equal" ~count:150
+    QCheck.(
+      triple (int_range 0 7) (int_range 0 7)
+        (make Gen.(oneofl [ Same; Same; Drop_last; Longer_horizon ])))
+    (fun (s1, s2, variant) ->
+      let a = Test_run_index.random_run s1 in
+      let b = Test_run_index.random_run s2 in
+      let b =
+        match variant with
+        | Same -> b
+        | Drop_last -> drop_last b
+        | Longer_horizon ->
+            Run.make ~n:(Run.n b) ~horizon:(Run.horizon b + 1)
+              (Array.init (Run.n b) (Run.history b))
+      in
+      Bool.equal (Run.equal a b) (String.equal (Run.digest a) (Run.digest b)))
+
+(* Why the digest is not a fold of the per-history [thash]: [Fnv.mix 1 1 =
+   Fnv.mix 2 2 = 0], so [send(p1,hb(1))] and [recv(p2,hb(1))] hash alike,
+   and two one-event runs that differ only there share every per-history
+   hash. *)
+let digest_separates_thash_collision () =
+  let one e =
+    Run.make ~n:3 ~horizon:4
+      [| History.append History.empty e ~tick:4; History.empty; History.empty |]
+  in
+  let send = one (Event.Send { dst = 1; msg = Message.Heartbeat 1 }) in
+  let recv = one (Event.Recv { src = 2; msg = Message.Heartbeat 1 }) in
+  Alcotest.(check int)
+    "per-history timed hashes collide"
+    (History.hash_timed_events (Run.history send 0))
+    (History.hash_timed_events (Run.history recv 0));
+  Alcotest.(check bool) "runs differ" false (Run.equal send recv);
+  Alcotest.(check bool)
+    "digests differ" false
+    (String.equal (Run.digest send) (Run.digest recv))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       flat_matches_reference; equality_matches_reference;
-      builder_matches_functional;
+      builder_matches_functional; digest_ignores_shape; digest_iff_equal;
     ]
 
 let suite =
@@ -191,5 +343,7 @@ let suite =
     Alcotest.test_case "arena reuse does not leak" `Quick arena_reuse_no_leak;
     Alcotest.test_case "run digests pinned to legacy representation" `Quick
       pinned_digests;
+    Alcotest.test_case "digest separates a per-history hash collision" `Quick
+      digest_separates_thash_collision;
   ]
   @ qsuite
