@@ -224,10 +224,11 @@ let apply node p move =
    crashes-left, and pending initiations.
 
    Keys are an FNV fingerprint (see {!Fnv}) resolved by structural
-   equality on collision — replacing [Digest.string (Marshal.to_string
-   ...)], which (a) serialised every node from scratch, and (b) keyed
-   equal-but-differently-shaped set payloads apart, so two structurally
-   equal runs could both survive the "dedup" and be emitted twice. *)
+   equality on collision — replacing a digest of each node's serialised
+   memory image, which (a) re-serialised every node in full, and (b)
+   keyed equal-but-differently-shaped set payloads apart, so two
+   structurally equal runs could both survive the "dedup" and be emitted
+   twice. *)
 
 let hist_equal mode a b =
   match mode with
@@ -528,9 +529,9 @@ let runs_exn ?domains cfg proto =
   o
 
 let digest runs =
-  (* canonical printed form, not [Marshal]: the digest must agree for
-     structurally equal run lists whatever the in-memory shape of their
-     set payloads *)
+  (* canonical printed form, not the memory image: the digest must agree
+     for structurally equal run lists whatever the in-memory shape of
+     their set payloads *)
   let buf = Buffer.create 4096 in
   List.iter
     (fun r ->

@@ -7,10 +7,6 @@ type t =
   | Cons_propose of { round : int; value : int }
   | Cons_ack of { round : int; ok : bool }
   | Cons_decide of { value : int }
-  (* The detector-backend constructors come last: [Run.digest] Marshals
-     events, and Marshal encodes constructor tags positionally, so
-     appending (never inserting) keeps every pinned digest of the
-     pre-backend vocabulary byte-identical. *)
   | Swim_ping of { origin : Pid.t; seq : int }
   | Swim_ack of { origin : Pid.t; seq : int }
   | Swim_ping_req of { target : Pid.t; seq : int }

@@ -64,12 +64,166 @@ let equal a b =
   a.n = b.n && a.horizon = b.horizon
   && Array.for_all2 History.equal_timed a.histories b.histories
 
+(* ---------- The structural digest ---------- *)
+
+(* Canonical bytes, every int an 8-byte little-endian word: a set is its
+   cardinal then its ascending elements, a list its length then its
+   elements, a constructor its tag then its fields. The matches have no
+   wildcard, so a new constructor does not compile until it has an
+   encoding. The words go into a per-domain byte sink (digests are not
+   re-entrant, so one sink per domain suffices), grown geometrically and
+   never shrunk, and are digested in place. *)
+type sink = { mutable buf : Bytes.t; mutable pos : int }
+
+let sink_key =
+  Domain.DLS.new_key (fun () -> { buf = Bytes.create 4096; pos = 0 })
+
+let reserve s k =
+  if s.pos + k > Bytes.length s.buf then begin
+    let buf = Bytes.create (max (2 * Bytes.length s.buf) (s.pos + k)) in
+    Bytes.blit s.buf 0 buf 0 s.pos;
+    s.buf <- buf
+  end
+
+let word s x =
+  reserve s 8;
+  Bytes.set_int64_le s.buf s.pos (Int64.of_int x);
+  s.pos <- s.pos + 8
+
+let pids s set =
+  word s (Pid.Set.cardinal set);
+  Pid.Set.iter (word s) set
+
+let action s a =
+  word s (Action_id.owner a);
+  word s (Action_id.tag a)
+
+let fact s = function
+  | Fact.Inited a ->
+      word s 0;
+      action s a
+  | Fact.Did (p, a) ->
+      word s 1;
+      word s p;
+      action s a
+  | Fact.Crashed p ->
+      word s 2;
+      word s p
+
+let facts s set =
+  word s (Fact.Set.cardinal set);
+  Fact.Set.iter (fact s) set
+
+let message s = function
+  | Message.Coord_request (a, f) ->
+      word s 0;
+      action s a;
+      facts s f
+  | Message.Coord_ack (a, f) ->
+      word s 1;
+      action s a;
+      facts s f
+  | Message.Gossip set ->
+      word s 2;
+      pids s set
+  | Message.Heartbeat seq ->
+      word s 3;
+      word s seq
+  | Message.Cons_estimate { round; value; ts } ->
+      word s 4;
+      word s round;
+      word s value;
+      word s ts
+  | Message.Cons_propose { round; value } ->
+      word s 5;
+      word s round;
+      word s value
+  | Message.Cons_ack { round; ok } ->
+      word s 6;
+      word s round;
+      word s (Bool.to_int ok)
+  | Message.Cons_decide { value } ->
+      word s 7;
+      word s value
+  | Message.Swim_ping { origin; seq } ->
+      word s 8;
+      word s origin;
+      word s seq
+  | Message.Swim_ack { origin; seq } ->
+      word s 9;
+      word s origin;
+      word s seq
+  | Message.Swim_ping_req { target; seq } ->
+      word s 10;
+      word s target;
+      word s seq
+  | Message.Gossip_counters l ->
+      word s 11;
+      word s (List.length l);
+      List.iter
+        (fun (p, c) ->
+          word s p;
+          word s c)
+        l
+
+let report s = function
+  | Report.Std set ->
+      word s 0;
+      pids s set
+  | Report.Gen (set, k) ->
+      word s 1;
+      pids s set;
+      word s k
+  | Report.Correct_set c ->
+      word s 2;
+      pids s c
+
+let event s = function
+  | Event.Send { dst; msg } ->
+      word s 0;
+      word s dst;
+      message s msg
+  | Event.Recv { src; msg } ->
+      word s 1;
+      word s src;
+      message s msg
+  | Event.Do a ->
+      word s 2;
+      action s a
+  | Event.Init a ->
+      word s 3;
+      action s a
+  | Event.Crash -> word s 4
+  | Event.Suspect r ->
+      word s 5;
+      report s r
+
+(* The run record [n, horizon, one 16-byte digest per history] fills the
+   front of the sink; each history is encoded behind it, digested, and
+   its digest written into its slot. *)
 let digest t =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (t.n, t.horizon, Array.map History.timed_events t.histories)
-          []))
+  let s = Domain.DLS.get sink_key in
+  s.pos <- 0;
+  word s t.n;
+  word s t.horizon;
+  let record = s.pos + (16 * t.n) in
+  reserve s (record - s.pos);
+  let timed e ~tick =
+    word s tick;
+    event s e
+  in
+  Array.iteri
+    (fun p h ->
+      s.pos <- record;
+      word s (History.length h);
+      History.iter timed h;
+      Bytes.blit_string
+        (Digest.subbytes s.buf record (s.pos - record))
+        0 s.buf
+        (16 + (16 * p))
+        16)
+    t.histories;
+  Digest.to_hex (Digest.subbytes s.buf 0 record)
 
 let errorf fmt = Format.kasprintf (fun s -> Error s) fmt
 
@@ -92,6 +246,18 @@ let check_r2 t =
     (fun acc p -> match acc with Error _ -> acc | Ok () -> check_one p)
     (Ok ()) (Pid.all t.n)
 
+(* Channels keyed by structure: polymorphic equality would compare the
+   AVL shape of set payloads, so a receive whose set was built in another
+   insertion order than its send's would find no send. *)
+module Channel_msg = Hashtbl.Make (struct
+  type t = Pid.t * Pid.t * Message.t
+
+  let equal (s, d, m) (s', d', m') =
+    Pid.equal s s' && Pid.equal d d' && Message.equal m m'
+
+  let hash (s, d, m) = Fnv.mix (Fnv.mix (Fnv.mix Fnv.seed s) d) (Message.hash m)
+end)
+
 (* R3 with multiplicity: along each channel (p,q) and message content, the
    number of receives by any tick must not exceed the number of sends by
    that tick. Receives of a key occur in one history, hence in ascending
@@ -99,7 +265,7 @@ let check_r2 t =
    array maintains the running send count — O(sends + receives) per key
    instead of re-filtering the send list at every receive. *)
 let check_r3 t =
-  let sends = Hashtbl.create 64 in
+  let sends = Channel_msg.create 64 in
   (* (src,dst,msg) -> send ticks, ascending *)
   List.iter
     (fun p ->
@@ -108,21 +274,23 @@ let check_r3 t =
           match e with
           | Event.Send { dst; msg } ->
               let key = (p, dst, msg) in
-              let prev = Option.value ~default:[] (Hashtbl.find_opt sends key) in
-              Hashtbl.replace sends key (tick :: prev)
+              let prev =
+                Option.value ~default:[] (Channel_msg.find_opt sends key)
+              in
+              Channel_msg.replace sends key (tick :: prev)
           | _ -> ())
         t.histories.(p))
     (Pid.all t.n);
   let sends =
-    let arrays = Hashtbl.create (Hashtbl.length sends) in
-    Hashtbl.iter
-      (fun k v -> Hashtbl.add arrays k (Array.of_list (List.rev v)))
+    let arrays = Channel_msg.create (Channel_msg.length sends) in
+    Channel_msg.iter
+      (fun k v -> Channel_msg.add arrays k (Array.of_list (List.rev v)))
       sends;
     arrays
   in
   let check_receiver q =
     (* per key: (cursor = sends with tick <= last receive seen, consumed) *)
-    let state = Hashtbl.create 16 in
+    let state = Channel_msg.create 16 in
     let h = t.histories.(q) in
     let len = History.length h in
     let rec go i =
@@ -132,10 +300,10 @@ let check_r3 t =
         | Event.Recv { src; msg }, tick ->
             let key = (src, q, msg) in
             let cursor, consumed =
-              Option.value ~default:(0, 0) (Hashtbl.find_opt state key)
+              Option.value ~default:(0, 0) (Channel_msg.find_opt state key)
             in
             let ticks =
-              Option.value ~default:[||] (Hashtbl.find_opt sends key)
+              Option.value ~default:[||] (Channel_msg.find_opt sends key)
             in
             let cursor = ref cursor in
             while !cursor < Array.length ticks && ticks.(!cursor) <= tick do
@@ -145,7 +313,7 @@ let check_r3 t =
               errorf "R3 violated: %a receives %a from %a with no send"
                 Pid.pp q Message.pp msg Pid.pp src
             else (
-              Hashtbl.replace state key (!cursor, consumed + 1);
+              Channel_msg.replace state key (!cursor, consumed + 1);
               go (i + 1))
         | _ -> go (i + 1)
     in

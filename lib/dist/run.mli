@@ -50,8 +50,15 @@ val change_ticks : t -> Pid.t -> int list
     determinism tests of the parallel ensemble engine. *)
 val equal : t -> t -> bool
 
-(** A stable hex digest of the run (arity, horizon, timed events):
-    same seed ⇒ same digest. *)
+(** A 32-character hex MD5 digest of the run's structure. Each history
+    is encoded canonically — its length, then per event its tick, a
+    constructor tag and the fields, as 8-byte little-endian words; a set
+    as its cardinal and its ascending elements, a list as its length and
+    its elements — and digested; the run digest is the MD5 of [n], the
+    horizon and the [n] history digests. It depends on nothing but
+    structure: {!equal} runs get equal digests, whatever the shape or
+    physical sharing of their set payloads, and distinct runs get
+    distinct digests up to MD5 collisions. *)
 val digest : t -> string
 
 (** R2: within each history, ticks are strictly increasing and bounded by

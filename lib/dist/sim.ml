@@ -423,26 +423,15 @@ let execute ?decisions cfg make_process =
   in
   Fun.protect ~finally:release @@ fun () ->
   let w = window cfg ~base:0 ~size:cfg.n ~source ~hists make_process in
-  (* The oracle view is a parameter of [tick] because [Run.digest] Marshals
-     reports with their physical sharing. Oracles embed the view's sets
-     in their reports ([Set.filter]/[Set.union] return an input unchanged
-     when nothing changes), and default [Marshal] encodes sharing as
-     back-references, so handing every poll the same set values would
-     change digest bytes. Every poll therefore gets a fresh ascending
-     [Pid.Set.of_list] (the list is re-sorted only after a crash) and a
-     fresh planned-faulty set: the historical per-poll structure. *)
-  let seen = ref [] and ascending = ref [] in
+  (* The view is live: a crash earlier in this tick is already in it. *)
+  let planned_faulty = Fault_plan.planned_faulty cfg.fault_plan in
+  let seen = ref [] and crashed = ref Pid.Set.empty in
   let view () =
     if w.crashes != !seen then begin
       seen := w.crashes;
-      ascending := List.sort Pid.compare w.crashes
+      crashed := Pid.Set.of_list w.crashes
     end;
-    {
-      Oracle.now = w.now;
-      n = cfg.n;
-      crashed = Pid.Set.of_list !ascending;
-      planned_faulty = Fault_plan.planned_faulty cfg.fault_plan;
-    }
+    { Oracle.now = w.now; n = cfg.n; crashed = !crashed; planned_faulty }
   in
   let send_out ~src:_ ~dst _ =
     invalid_arg (Printf.sprintf "Sim: send to pid %d outside [0, %d)" dst cfg.n)

@@ -129,9 +129,10 @@ val pp_stop_reason : Format.formatter -> stop_reason -> unit
     [[base, base + size)]. Per-pid arrays are indexed locally
     ([pid - base]); decisions, fairness rows and events carry global
     pids. [execute] drives one window over [[0, n)] and adds the goal,
-    drain, blackout and a fresh oracle view per poll; [Scale.Shard]
-    drives one window per shard and adds the cross-shard barrier and a
-    committed view per tick. *)
+    drain, blackout and a live oracle view (a crash is visible to the
+    next poll, within the same tick); [Scale.Shard] drives one window per
+    shard and adds the cross-shard barrier and a view committed at each
+    barrier. *)
 
 type window = {
   cfg : config;

@@ -239,10 +239,19 @@ let valid env f = Option.is_none (counterexample env f)
 let memo_entries env =
   Mutex.protect env.lock (fun () -> Hashtbl.length env.memo)
 
+(* The row count, then per row its bit length and its words, each an
+   8-byte little-endian word. *)
 let table_digest env f =
-  let t = table env f in
-  Digest.to_hex
-    (Digest.string (Marshal.to_string (Array.map Bitvec.to_int_array t) []))
+  let rows = table env f in
+  let b = Buffer.create 1024 in
+  let word x = Buffer.add_int64_le b (Int64.of_int x) in
+  word (Array.length rows);
+  Array.iter
+    (fun row ->
+      word (Bitvec.length row);
+      Array.iter word (Bitvec.to_int_array row))
+    rows;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let knows_crashed env p ~run ~tick =
   List.fold_left

@@ -34,6 +34,10 @@ let of_shrunk (problem : Problem.t) (s : Shrink.shrunk) =
     trace = s.Shrink.trace;
   }
 
+(* Version 2 is the structural [Run.digest]; version 1, the unversioned
+   files written before it, digested the runs' memory image. *)
+let digest_version = 2
+
 let to_string t =
   let cfg = t.problem.Problem.config in
   let b = Buffer.create 1024 in
@@ -64,6 +68,7 @@ let to_string t =
     (Init_plan.entries cfg.Sim.init_plan);
   List.iter (fun m -> line "# move: %s" m) t.moves;
   line "violation: %s" t.violation;
+  line "digest-version: %d" digest_version;
   line "digest: %s" t.digest;
   line "trace: %s" (Decision.trace_to_string t.trace);
   Buffer.contents b
@@ -122,6 +127,19 @@ let of_string text =
       ([], []) lines
   in
   let inits = List.rev inits in
+  let* () =
+    match List.assoc_opt "digest-version" fields with
+    | Some v when v = string_of_int digest_version -> Ok ()
+    | found ->
+        Error
+          (Printf.sprintf
+             "repro file: %s: the file predates the structural run digest; \
+              regenerate it by re-running the search"
+             (match found with
+             | None -> "no digest-version field"
+             | Some v ->
+                 Printf.sprintf "digest-version %S, not %d" v digest_version))
+  in
   let* name = field fields "problem" in
   let* protocol_label = field fields "protocol" in
   let* prop_s = field fields "property" in
@@ -172,6 +190,14 @@ let of_string text =
   let init_plan = Init_plan.of_entries (List.rev entries) in
   let* violation = field fields "violation" in
   let* digest = field fields "digest" in
+  let* () =
+    let hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false in
+    if String.length digest = 32 && String.for_all hex digest then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "repro file: digest %S is not 32 lowercase hex characters" digest)
+  in
   let* trace_s = field fields "trace" in
   let* trace = Decision.trace_of_string trace_s in
   let* protocol = Protocols.instantiate protocol_label ~n in

@@ -38,11 +38,12 @@
    crash set — which the perf gate and the test suite assert. The price
    of sharding is a restricted configuration surface (validated up
    front, below) and an oracle restriction that cannot be validated
-   structurally: the oracle view is built {e once per tick} (and
-   refreshed at crash commits) instead of freshly per poll, so oracles
-   must not be sensitive to the view's physical identity — true of the
-   detector-backend cell oracles and [Oracle.none], not of the axiomatic
-   oracles that embed the view's crashed set in their reports. *)
+   structurally: the oracle view's crash set is the one committed at
+   the previous barrier, so a crash becomes visible to the oracle one
+   tick later than in [Sim.execute], whose view is live within the tick.
+   Oracles must therefore not depend on crash timing within a tick —
+   true of the detector-backend cell oracles and [Oracle.none], not of
+   the axiomatic oracles that read the view's crashed set. *)
 
 type shard = {
   k : int;

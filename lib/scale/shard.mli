@@ -28,12 +28,13 @@
     {b Restrictions} (validated, [Invalid_argument] otherwise): goal
     [Run_to_max]; no [blackout_after_do]; no explorer crash budget; fault
     triggers must be [At] (cross-shard [After_did]/[After_any_do] would
-    need a consensus of their own). The oracle view is built once per
-    tick — refreshed at crash commits — rather than freshly per poll, so
-    the oracle must not depend on the view's physical identity: the
-    detector-backend cell oracles and [Oracle.none] qualify, the
-    axiomatic oracles that embed the view's crashed set in reports do
-    not (use [Sim.execute] for those; they are O(n) per report anyway). *)
+    need a consensus of their own). The oracle view's crash set is the
+    one committed at the previous barrier, so a crash reaches the oracle
+    a tick later than in [Sim.execute], whose view is live within the
+    tick. The oracle must therefore not depend on crash timing within a
+    tick: the detector-backend cell oracles and [Oracle.none] qualify,
+    the axiomatic oracles that read the view's crashed set do not (use
+    [Sim.execute] for those; they are O(n) per report anyway). *)
 
 (** [execute ?shards ?domains cfg make_process] runs [cfg] sharded.
     [shards] defaults to 1 and is clamped to [cfg.n]; [domains] is passed

@@ -44,6 +44,13 @@ let with_field text key value =
          if String.starts_with ~prefix line then prefix ^ " " ^ value else line)
   |> String.concat "\n"
 
+(* [text] without its [key: value] lines *)
+let without_field text key =
+  let prefix = key ^ ":" in
+  String.split_on_char '\n' text
+  |> List.filter (fun line -> not (String.starts_with ~prefix line))
+  |> String.concat "\n"
+
 let contains s sub =
   let n = String.length sub in
   let rec go i =
@@ -106,21 +113,39 @@ let malformed_repro () =
           "--expect"; "violation"; "--out"; repro;
         ];
       let text = read repro in
+      let rejects what edited =
+        write bad edited;
+        let code, err = run_capture [ "explore"; "--replay"; bad ] in
+        Alcotest.(check int) what 2 code;
+        Alcotest.(check bool)
+          (what ^ ", no uncaught exception")
+          false
+          (contains err "uncaught exception");
+        err
+      in
       List.iter
         (fun (key, value) ->
-          write bad (with_field text key value);
-          let what = Printf.sprintf "%s: %s" key value in
-          let code, err = run_capture [ "explore"; "--replay"; bad ] in
-          Alcotest.(check int) what 2 code;
-          Alcotest.(check bool)
-            (what ^ ", no uncaught exception")
-            false
-            (contains err "uncaught exception"))
+          ignore
+            (rejects
+               (Printf.sprintf "%s: %s" key value)
+               (with_field text key value)))
         [
           ("n", "-1");
           ("max-consecutive-drops", "-1");
           ("n", "0");
           ("init", "0.-1@1");
+          ("digest", String.make 31 'a');
+        ];
+      (* a file from before the structural digest says to regenerate it *)
+      List.iter
+        (fun (what, edited) ->
+          Alcotest.(check bool)
+            (what ^ ", says to regenerate")
+            true
+            (contains (rejects what edited) "regenerate"))
+        [
+          ("no digest-version", without_field text "digest-version");
+          ("digest-version: 1", with_field text "digest-version" "1");
         ])
 
 let classify_expect () =

@@ -270,6 +270,25 @@ let run_r3_rejects_early_recv () =
   in
   Alcotest.(check bool) "R3 fails" true (Result.is_error (Run.check_r3 r))
 
+(* R3 matches payloads by structure: the receive's gossip set equals the
+   send's but was built in another insertion order, so its tree differs. *)
+let run_r3_reshaped_payload () =
+  let sent = Pid.Set.of_list [ 0; 1; 2; 3; 4; 5; 6 ] in
+  let received =
+    List.fold_left (fun s p -> Pid.Set.add p s) Pid.Set.empty
+      [ 6; 5; 4; 3; 2; 1; 0 ]
+  in
+  Alcotest.(check bool) "equal sets" true (Pid.Set.equal sent received);
+  Alcotest.(check bool) "different trees" false (sent = received);
+  let r =
+    mk_run 2
+      [
+        (0, [ (Event.Send { dst = 1; msg = Message.Gossip sent }, 1) ]);
+        (1, [ (Event.Recv { src = 0; msg = Message.Gossip received }, 2) ]);
+      ]
+  in
+  Alcotest.(check bool) "R3 ok" true (Result.is_ok (Run.check_r3 r))
+
 (* R3 property: the monotone-cursor checker agrees with the quadratic
    reference algorithm (re-filter the send list at every receive) it
    replaced, on randomly generated two-message channels — both satisfying
@@ -606,7 +625,7 @@ let channel_oldest_in_flight () =
    observable behavior shows up here as a digest mismatch. *)
 let sim_pinned_digest () =
   Alcotest.(check string) "reference digest"
-    "7f1a31145dd8ebf8f291a10dd476ff6d"
+    "5c72732f9114839059d90fcd746c0a36"
     (digest_with ~seed:2026L ~loss_rate:0.3 ~schedule:[ (15, 0.05); (30, 0.6) ])
 
 (* A crash the decision source grants consumes the victim's planned fault:
@@ -762,6 +781,8 @@ let suite =
     Alcotest.test_case "run: R3 matched" `Quick run_r3_accepts_matched;
     Alcotest.test_case "run: R3 multiplicity" `Quick run_r3_multiplicity;
     Alcotest.test_case "run: R3 early receive" `Quick run_r3_rejects_early_recv;
+    Alcotest.test_case "run: R3 matches reshaped payloads" `Quick
+      run_r3_reshaped_payload;
     Alcotest.test_case "run: R5 early receive then silence" `Quick
       run_r5_early_receive_then_silence;
     Alcotest.test_case "run: R5 bounded tail tolerated" `Quick

@@ -230,17 +230,17 @@ let sharded_pinned_digests () =
   Alcotest.(check (list (pair string string)))
     "sharded digests"
     [
-      ("gossip shards=2", "e076731cab4b046dc05b3a3c27f0b1da");
-      ("swim shards=2", "5dbd81b2310320b71a45b7cbc1b4a656");
-      ("phi shards=2", "8ac8f250b9c77824154e2f351ca1551e");
-      ("gossip shards=3", "902a06aef5159965d0ec22dab99ddd35");
-      ("swim shards=3", "e0b727b6a5242c0bcff8d020b1b4db77");
-      ("phi shards=3", "ff5a875b3215b1ffc7ba3cd0d922e174");
-      ("gossip shards=4", "f6d311ab9148077ac4ed000b0e6b5e6d");
-      ("swim shards=4", "56397e5a97b4fecdb00fc010d5c52651");
-      ("phi shards=4", "bf4cca2203597daa9e616a6a2a059215");
-      ("gossip ADD 3/7 shards=3", "9baa11275809886f1f11a2430c351afa");
-      ("swim committee 3 shards=3", "be241c42ade6472df36e1a8a7f58d834");
+      ("gossip shards=2", "69ccc89063b8d00c8900020bb2f70c96");
+      ("swim shards=2", "9476d8617f9c43bd5f03f23cdb0a2583");
+      ("phi shards=2", "109eb706dea9888ef971d1e19bdf6e83");
+      ("gossip shards=3", "6c2a00ff9f2e59650050cba1983284b8");
+      ("swim shards=3", "16472af6dff1048da76bea2af6c58d50");
+      ("phi shards=3", "048a4441eec06204cbbf7d9e4c443332");
+      ("gossip shards=4", "33bfeafe3b497e292bb0c392b9fbcf4d");
+      ("swim shards=4", "9de02c18fd261513e9d8da9b72e610dc");
+      ("phi shards=4", "cb6fe9c6ec02f86963954448fedc499e");
+      ("gossip ADD 3/7 shards=3", "d558b18f943ce4a980b2041c98f00728");
+      ("swim committee 3 shards=3", "ac7a857d94624ae7fc47094dd9db1946");
     ]
     cells
 
