@@ -251,6 +251,17 @@ let explore scenario t property proto_label n seed mode search_depth window
         exit 1)
       fmt
   in
+  (* a bound that admits no run would certify a space never searched *)
+  List.iter
+    (fun (flag, v, least) -> if v < least then fail "%s %d < %d" flag v least)
+    [
+      ("-n", n, 1);
+      ("--max-ticks", max_ticks, 1);
+      ("--depth", search_depth, 0);
+      ("--window", window, 0);
+      ("--max-runs", max_runs, 1);
+      ("--crash-budget", crash_budget, 0);
+    ];
   let add =
     match parse_channel channel with Ok a -> a | Error e -> fail "%s" e
   in

@@ -49,6 +49,9 @@ let config ~n ~seed =
    [not (r >= 0 && r <= 1)] so NaN is rejected too. *)
 let validate cfg =
   let bad fmt = Printf.ksprintf invalid_arg fmt in
+  if cfg.n < 1 then bad "Sim.validate: n %d < 1" cfg.n;
+  if cfg.crash_budget < 0 then
+    bad "Sim.validate: crash_budget %d < 0" cfg.crash_budget;
   let check_rate what r =
     if not (r >= 0.0 && r <= 1.0) then
       bad "Sim.validate: %s %g outside [0, 1]" what r

@@ -86,12 +86,12 @@ type config = {
 val config : n:int -> seed:int64 -> config
 
 (** [validate cfg] raises [Invalid_argument] when the configuration is
-    malformed: a loss rate (global, per-link, or scheduled) outside
-    [0, 1] or NaN, a [loss_schedule] that is not strictly increasing in
-    tick (unsorted or duplicate ticks), [max_consecutive_drops < 0], or
-    an ADD window/bound below 1. Negative and tick-0 schedule entries
-    remain legal (pre-run cutover). Called by {!execute}; exposed so
-    config builders can fail fast. *)
+    malformed: [n < 1], [crash_budget < 0], a loss rate (global,
+    per-link, or scheduled) outside [0, 1] or NaN, a [loss_schedule] that
+    is not strictly increasing in tick (unsorted or duplicate ticks),
+    [max_consecutive_drops < 0], or an ADD window/bound below 1. Negative
+    and tick-0 schedule entries remain legal (pre-run cutover). Called by
+    {!execute}; exposed so config builders can fail fast. *)
 val validate : config -> unit
 
 type result = {

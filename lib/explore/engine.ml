@@ -114,174 +114,171 @@ type outcome = Violation of witness * stats | Exhausted of stats | Budget of sta
    so the reduction is observable. Returns (moves, branch points pruned by
    dpor). *)
 let children problem opts node (journal : Decision.entry array) =
-  if depth_of node >= opts.depth then ([], 0)
-  else begin
-    let dpor = opts.mode = Dpor in
-    let pruned = ref 0 in
-    let last_dev = List.fold_left (fun _ (i, _) -> i) (-1) node.devs in
-    let limit = min opts.window (Array.length journal) in
-    let out = ref [] in
-    let emit m = out := m :: !out in
-    if opts.branch_silences && node.devs = [] then begin
-      let last_sil =
-        match List.rev node.silences with l :: _ -> Some l | [] -> None
-      in
-      let seen = Hashtbl.create 8 in
-      for i = 0 to limit - 1 do
-        match (journal.(i).Decision.query, journal.(i).Decision.taken) with
-        | Decision.Q_drop { src; dst }, Decision.Drop false ->
-            let link = (src, dst) in
-            if
-              (not (Hashtbl.mem seen link))
-              && match last_sil with None -> true | Some l -> compare l link < 0
-            then begin
-              Hashtbl.add seen link ();
-              emit (Silence (src, dst))
-            end
-        | _ -> ()
-      done
-    end;
-    if opts.branch_crashes then begin
-      let last_events = Hashtbl.create 8 and count = Hashtbl.create 8 in
-      (* dpor: last *kept* crash point per victim, as (index, events) *)
-      let last_kept = Hashtbl.create 8 in
-      for i = 0 to limit - 1 do
-        match (journal.(i).Decision.query, journal.(i).Decision.taken) with
-        | Decision.Q_crash { pid; events }, Decision.Crash false ->
-            let fresh =
-              match Hashtbl.find_opt last_events pid with
-              | Some e -> e <> events
-              | None -> true
-            in
-            Hashtbl.replace last_events pid events;
-            if fresh && i > last_dev then begin
-              let c = Option.value ~default:0 (Hashtbl.find_opt count pid) in
-              if c < opts.crash_points then begin
-                (* dpor refinement: a crash point whose whole event delta
-                   since the previous kept point is passive receipts
-                   commutes with it — the victim's trailing receives are
-                   the only difference between the two runs, and a crashed
-                   process's unacted-on receipts are invisible to every
-                   property. Points where the victim sent, initiated,
-                   performed or reported remain dependent and are kept. *)
-                let keep =
-                  (not dpor)
-                  ||
-                  match Hashtbl.find_opt last_kept pid with
-                  | None -> true
-                  | Some (i0, e0) ->
-                      events - e0
-                      > Hb.receives_between journal ~dst:pid ~lo:i0 ~hi:i
-                in
-                if keep then begin
-                  Hashtbl.replace count pid (c + 1);
-                  Hashtbl.replace last_kept pid (i, events);
-                  emit (Deviate (i, Decision.Crash true))
-                end
-                else incr pruned
-              end
-            end
-        | _ -> ()
-      done
-    end;
-    let branch_suspects =
-      Option.value ~default:problem.Problem.adversarial_oracle
-        opts.branch_suspects
+  let dpor = opts.mode = Dpor in
+  let pruned = ref 0 in
+  let last_dev = List.fold_left (fun _ (i, _) -> i) (-1) node.devs in
+  let limit = min opts.window (Array.length journal) in
+  let out = ref [] in
+  let emit m = out := m :: !out in
+  if opts.branch_silences && node.devs = [] then begin
+    let last_sil =
+      match List.rev node.silences with l :: _ -> Some l | [] -> None
     in
-    if branch_suspects then begin
-      let count = Hashtbl.create 8 and last_tick = Hashtbl.create 8 in
-      let last_kept = Hashtbl.create 8 in
-      for i = 0 to limit - 1 do
-        match (journal.(i).Decision.query, journal.(i).Decision.taken) with
-        | Decision.Q_suspect { pid; arity }, Decision.Suspect 0
-          when i > last_dev ->
-            (* bfs spaces suspicion points by wall ticks; dpor spaces them
-               by dependence — two injection points with nothing touching
-               the process between them commute (the report lands before
-               the same next event either way) *)
-            let spaced =
-              if dpor then
+    let seen = Hashtbl.create 8 in
+    for i = 0 to limit - 1 do
+      match (journal.(i).Decision.query, journal.(i).Decision.taken) with
+      | Decision.Q_drop { src; dst }, Decision.Drop false ->
+          let link = (src, dst) in
+          if
+            (not (Hashtbl.mem seen link))
+            && match last_sil with None -> true | Some l -> compare l link < 0
+          then begin
+            Hashtbl.add seen link ();
+            emit (Silence (src, dst))
+          end
+      | _ -> ()
+    done
+  end;
+  if opts.branch_crashes then begin
+    let last_events = Hashtbl.create 8 and count = Hashtbl.create 8 in
+    (* dpor: last *kept* crash point per victim, as (index, events) *)
+    let last_kept = Hashtbl.create 8 in
+    for i = 0 to limit - 1 do
+      match (journal.(i).Decision.query, journal.(i).Decision.taken) with
+      | Decision.Q_crash { pid; events }, Decision.Crash false ->
+          let fresh =
+            match Hashtbl.find_opt last_events pid with
+            | Some e -> e <> events
+            | None -> true
+          in
+          Hashtbl.replace last_events pid events;
+          if fresh && i > last_dev then begin
+            let c = Option.value ~default:0 (Hashtbl.find_opt count pid) in
+            if c < opts.crash_points then begin
+              (* dpor refinement: a crash point whose whole event delta
+                 since the previous kept point is passive receipts
+                 commutes with it — the victim's trailing receives are
+                 the only difference between the two runs, and a crashed
+                 process's unacted-on receipts are invisible to every
+                 property. Points where the victim sent, initiated,
+                 performed or reported remain dependent and are kept. *)
+              let keep =
+                (not dpor)
+                ||
                 match Hashtbl.find_opt last_kept pid with
                 | None -> true
-                | Some i0 -> Hb.touches_between journal ~pid ~lo:i0 ~hi:i
-              else
-                match Hashtbl.find_opt last_tick pid with
-                | Some t -> journal.(i).Decision.tick >= t + opts.suspect_stride
-                | None -> true
-            in
-            let c = Option.value ~default:0 (Hashtbl.find_opt count pid) in
-            if c < opts.suspect_points then begin
-              if spaced then begin
-                Hashtbl.replace last_tick pid journal.(i).Decision.tick;
-                Hashtbl.replace last_kept pid i;
+                | Some (i0, e0) ->
+                    events - e0
+                    > Hb.receives_between journal ~dst:pid ~lo:i0 ~hi:i
+              in
+              if keep then begin
                 Hashtbl.replace count pid (c + 1);
-                for q = 0 to arity - 2 do
-                  if q <> pid then emit (Deviate (i, Decision.Suspect (q + 1)))
-                done
+                Hashtbl.replace last_kept pid (i, events);
+                emit (Deviate (i, Decision.Crash true))
               end
-              else if dpor then incr pruned
+              else incr pruned
             end
-        | _ -> ()
-      done
-    end;
-    if opts.branch_picks then begin
-      let points = ref 0 in
-      (* dpor: last kept pick point per destination, as (index, sorted
-         keys) *)
-      let last_kept = Hashtbl.create 8 in
-      for i = 0 to limit - 1 do
-        match (journal.(i).Decision.query, journal.(i).Decision.taken) with
-        | Decision.Q_pick { dst; keys }, Decision.Pick k
-          when i > last_dev && Array.length keys > 1 && !points < opts.pick_points
-          ->
-            (* dpor refinement: a pick point whose alternative set is the
-               same as the destination's previous kept point, with nothing
-               touching the destination in between, offers the same
-               reorderings — branching there again explores permutations
-               of commuting deliveries *)
-            let sorted () =
-              let s = Array.copy keys in
-              Array.sort compare s;
-              s
-            in
-            let keep =
-              (not dpor)
-              ||
-              match Hashtbl.find_opt last_kept dst with
+          end
+      | _ -> ()
+    done
+  end;
+  let branch_suspects =
+    Option.value ~default:problem.Problem.adversarial_oracle
+      opts.branch_suspects
+  in
+  if branch_suspects then begin
+    let count = Hashtbl.create 8 and last_tick = Hashtbl.create 8 in
+    let last_kept = Hashtbl.create 8 in
+    for i = 0 to limit - 1 do
+      match (journal.(i).Decision.query, journal.(i).Decision.taken) with
+      | Decision.Q_suspect { pid; arity }, Decision.Suspect 0
+        when i > last_dev ->
+          (* bfs spaces suspicion points by wall ticks; dpor spaces them
+             by dependence — two injection points with nothing touching
+             the process between them commute (the report lands before
+             the same next event either way) *)
+          let spaced =
+            if dpor then
+              match Hashtbl.find_opt last_kept pid with
               | None -> true
-              | Some (i0, keys0) ->
-                  keys0 <> sorted ()
-                  || Hb.touches_between journal ~pid:dst ~lo:i0 ~hi:i
-            in
-            if keep then begin
-              incr points;
-              if dpor then Hashtbl.replace last_kept dst (i, sorted ());
-              let seen = ref [ keys.(k) ] in
-              Array.iteri
-                (fun j key ->
-                  if j <> k && not (List.mem key !seen) then begin
-                    seen := key :: !seen;
-                    emit (Deviate (i, Decision.Pick j))
-                  end)
-                keys
+              | Some i0 -> Hb.touches_between journal ~pid ~lo:i0 ~hi:i
+            else
+              match Hashtbl.find_opt last_tick pid with
+              | Some t -> journal.(i).Decision.tick >= t + opts.suspect_stride
+              | None -> true
+          in
+          let c = Option.value ~default:0 (Hashtbl.find_opt count pid) in
+          if c < opts.suspect_points then begin
+            if spaced then begin
+              Hashtbl.replace last_tick pid journal.(i).Decision.tick;
+              Hashtbl.replace last_kept pid i;
+              Hashtbl.replace count pid (c + 1);
+              for q = 0 to arity - 2 do
+                if q <> pid then emit (Deviate (i, Decision.Suspect (q + 1)))
+              done
             end
-            else incr pruned
-        | _ -> ()
-      done
-    end;
-    if opts.branch_deliver then begin
-      let points = ref 0 in
-      for i = 0 to limit - 1 do
-        match (journal.(i).Decision.query, journal.(i).Decision.taken) with
-        | Decision.Q_deliver _, Decision.Deliver true
-          when i > last_dev && !points < opts.pick_points ->
+            else if dpor then incr pruned
+          end
+      | _ -> ()
+    done
+  end;
+  if opts.branch_picks then begin
+    let points = ref 0 in
+    (* dpor: last kept pick point per destination, as (index, sorted
+       keys) *)
+    let last_kept = Hashtbl.create 8 in
+    for i = 0 to limit - 1 do
+      match (journal.(i).Decision.query, journal.(i).Decision.taken) with
+      | Decision.Q_pick { dst; keys }, Decision.Pick k
+        when i > last_dev && Array.length keys > 1 && !points < opts.pick_points
+        ->
+          (* dpor refinement: a pick point whose alternative set is the
+             same as the destination's previous kept point, with nothing
+             touching the destination in between, offers the same
+             reorderings — branching there again explores permutations
+             of commuting deliveries *)
+          let sorted () =
+            let s = Array.copy keys in
+            Array.sort compare s;
+            s
+          in
+          let keep =
+            (not dpor)
+            ||
+            match Hashtbl.find_opt last_kept dst with
+            | None -> true
+            | Some (i0, keys0) ->
+                keys0 <> sorted ()
+                || Hb.touches_between journal ~pid:dst ~lo:i0 ~hi:i
+          in
+          if keep then begin
             incr points;
-            emit (Deviate (i, Decision.Deliver false))
-        | _ -> ()
-      done
-    end;
-    (List.rev !out, !pruned)
-  end
+            if dpor then Hashtbl.replace last_kept dst (i, sorted ());
+            let seen = ref [ keys.(k) ] in
+            Array.iteri
+              (fun j key ->
+                if j <> k && not (List.mem key !seen) then begin
+                  seen := key :: !seen;
+                  emit (Deviate (i, Decision.Pick j))
+                end)
+              keys
+          end
+          else incr pruned
+      | _ -> ()
+    done
+  end;
+  if opts.branch_deliver then begin
+    let points = ref 0 in
+    for i = 0 to limit - 1 do
+      match (journal.(i).Decision.query, journal.(i).Decision.taken) with
+      | Decision.Q_deliver _, Decision.Deliver true
+        when i > last_dev && !points < opts.pick_points ->
+          incr points;
+          emit (Deviate (i, Decision.Deliver false))
+      | _ -> ()
+    done
+  end;
+  (List.rev !out, !pruned)
 
 (* Search nodes accumulate their moves newest-first (a cons per child
    instead of the quadratic [l @ [x]] tail-append); [seal] reverses into
@@ -302,42 +299,39 @@ let extend s = function
   | Deviate (i, d) -> { s with rev_devs = (i, d) :: s.rev_devs }
 
 (* Everything the sequential merge needs from one run, computed in the
-   parallel phase: the verdict (with the recorded trace, so the witness
-   needs no re-execution), the run itself (the seen-cache key), the
-   candidate extensions and the dpor prune count, and the journal length
-   (each journal entry is one visited decision-prefix state). *)
-type eval_out = {
-  e_violation : (string * Decision.t list) option;
-  e_result : Sim.result;
-  e_moves : move list;
-  e_pruned : int;
-  e_jlen : int;
-}
+   parallel phase, plus the journal length (each journal entry is one
+   visited decision-prefix state). A violating node carries its verdict
+   and recorded trace, so the witness needs no re-execution. An interior
+   node carries its run (the seen-cache key), its candidate extensions
+   and the dpor prune count. A leaf — a node at the depth bound, which is
+   never extended — carries nothing else: it has no subtree for the seen
+   cache to cut, so neither its journal nor its run outlives [eval]. *)
+type verdict =
+  | Violating of { desc : string; trace : Decision.t list; result : Sim.result }
+  | Leaf
+  | Interior of { run : Run.t; moves : move list; pruned : int }
+
+type eval_out = { jlen : int; verdict : verdict }
 
 let eval problem opts snode =
   let node = seal snode in
   let result, source =
     Problem.run problem ~plan:node.devs ~silence:node.silences
   in
-  match Problem.violation problem result with
-  | Some desc ->
-      {
-        e_violation = Some (desc, Decision.trace source);
-        e_result = result;
-        e_moves = [];
-        e_pruned = 0;
-        e_jlen = Decision.count source;
-      }
-  | None ->
-      let journal = Decision.journal source in
-      let ms, pruned = children problem opts node journal in
-      {
-        e_violation = None;
-        e_result = result;
-        e_moves = ms;
-        e_pruned = pruned;
-        e_jlen = Array.length journal;
-      }
+  let verdict =
+    match Problem.violation problem result with
+    | Some desc ->
+        Violating { desc; trace = Decision.trace source; result }
+    | None when depth_of node >= opts.depth -> Leaf
+    | None ->
+        let moves, pruned =
+          children problem opts node (Decision.journal source)
+        in
+        Interior { run = result.Sim.run; moves; pruned }
+  in
+  { jlen = Decision.count source; verdict }
+
+let violating e = match e.verdict with Violating _ -> true | _ -> false
 
 (* tail-recursive: BFS frontiers reach hundreds of thousands of nodes at
    depth >= 2, where the naive recursion overflowed the stack *)
@@ -393,8 +387,7 @@ let bfs_search ~options problem =
         in
         let now = Array.of_list now in
         let evals, _ =
-          Ensemble.map_until ?domains:options.domains
-            ~stop_on:(fun e -> Option.is_some e.e_violation)
+          Ensemble.map_until ?domains:options.domains ~stop_on:violating
             (fun snode -> eval problem options snode)
             now
         in
@@ -404,19 +397,21 @@ let bfs_search ~options problem =
         while !hit = None && !i < Array.length evals do
           let e = evals.(!i) in
           c.explored <- c.explored + 1;
-          c.states <- c.states + e.e_jlen;
-          (match e.e_violation with
-          | Some (desc, trace) -> hit := Some (now.(!i), desc, trace, e.e_result)
-          | None ->
+          c.states <- c.states + e.jlen;
+          (match e.verdict with
+          | Violating { desc; trace; result } ->
+              hit := Some (now.(!i), desc, trace, result)
+          | Leaf -> ()
+          | Interior { run; moves; pruned } ->
               let cut =
                 match seen with
-                | Some s -> Seen.check_add s e.e_result.Sim.run
+                | Some s -> Seen.check_add s run
                 | None -> false
               in
               if cut then c.seen_hits <- c.seen_hits + 1
               else begin
-                c.pruned <- c.pruned + e.e_pruned;
-                kids := List.map (extend now.(!i)) e.e_moves :: !kids
+                c.pruned <- c.pruned + pruned;
+                kids := List.map (extend now.(!i)) moves :: !kids
               end);
           incr i
         done;
@@ -475,6 +470,16 @@ let mutate prng (trace : Decision.t array) =
   end;
   Array.to_list arr
 
+(* One mutant's execution, computed in the parallel phase: its verdict,
+   its run and its effective trace — the witness trace on a violation,
+   the corpus candidate otherwise — so the merge never re-executes. *)
+type mutant = {
+  m_violation : string option;
+  m_result : Sim.result;
+  m_effective : Decision.t list;
+  m_jlen : int;
+}
+
 let fuzz ?(options = default_options) problem =
   let seen = Seen.create () in
   let c = fresh_counters () in
@@ -486,24 +491,12 @@ let fuzz ?(options = default_options) problem =
   in
   let eval_trace trace =
     let result, source = Problem.run_guided problem ~trace in
-    let effective = Decision.trace source in
-    match Problem.violation problem result with
-    | Some desc ->
-        {
-          e_violation = Some (desc, effective);
-          e_result = result;
-          e_moves = [];
-          e_pruned = 0;
-          e_jlen = Decision.count source;
-        }
-    | None ->
-        {
-          e_violation = None;
-          e_result = result;
-          e_moves = [];
-          e_pruned = 0;
-          e_jlen = Decision.count source;
-        }
+    {
+      m_violation = Problem.violation problem result;
+      m_result = result;
+      m_effective = Decision.trace source;
+      m_jlen = Decision.count source;
+    }
   in
   (* the corpus holds effective traces; a queue so parents rotate through
      the mutation window round-robin but are never forgotten by the
@@ -554,29 +547,29 @@ let fuzz ?(options = default_options) problem =
     let batch = Array.of_list (List.rev !batch) in
     let evals, _ =
       Ensemble.map_until ?domains:options.domains
-        ~stop_on:(fun e -> Option.is_some e.e_violation)
+        ~stop_on:(fun m -> Option.is_some m.m_violation)
         eval_trace batch
     in
     let i = ref 0 in
     while !witness = None && !i < Array.length evals do
-      let e = evals.(!i) in
+      let m = evals.(!i) in
       c.explored <- c.explored + 1;
-      c.states <- c.states + e.e_jlen;
-      (match e.e_violation with
-      | Some (desc, trace) ->
+      c.states <- c.states + m.m_jlen;
+      (match m.m_violation with
+      | Some desc ->
           witness :=
-            Some { node = root; trace; result = e.e_result; violation = desc }
+            Some
+              {
+                node = root;
+                trace = m.m_effective;
+                result = m.m_result;
+                violation = desc;
+              }
       | None ->
-          if Seen.check_add seen e.e_result.Sim.run then
+          if Seen.check_add seen m.m_result.Sim.run then
             c.seen_hits <- c.seen_hits + 1
-          else begin
-            (* re-derive the effective trace for the coverage test: the
-               recorded source is not shipped across the eval boundary *)
-            let _, src = Problem.run_guided problem ~trace:batch.(!i) in
-            let effective = Decision.trace src in
-            if Seen.mark_prefixes seen effective > 0 then
-              Queue.add (Array.of_list effective) corpus
-          end);
+          else if Seen.mark_prefixes seen m.m_effective > 0 then
+            Queue.add (Array.of_list m.m_effective) corpus);
       incr i
     done
   done;

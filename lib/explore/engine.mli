@@ -17,7 +17,12 @@
     branch points that commute with the previously kept point of the same
     family (counted in [stats.pruned]), and both bounded modes cut nodes
     whose run is structurally identical to an already-expanded one via
-    the {!Seen} cache (counted in [stats.seen_hits]).
+    the {!Seen} cache (counted in [stats.seen_hits]). The cache records
+    and consults interior nodes only: a leaf — a node at the depth bound
+    — has no children, so a cut there would prune nothing, and search
+    finishes each level before the next, so a leaf's run could only ever
+    be matched by another leaf. A leaf that does not violate keeps
+    neither its journal nor its run past its own evaluation.
 
     [Fuzz] abandons the depth bound: deterministic seeded mutations of
     recorded traces, executed tolerantly through {!Problem.run_guided},
@@ -73,8 +78,9 @@ type options = {
   branch_suspects : bool option;
       (** [None] follows [Problem.adversarial_oracle] *)
   seen_cache : bool;
-      (** cut nodes whose run equals an already-expanded one (bounded
-          modes; fuzz always keeps its cache — it is the coverage map) *)
+      (** cut interior nodes whose run equals an already-expanded one
+          (bounded modes; fuzz always keeps its cache — it is the
+          coverage map) *)
   chunk : int;
       (** nodes evaluated per {!Ensemble} wave. The witness and all
           counters are chunk-size-independent — waves partition the
@@ -92,8 +98,12 @@ type stats = {
   states : int;
       (** decision-prefix states visited: total journal entries over
           merged runs *)
-  distinct : int;  (** distinct runs in the seen cache *)
-  seen_hits : int;  (** nodes cut because their run was already seen *)
+  distinct : int;
+      (** distinct runs in the seen cache: interior nodes only in the
+          bounded modes, every non-violating run in fuzz *)
+  seen_hits : int;
+      (** nodes cut because their run was already seen: interior nodes
+          only in the bounded modes, so every hit removes a subtree *)
   pruned : int;  (** branch points suppressed by dpor commutation *)
 }
 

@@ -145,9 +145,6 @@ let of_string text =
   let* prop_s = field fields "property" in
   let* property = Property.of_string prop_s in
   let* n = int_field fields "n" in
-  let* () =
-    if n < 1 then Error (Printf.sprintf "repro file: n %d < 1" n) else Ok ()
-  in
   let* seed_s = field fields "seed" in
   let* seed =
     match Int64.of_string_opt seed_s with
@@ -200,7 +197,6 @@ let of_string text =
   in
   let* trace_s = field fields "trace" in
   let* trace = Decision.trace_of_string trace_s in
-  let* protocol = Protocols.instantiate protocol_label ~n in
   let config =
     {
       (Sim.config ~n ~seed) with
@@ -219,6 +215,7 @@ let of_string text =
     | () -> Ok ()
     | exception Invalid_argument e -> Error ("repro file: " ^ e)
   in
+  let* protocol = Protocols.instantiate protocol_label ~n in
   let problem =
     Problem.make ~name ~adversarial_oracle ~config ~protocol ~protocol_label
       property

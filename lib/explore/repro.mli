@@ -26,12 +26,13 @@ val to_string : t -> string
 val save : string -> t -> unit
 
 (** [of_string text] parses a repro file. A malformed file — a missing or
-    ill-typed field, [n < 1], a negative action tag, a digest that is not
-    32 lowercase hex characters, or a configuration {!Sim.validate}
-    rejects — is an [Error], never an exception. So is a file whose
-    [digest-version] field is missing or is not the current version (2,
-    the structural {!Run.digest}): its digest cannot match a replay, and
-    the error says to regenerate it by re-running the search. *)
+    ill-typed field, a negative action tag, a digest that is not 32
+    lowercase hex characters, or a configuration {!Sim.validate} rejects
+    ([n < 1] or a negative crash budget among them) — is an [Error],
+    never an exception. So is a file whose [digest-version] field is
+    missing or is not the current version (2, the structural
+    {!Run.digest}): its digest cannot match a replay, and the error says
+    to regenerate it by re-running the search. *)
 val of_string : string -> (t, string) result
 
 val load : string -> (t, string) result

@@ -9,7 +9,9 @@
     a bucket; only structural comparison decides equality, so an FNV
     collision costs a walk, never a wrong cut. A hit certifies that an
     already-expanded schedule produced the bit-identical run, so the
-    re-converging node's subtree can be cut.
+    re-converging node's subtree can be cut. The bounded search records
+    and consults interior nodes only: a node at the depth bound has no
+    subtree to cut, and holding its run would only cost memory.
 
     {b Prefixes} (coverage tier): {!mark_prefixes} marks the FNV fold of
     {!Decision.hash} along every prefix of a trace, fingerprint-only.

@@ -90,6 +90,34 @@ let expect_contract () =
   (* usage errors are 2 on both subcommands *)
   check_exit "explore: bad channel" 2
     (kset_search [ "--channel"; "bogus" ]);
+  (* a bound that admits no run must not certify a space it never
+     searched: a small clean search with one bound out of range *)
+  let small = [ ("-n", "3"); ("--max-ticks", "40"); ("--depth", "1") ] in
+  List.iter
+    (fun (flag, bad) ->
+      let code, err =
+        run_capture
+          ([
+             "explore"; "--protocol"; "reliable"; "--property"; "udc";
+             "--expect"; "none";
+           ]
+          @ List.concat_map
+              (fun (f, v) -> if f = flag then [] else [ f; v ])
+              small
+          @ bad)
+      in
+      Alcotest.(check int) ("explore: bad " ^ flag) 2 code;
+      Alcotest.(check bool)
+        ("explore: bad " ^ flag ^ ", message names it")
+        true (contains err flag))
+    [
+      ("-n", [ "-n"; "0" ]);
+      ("--max-ticks", [ "--max-ticks=-5" ]);
+      ("--depth", [ "--depth=-1" ]);
+      ("--window", [ "--window=-1" ]);
+      ("--max-runs", [ "--max-runs=0" ]);
+      ("--crash-budget", [ "--crash-budget=-1" ]);
+    ];
   check_exit "classify: bad regime" 2
     [ "classify"; "--regime"; "bogus" ];
   check_exit "classify: bad problem" 2
@@ -133,6 +161,7 @@ let malformed_repro () =
           ("n", "-1");
           ("max-consecutive-drops", "-1");
           ("n", "0");
+          ("crash-budget", "-1");
           ("init", "0.-1@1");
           ("digest", String.make 31 'a');
         ];

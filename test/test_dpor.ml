@@ -357,51 +357,78 @@ let cache_soundness_scenarios =
       cache_on_off_verdict Explore.Engine.Dpor problem
       && cache_on_off_verdict Explore.Engine.Bfs problem)
 
-let cache_soundness_exhaust () =
-  (* a clean space, where the cache actually cuts re-converging nodes:
-     the verdict must stay Exhausted and the cut only ever shrinks the
-     node count *)
+(* A clean problem on four processes with one decision-driven crash:
+   coordinator 0 initiates at tick 1, the CLI's plan for UDC protocols. *)
+let clean_problem ~protocol_label ~max_ticks property =
   let config =
     {
       (Sim.config ~n:4 ~seed:42L) with
       Sim.init_plan = Init_plan.one ~owner:0 ~at:1;
-      max_ticks = 120;
+      max_ticks;
       crash_budget = 1;
     }
   in
   let protocol =
-    match Explore.Protocols.instantiate "reliable" ~n:4 with
+    match Explore.Protocols.instantiate protocol_label ~n:4 with
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
+  Explore.Problem.make ~name:protocol_label ~config ~protocol ~protocol_label
+    property
+
+(* stats of a dpor search that must exhaust its space *)
+let exhaust ~depth problem seen_cache =
+  let options =
+    {
+      Explore.Engine.default_options with
+      Explore.Engine.mode = Explore.Engine.Dpor;
+      depth;
+      seen_cache;
+    }
+  in
+  match Explore.Engine.search ~options problem with
+  | Explore.Engine.Exhausted stats, _ -> stats
+  | Explore.Engine.Budget _, _ -> Alcotest.fail "budget too small"
+  | Explore.Engine.Violation (w, _), _ ->
+      Alcotest.failf "unexpected violation %s" w.Explore.Engine.violation
+
+let cache_soundness_exhaust () =
+  (* a clean space where runs re-converge above the depth bound, so the
+     cache cuts interior nodes: the verdict must stay Exhausted and each
+     cut must remove its subtree from the node count *)
   let problem =
-    Explore.Problem.make ~name:"reliable" ~config ~protocol
-      ~protocol_label:"reliable" Explore.Property.Udc
+    clean_problem ~protocol_label:"heartbeat" ~max_ticks:60
+      Explore.Property.Dc3
   in
-  let go seen_cache =
-    let options =
-      {
-        Explore.Engine.default_options with
-        Explore.Engine.mode = Explore.Engine.Dpor;
-        depth = 2;
-        seen_cache;
-      }
-    in
-    match Explore.Engine.search ~options problem with
-    | Explore.Engine.Exhausted stats, _ -> stats
-    | Explore.Engine.Budget _, _ -> Alcotest.fail "budget too small"
-    | Explore.Engine.Violation (w, _), _ ->
-        Alcotest.failf "unexpected violation %s" w.Explore.Engine.violation
-  in
-  let on = go true and off = go false in
+  let on = exhaust ~depth:3 problem true
+  and off = exhaust ~depth:3 problem false in
   Alcotest.(check bool) "cache cut something" true
     (on.Explore.Engine.seen_hits > 0);
   Alcotest.(check int) "cache off never cuts" 0 off.Explore.Engine.seen_hits;
   Alcotest.(check bool)
-    (Printf.sprintf "cache only shrinks the search (%d <= %d)"
+    (Printf.sprintf "cache cuts prune the search (%d < %d)"
        on.Explore.Engine.explored off.Explore.Engine.explored)
     true
-    (on.Explore.Engine.explored <= off.Explore.Engine.explored)
+    (on.Explore.Engine.explored < off.Explore.Engine.explored)
+
+let cache_skips_leaves () =
+  (* every re-converging run of this depth-2 space is a leaf, which the
+     cache neither records nor consults: cache on and off search the
+     same nodes, and only the on side counts distinct interior runs *)
+  let problem =
+    clean_problem ~protocol_label:"reliable" ~max_ticks:120
+      Explore.Property.Udc
+  in
+  let line (s : Explore.Engine.stats) =
+    Printf.sprintf "explored=%d depth=%d states=%d hits=%d pruned=%d"
+      s.Explore.Engine.explored s.Explore.Engine.depth_reached
+      s.Explore.Engine.states s.Explore.Engine.seen_hits
+      s.Explore.Engine.pruned
+  in
+  Alcotest.(check string)
+    "cache on = cache off"
+    (line (exhaust ~depth:2 problem false))
+    (line (exhaust ~depth:2 problem true))
 
 (* ---------- cross-domain determinism, all three modes ---------- *)
 
@@ -458,6 +485,8 @@ let suite =
       Alcotest.test_case "Hb range scans" `Quick hb_range_scans;
       Alcotest.test_case "seen cache soundness on a clean space" `Quick
         cache_soundness_exhaust;
+      Alcotest.test_case "seen cache skips depth-bound leaves" `Quick
+        cache_skips_leaves;
       Alcotest.test_case "dpor witnesses contained in shallow bfs" `Quick
         dpor_subset_of_shallow_bfs;
     ]
