@@ -175,7 +175,41 @@ let pinned_digests () =
   in
   Alcotest.(check string)
     "heartbeat protocol, seed 11" "77aa9d8b7d15fc9e07bd87a4542b83aa"
-    (Run.digest (Sim.execute_uniform cfg (module Core.Heartbeat_nudc.P)).Sim.run)
+    (Run.digest (Sim.execute_uniform cfg (module Core.Heartbeat_nudc.P)).Sim.run);
+  (* The full-mesh detector backends, each through its own oracle: a
+     lossy run with one crash, so every core both suspects and, on a
+     late heartbeat or ack, retracts. *)
+  let backend label =
+    let pair = (Option.get (Detector.Backends.of_label label)) ~n:5 in
+    let cfg = Sim.config ~n:5 ~seed:2026L in
+    let cfg =
+      {
+        cfg with
+        Sim.loss_rate = 0.3;
+        oracle = pair.Detector.Backends.oracle;
+        fault_plan = Fault_plan.crash_at [ (2, 50) ];
+        goal = Sim.Run_to_max;
+        max_ticks = 200;
+      }
+    in
+    let run = (Sim.execute cfg pair.Detector.Backends.protocol).Sim.run in
+    let changes =
+      List.fold_left
+        (fun acc p -> acc + List.length (Detector.Spec.event_timeline run p))
+        0 (Pid.all 5)
+    in
+    (Run.digest run, changes)
+  in
+  List.iter
+    (fun (label, digest, changes) ->
+      Alcotest.(check (pair string int))
+        (label ^ " backend, seed 2026")
+        (digest, changes) (backend label))
+    [
+      ("phi", "d8376e3524f9fae8f1303d01a23be89e", 29);
+      ("swim", "c09661d11d7867ebe406ad5fbb5d7c03", 18);
+      ("gossip", "fe81b4214466cb6aae436fe3b6e4369c", 4);
+    ]
 
 (* ---------- The run digest depends only on structure ---------- *)
 
