@@ -811,6 +811,7 @@ let scale n shards degree backend regime runs ticks faults committee seed
     Scale.Estimate.params ~shards ~degree ~regime ~runs ~ticks ?faults
       ~committee ~seed ?domains ~n ~backend ()
   in
+  (match Scale.Estimate.check p with Ok () -> () | Error e -> fail "%s" e);
   if check_digest then (
     (* One workload, both engines; pairs are single-use, so build one per
        execution. Meant for a small --n: the unsharded reference run is

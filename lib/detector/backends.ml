@@ -76,10 +76,12 @@ let gossip_defaults = { gossip_period = 4; fanout = 2; fail_timeout = 60 }
 
 type pair = { oracle : Oracle.t; protocol : Pid.t -> Protocol.t }
 
-(* A detector core is the pure time/message logic of one backend; the
+(* A detector core is the time/message logic of one backend; the
    [adapt] wrapper below turns it into a {!Protocol.S_timed} that
    publishes [suspicions] into the shared cells and alternates with an
-   inner application protocol. *)
+   inner application protocol. The full-mesh cores are pure values. The
+   ring cores update their argument in place and return it: a core state
+   is single-use, like the pair that owns it. *)
 module type CORE = sig
   type t
 
@@ -502,8 +504,9 @@ let gossip_core (cfg : gossip_config) : (module CORE) =
    cores monitor only [degree] successors: process p watches
    p+1 .. p+degree (mod n) and pushes its liveness signal to
    p-1 .. p-degree (mod n), the processes watching it. State and per-tick
-   work are O(degree); a quiet tick returns the state {e physically}
-   unchanged, which the adapter below turns into a zero-allocation slot.
+   work are O(degree). Every transition updates the state in place and
+   returns it, so a quiet tick allocates no state and stores nothing, and
+   the adapter below publishes a suspicion set only when one changes.
    Suspicion scans are deadline-driven: arrivals compute the next tick at
    which any watched peer could become overdue, and the O(degree) rescan
    runs only when the clock reaches it. *)
@@ -531,18 +534,26 @@ let phi_deadline ~mean ~std ~threshold =
   in
   if over 1 then 1 else bisect 1 hi
 
+(* Index of [src] among a ring core's watched peers, [-1] for a stray. *)
+let watched_index watched src =
+  let rec find i =
+    if i < 0 then -1 else if watched.(i) = src then i else find (i - 1)
+  in
+  find (Array.length watched - 1)
+
 let gossip_ring_core (cfg : gossip_config) ~degree : (module CORE) =
   (module struct
     type t = {
       me : Pid.t;
       watched : int array;
       watchers : Pid.t list; (* push targets, constant — shared as [pending] *)
-      last_heard : int array; (* mutated in place: states are single-use *)
-      seq : int;
-      last_round : int;
-      pending : Pid.t list;
-      suspected : Pid.Set.t;
-      next_check : int; (* earliest tick a watched peer can become overdue *)
+      last_heard : int array;
+      mutable seq : int;
+      mutable last_round : int;
+      mutable pending : Pid.t list;
+      mutable suspected : Pid.Set.t;
+      mutable next_check : int;
+          (* earliest tick a watched peer can become overdue *)
     }
 
     let name = "gossip-ring"
@@ -569,45 +580,38 @@ let gossip_ring_core (cfg : gossip_config) ~degree : (module CORE) =
             suspected := Pid.Set.add q !suspected
           else next := min !next (t.last_heard.(i) + cfg.fail_timeout + 1))
         t.watched;
-      let suspected =
-        if Pid.Set.equal !suspected t.suspected then t.suspected
-        else !suspected
-      in
-      { t with suspected; next_check = !next }
+      if not (Pid.Set.equal !suspected t.suspected) then
+        t.suspected <- !suspected;
+      t.next_check <- !next
 
     let on_message t ~now ~src = function
-      | Message.Heartbeat _ -> (
-          match Array.length t.watched with
-          | 0 -> Some t
-          | _ ->
-              let rec find i =
-                if i < 0 then -1
-                else if t.watched.(i) = src then i
-                else find (i - 1)
-              in
-              let i = find (Array.length t.watched - 1) in
-              if i < 0 then Some t (* stray heartbeat: detector traffic *)
-              else begin
-                t.last_heard.(i) <- now;
-                if Pid.Set.mem src t.suspected then
-                  Some { t with suspected = Pid.Set.remove src t.suspected }
-                else Some t
-              end)
+      | Message.Heartbeat _ ->
+          let i = watched_index t.watched src in
+          (* a stray heartbeat (i < 0) is still detector traffic *)
+          if i >= 0 then begin
+            t.last_heard.(i) <- now;
+            if Pid.Set.mem src t.suspected then
+              t.suspected <- Pid.Set.remove src t.suspected
+          end;
+          Some t
       | _ -> None
 
     let tick t ~now =
       let round = now / cfg.gossip_period in
-      let t =
-        if round > t.last_round then
-          { t with seq = t.seq + 1; last_round = round; pending = t.watchers }
-        else t
-      in
-      if now >= t.next_check then rescan t ~now else t
+      if round > t.last_round then begin
+        t.seq <- t.seq + 1;
+        t.last_round <- round;
+        t.pending <- t.watchers
+      end;
+      if now >= t.next_check then rescan t ~now;
+      t
 
     let next_send t ~now:_ =
       match t.pending with
       | [] -> None
-      | dst :: pending -> Some ({ t with pending }, (dst, Message.Heartbeat t.seq))
+      | dst :: pending ->
+          t.pending <- pending;
+          Some (t, (dst, Message.Heartbeat t.seq))
 
     let suspicions t = t.suspected
   end)
@@ -621,11 +625,11 @@ let phi_ring_core (cfg : phi_config) ~degree : (module CORE) =
       last : int array; (* last arrival; 0 = bootstrap anchor, as phi_core *)
       windows : Phi_window.t array;
       deadline : int array; (* per watched peer: suspect at this tick *)
-      seq : int;
-      last_round : int;
-      pending : Pid.t list;
-      suspected : Pid.Set.t;
-      next_check : int;
+      mutable seq : int;
+      mutable last_round : int;
+      mutable pending : Pid.t list;
+      mutable suspected : Pid.Set.t;
+      mutable next_check : int;
     }
 
     let name = "phi-ring"
@@ -657,61 +661,53 @@ let phi_ring_core (cfg : phi_config) ~degree : (module CORE) =
           if now >= t.deadline.(i) then suspected := Pid.Set.add q !suspected
           else next := min !next t.deadline.(i))
         t.watched;
-      let suspected =
-        if Pid.Set.equal !suspected t.suspected then t.suspected
-        else !suspected
-      in
-      { t with suspected; next_check = !next }
+      if not (Pid.Set.equal !suspected t.suspected) then
+        t.suspected <- !suspected;
+      t.next_check <- !next
 
     let on_message t ~now ~src = function
-      | Message.Heartbeat _ -> (
-          match Array.length t.watched with
-          | 0 -> Some t
-          | _ ->
-              let rec find i =
-                if i < 0 then -1
-                else if t.watched.(i) = src then i
-                else find (i - 1)
-              in
-              let i = find (Array.length t.watched - 1) in
-              if i < 0 then Some t
-              else begin
-                (* as in phi_core: the first arrival only anchors the
-                   clock; later ones feed the inter-arrival window *)
-                if t.last.(i) > 0 then
-                  t.windows.(i) <-
-                    Phi_window.observe t.windows.(i)
-                      (float_of_int (now - t.last.(i)));
-                t.last.(i) <- now;
-                let mean, std =
-                  match
-                    ( Phi_window.mean t.windows.(i),
-                      Phi_window.variance t.windows.(i) )
-                  with
-                  | Some m, Some v -> (m, Float.max cfg.min_std (sqrt v))
-                  | _ -> (cfg.bootstrap, cfg.min_std)
-                in
-                t.deadline.(i) <-
-                  now + phi_deadline ~mean ~std ~threshold:cfg.threshold;
-                if Pid.Set.mem src t.suspected then
-                  Some { t with suspected = Pid.Set.remove src t.suspected }
-                else Some t
-              end)
+      | Message.Heartbeat _ ->
+          let i = watched_index t.watched src in
+          if i >= 0 then begin
+            (* as in phi_core: the first arrival only anchors the clock;
+               later ones feed the inter-arrival window *)
+            if t.last.(i) > 0 then
+              t.windows.(i) <-
+                Phi_window.observe t.windows.(i)
+                  (float_of_int (now - t.last.(i)));
+            t.last.(i) <- now;
+            let mean, std =
+              match
+                ( Phi_window.mean t.windows.(i),
+                  Phi_window.variance t.windows.(i) )
+              with
+              | Some m, Some v -> (m, Float.max cfg.min_std (sqrt v))
+              | _ -> (cfg.bootstrap, cfg.min_std)
+            in
+            t.deadline.(i) <-
+              now + phi_deadline ~mean ~std ~threshold:cfg.threshold;
+            if Pid.Set.mem src t.suspected then
+              t.suspected <- Pid.Set.remove src t.suspected
+          end;
+          Some t
       | _ -> None
 
     let tick t ~now =
       let round = now / cfg.hb_period in
-      let t =
-        if round > t.last_round then
-          { t with seq = t.seq + 1; last_round = round; pending = t.watchers }
-        else t
-      in
-      if now >= t.next_check then rescan t ~now else t
+      if round > t.last_round then begin
+        t.seq <- t.seq + 1;
+        t.last_round <- round;
+        t.pending <- t.watchers
+      end;
+      if now >= t.next_check then rescan t ~now;
+      t
 
     let next_send t ~now:_ =
       match t.pending with
       | [] -> None
-      | dst :: pending -> Some ({ t with pending }, (dst, Message.Heartbeat t.seq))
+      | dst :: pending ->
+          t.pending <- pending;
+          Some (t, (dst, Message.Heartbeat t.seq))
 
     let suspicions t = t.suspected
   end)
@@ -726,13 +722,15 @@ let swim_ring_core (cfg : swim_config) ~degree : (module CORE) =
     type t = {
       me : Pid.t;
       watched : int array;
-      ring_pos : int;
-      seq : int;
-      last_round : int;
-      outstanding : (Pid.t * int * int) option; (* target, seq, sent_at *)
-      sent : (int * Pid.t) list; (* recent seq -> target, newest first *)
-      pending : (Pid.t * Message.t) list;
-      suspected : Pid.Set.t;
+      mutable ring_pos : int;
+      mutable seq : int;
+      mutable last_round : int;
+      mutable outstanding : (Pid.t * int * int) option;
+          (* target, seq, sent_at *)
+      mutable sent : (int * Pid.t) list;
+          (* recent seq -> target, newest first *)
+      mutable pending : (Pid.t * Message.t) list;
+      mutable suspected : Pid.Set.t;
     }
 
     let name = "swim-ring"
@@ -754,62 +752,52 @@ let swim_ring_core (cfg : swim_config) ~degree : (module CORE) =
 
     let on_message t ~now:_ ~src = function
       | Message.Swim_ping { origin; seq } ->
-          Some
-            { t with pending = (src, Message.Swim_ack { origin; seq }) :: t.pending }
-      | Message.Swim_ack { origin; seq } when Pid.equal origin t.me -> (
-          match List.assoc_opt seq t.sent with
+          t.pending <- (src, Message.Swim_ack { origin; seq }) :: t.pending;
+          Some t
+      | Message.Swim_ack { origin; seq } when Pid.equal origin t.me ->
+          (match List.assoc_opt seq t.sent with
           | Some target ->
-              Some
-                {
-                  t with
-                  outstanding =
-                    (match t.outstanding with
-                    | Some (_, s, _) when s = seq -> None
-                    | other -> other);
-                  suspected = Pid.Set.remove target t.suspected;
-                }
-          | None -> Some t)
+              (match t.outstanding with
+              | Some (_, s, _) when s = seq -> t.outstanding <- None
+              | _ -> ());
+              t.suspected <- Pid.Set.remove target t.suspected
+          | None -> ());
+          Some t
       | Message.Swim_ack _ | Message.Swim_ping_req _ ->
           Some t (* stray probe traffic: consumed, never routed inward *)
       | _ -> None
 
     let tick t ~now =
-      let t =
-        match t.outstanding with
-        | Some (target, _, sent_at) when now - sent_at >= cfg.suspect_timeout ->
-            {
-              t with
-              outstanding = None;
-              suspected = Pid.Set.add target t.suspected;
-            }
-        | _ -> t
-      in
+      (match t.outstanding with
+      | Some (target, _, sent_at) when now - sent_at >= cfg.suspect_timeout ->
+          t.outstanding <- None;
+          t.suspected <- Pid.Set.add target t.suspected
+      | _ -> ());
       let round = now / cfg.probe_period in
-      if round > t.last_round then
-        match Array.length t.watched with
-        | 0 -> { t with last_round = round }
-        | d when t.outstanding = None ->
-            let target = t.watched.(t.ring_pos mod d) in
-            let seq = t.seq in
-            {
-              t with
-              last_round = round;
-              ring_pos = t.ring_pos + 1;
-              seq = seq + 1;
-              outstanding = Some (target, seq, now);
-              sent = List.filteri (fun i _ -> i < keep) ((seq, target) :: t.sent);
-              pending =
-                (target, Message.Swim_ping { origin = t.me; seq }) :: t.pending;
-            }
-        | _ ->
-            (* the round's probe budget is consumed by the outstanding one *)
-            { t with last_round = round }
-      else t
+      (* an outstanding probe consumes the round's probe budget *)
+      if round > t.last_round then begin
+        t.last_round <- round;
+        let d = Array.length t.watched in
+        if d > 0 && t.outstanding = None then begin
+          let target = t.watched.(t.ring_pos mod d) in
+          let seq = t.seq in
+          t.ring_pos <- t.ring_pos + 1;
+          t.seq <- seq + 1;
+          t.outstanding <- Some (target, seq, now);
+          t.sent <-
+            List.filteri (fun i _ -> i < keep) ((seq, target) :: t.sent);
+          t.pending <-
+            (target, Message.Swim_ping { origin = t.me; seq }) :: t.pending
+        end
+      end;
+      t
 
     let next_send t ~now:_ =
       match t.pending with
       | [] -> None
-      | (dst, msg) :: pending -> Some ({ t with pending }, (dst, msg))
+      | send :: pending ->
+          t.pending <- pending;
+          Some (t, send)
 
     let suspicions t = t.suspected
   end)
@@ -823,64 +811,77 @@ let adapt (type a) (module D : CORE with type t = a)
     (module P : Protocol.S) ~(cells : Pid.Set.t array) : (module Protocol.S_timed)
     =
   (module struct
-    type state = { det : a; inner : P.state; me : Pid.t; det_turn : bool }
+    (* Updated in place and returned: a state is single-use (the pair
+       is), so no caller steps an old one again. A slot where nothing
+       changes allocates no state and stores nothing. *)
+    type state = {
+      mutable det : a;
+      mutable inner : P.state;
+      me : Pid.t;
+      mutable det_turn : bool;
+    }
 
     let name = if P.name = "idle" then D.name else D.name ^ "+" ^ P.name
 
     let create ~n ~me =
       { det = D.create ~n ~me; inner = P.create ~n ~me; me; det_turn = true }
 
-    let publish t =
-      cells.(t.me) <- D.suspicions t.det;
+    (* Invariant: [cells.(me)] is the detector's current suspicion set.
+       Every core starts with an empty set, matching the cell
+       initialisation, and every detector transition lands here, which
+       republishes a set that changed physically. *)
+    let set_det t det =
+      if det != t.det then t.det <- det;
+      let s = D.suspicions det in
+      if s != cells.(t.me) then cells.(t.me) <- s
+
+    let set_inner t inner = if inner != t.inner then t.inner <- inner
+
+    let on_init t a =
+      set_inner t (P.on_init t.inner a);
       t
 
-    let on_init t a = { t with inner = P.on_init t.inner a }
-
     let on_recv t ~now ~src msg =
-      match D.on_message t.det ~now ~src msg with
-      | Some det -> publish { t with det }
-      | None -> { t with inner = P.on_recv t.inner ~src msg }
+      (match D.on_message t.det ~now ~src msg with
+      | Some det -> set_det t det
+      | None -> set_inner t (P.on_recv t.inner ~src msg));
+      t
 
-    let on_suspect t r = { t with inner = P.on_suspect t.inner r }
+    let on_suspect t r =
+      set_inner t (P.on_suspect t.inner r);
+      t
+
+    let detector_sent t det dst msg =
+      set_det t det;
+      t.det_turn <- false;
+      (t, Protocol.Send_to (dst, msg))
+
+    let inner_stepped t inner act =
+      set_inner t inner;
+      t.det_turn <- true;
+      (t, act)
 
     let step t ~now =
-      (* Invariant: [cells.(me)] always equals the current detector's
-         suspicions (every core starts with an empty set, matching the
-         cell initialisation, and every later change goes through
-         [publish]). So when [tick] returns the state physically
-         unchanged — the ring cores' deadline caching on quiet slots —
-         both the record allocation and the publish can be skipped. *)
-      let det = D.tick t.det ~now in
-      let t = if det == t.det then t else publish { t with det } in
+      set_det t (D.tick t.det ~now);
       (* The two sides are tried in alternating priority, written out as
-         direct branches: a slot where neither side has work must return
-         [t] physically unchanged (no closure, record, or pack
-         allocation), because at large n almost every slot is that slot.
-         A fully idle tick therefore keeps its priority instead of
-         flipping it — equivalent fairness (a side only loses its turn to
-         a side that acted), one allocation cheaper. *)
+         direct branches with no closure, because at large n almost
+         every slot is one where neither side has work. A fully idle
+         tick keeps its priority instead of flipping it — equivalent
+         fairness (a side only loses its turn to a side that acted). *)
       if t.det_turn then
         match D.next_send t.det ~now with
-        | Some (det, (dst, msg)) ->
-            (publish { t with det; det_turn = false }, Protocol.Send_to (dst, msg))
-        | None -> (
+        | Some (det, (dst, msg)) -> detector_sent t det dst msg
+        | None ->
             let inner, act = P.step t.inner ~now in
-            match act with
-            | Protocol.No_op ->
-                if inner == t.inner then (t, Protocol.No_op)
-                else ({ t with inner; det_turn = true }, Protocol.No_op)
-            | act -> ({ t with inner; det_turn = true }, act))
+            inner_stepped t inner act
       else
         let inner, act = P.step t.inner ~now in
         match act with
         | Protocol.No_op when inner == t.inner -> (
             match D.next_send t.det ~now with
-            | Some (det, (dst, msg)) ->
-                ( publish { t with det; det_turn = false },
-                  Protocol.Send_to (dst, msg) )
+            | Some (det, (dst, msg)) -> detector_sent t det dst msg
             | None -> (t, Protocol.No_op))
-        | Protocol.No_op -> ({ t with inner; det_turn = true }, Protocol.No_op)
-        | act -> ({ t with inner; det_turn = true }, act)
+        | act -> inner_stepped t inner act
 
     (* Detectors probe forever; runs with a backend stop only at the
        horizon (or an application goal). *)

@@ -22,9 +22,12 @@
 
     Because of the shared cells, a pair is {b single-use}: build a fresh
     one per execution (the same per-run discipline axiomatic oracles with
-    mutable state already follow). Backend protocol states are pure values,
-    but the cell publication is a benign side effect, so backends are meant
-    for the simulator and explorer, not for exhaustive enumeration. *)
+    mutable state already follow). Backend protocol states are single-use
+    too: every transition updates the adapter's record in place and
+    returns it (the {!Protocol.S_timed} contract), and the cell
+    publication is a side effect, so backends are meant for the simulator
+    and explorer, not for exhaustive enumeration. The full-mesh detector
+    cores inside the adapter are pure values. *)
 
 (** Windowed inter-arrival statistics for the φ-accrual detector.
     Immutable; keeps the newest [capacity] samples. *)
@@ -106,13 +109,13 @@ val of_label_inner :
     its [degree] successors [p+1 .. p+degree (mod n)] and pushes its
     liveness signal to the [degree] predecessors watching it. State and
     per-event work are O(degree), and a quiet tick leaves the detector
-    state {e physically} unchanged, which the adapter turns into a
-    zero-allocation slot — the property the sharded simulator's
-    throughput target rests on.
+    state {e physically} unchanged, which the adapter turns into a slot
+    that allocates no state and stores nothing — the property the
+    sharded simulator's throughput target rests on.
 
-    Ring detector states are single-use imperative values (their arrival
-    tables are mutated in place); like the pairs themselves, build a
-    fresh pair per execution. *)
+    Ring detector states are single-use imperative values: every
+    transition updates the state in place. Like the pairs themselves,
+    build a fresh pair per execution. *)
 
 (** [ring_watched ~n ~degree p] is the list of processes [p] monitors —
     the [min degree (n-1)] successors of [p] on the ring. The estimator

@@ -38,10 +38,10 @@ type t = {
   flight : queue array; (* dense: one queue per destination pid *)
   mutable count : int; (* total in flight, all destinations *)
   (* (src, dst, fairness key) -> consecutive losses *)
-  drops : (Pid.t * Pid.t * string, int) Hashtbl.t;
+  drops : (Pid.t * Pid.t * string, int ref) Hashtbl.t;
   (* ADD regime only: (src, dst) -> consecutive losses on the link,
      regardless of message content. Untouched when [add = None]. *)
-  add_drops : (Pid.t * Pid.t, int) Hashtbl.t;
+  add_drops : (Pid.t * Pid.t, int ref) Hashtbl.t;
 }
 
 let filler_msg = Message.Heartbeat 0
@@ -103,6 +103,18 @@ let create ?(link_loss = []) ?add ~n ~decide ~loss_rate ~max_consecutive_drops
     add_drops = Hashtbl.create 8;
   }
 
+(* A row's consecutive-loss counter, created at zero on first sight. The
+   counters are bumped in place: [Hashtbl.replace] would store each
+   send's fresh key into an old bucket, feeding the minor GC's
+   remembered set on every send. *)
+let counter tbl key =
+  match Hashtbl.find tbl key with
+  | c -> c
+  | exception Not_found ->
+      let c = ref 0 in
+      Hashtbl.add tbl key c;
+      c
+
 (* The loss decision half of [send]: consult the fairness table and the
    decision source, update the consecutive-loss count, but do not touch
    the in-flight queues. The simulator's kernel gates every send with
@@ -112,15 +124,13 @@ let create ?(link_loss = []) ?add ~n ~decide ~loss_rate ~max_consecutive_drops
    shard's channel. [dst] may therefore be any pid, not just one of this
    channel's [n] destinations. *)
 let gate t ~now ~src ~dst msg =
-  let key = (src, dst, Message.fairness_key msg) in
   let rate =
     if Hashtbl.length t.link_loss = 0 then t.loss_rate
     else
       Option.value ~default:t.loss_rate
         (Hashtbl.find_opt t.link_loss (src, dst))
   in
-  let consecutive = Option.value ~default:0 (Hashtbl.find_opt t.drops key) in
-  let forced_keep = consecutive >= t.max_consecutive_drops in
+  let drops = counter t.drops (src, dst, Message.fairness_key msg) in
   (* ADD channels bound the loss on each (src, dst) link as a whole: at
      most [window - 1] consecutive drops regardless of message content,
      so every window of [window] sends delivers at least one message
@@ -128,30 +138,22 @@ let gate t ~now ~src ~dst msg =
      window). The forced keep consumes no decision, so traces are
      bit-identical whenever the force never fires — and [add = None]
      leaves this whole branch dead. *)
-  let link = (src, dst) in
-  let add_forced =
+  let add_forced, link_drops =
     match t.add with
-    | None -> false
+    | None -> (false, None)
     | Some { window; _ } ->
-        Option.value ~default:0 (Hashtbl.find_opt t.add_drops link)
-        >= window - 1
+        let c = counter t.add_drops (src, dst) in
+        (!c >= window - 1, Some c)
   in
-  let forced_keep = forced_keep || add_forced in
+  let forced_keep = !drops >= t.max_consecutive_drops || add_forced in
   let drop = (not forced_keep) && t.decide ~now ~src ~dst ~rate in
   if drop then (
-    Hashtbl.replace t.drops key (consecutive + 1);
-    (match t.add with
-    | Some _ ->
-        let c = Option.value ~default:0 (Hashtbl.find_opt t.add_drops link) in
-        Hashtbl.replace t.add_drops link (c + 1)
-    | None -> ());
-    false)
+    incr drops;
+    Option.iter incr link_drops)
   else (
-    Hashtbl.replace t.drops key 0;
-    (match t.add with
-    | Some _ -> Hashtbl.replace t.add_drops link 0
-    | None -> ());
-    true)
+    drops := 0;
+    Option.iter (fun c -> c := 0) link_drops);
+  not drop
 
 (* The enqueue half of [send]: file a message whose loss decision was
    already made (by this channel's [gate] or by a remote shard's). *)

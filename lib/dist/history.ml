@@ -1,25 +1,31 @@
 (* Struct-of-arrays histories. The event sequence lives in parallel
    [events]/[ticks] arrays (chronological), with per-prefix seeded FNV
    hashes in [ehash]/[thash]: [ehash.(i)] hashes events [0..i] (oldest
-   first), [thash.(i)] additionally mixes the ticks. The arrays are never
-   mutated after construction, so [prefix_upto] shares them and only
-   shrinks [len] — a cut is O(log n) time and O(1) space, and its hash is
-   an O(1) array lookup. The incremental-hash invariant:
+   first), [thash.(i)] additionally mixes the ticks. The event arrays are
+   never mutated after construction, so [prefix_upto] shares them and
+   only shrinks [len] — a cut is O(log n) time and O(1) space. The
+   incremental-hash invariant:
 
      ehash.(i) = Fnv.mix ehash.(i-1) (Event.hash events.(i))
      thash.(i) = Fnv.mix (Fnv.mix thash.(i-1) ticks.(i)) (Event.hash events.(i))
 
-   with [Fnv.seed] standing in for index -1. [append] maintains it in
-   O(1); the functional [append] below copies (it is the cold path —
-   enumeration trees and tests), while the simulator's hot loop goes
-   through [Builder], which appends into reusable arena buffers and seals
-   an exact-size immutable snapshot per run. *)
+   with [Fnv.seed] standing in for index -1. The functional [append]
+   below maintains it eagerly and copies (it is the cold path:
+   enumeration trees, whose node keys read the hashes, and tests). The
+   simulator's hot loop goes through [Builder], which appends events and
+   ticks only into reusable arena buffers and seals an exact-size
+   snapshot per run with no hashes, since nothing on that path reads
+   them. A sealed history, and any prefix cut from it, fills its hash
+   arrays on the first [hash_events]/[hash_timed_events]. The fill is a
+   plain write into the record, so only sequential code asks: the
+   explorer's merge, through [Seen], and tests. The equalities use the
+   hashes as a fast negative only when both sides already hold them. *)
 
 type t = {
   events : Event.t array;
   ticks : int array;
-  ehash : int array;
-  thash : int array;
+  mutable ehash : int array; (* [||] until first asked, when sealed *)
+  mutable thash : int array;
   len : int;
       (* may be smaller than the arrays: prefixes share their parent's
          buffers *)
@@ -32,8 +38,36 @@ let length h = h.len
 let is_crashed h = h.len > 0 && Event.is_crash h.events.(h.len - 1)
 let last h = if h.len = 0 then None else Some h.events.(h.len - 1)
 let last_tick h = if h.len = 0 then None else Some h.ticks.(h.len - 1)
-let hash_events h = if h.len = 0 then Fnv.seed else h.ehash.(h.len - 1)
-let hash_timed_events h = if h.len = 0 then Fnv.seed else h.thash.(h.len - 1)
+let hashed h = Array.length h.thash >= h.len
+
+(* A sealed history fills both arrays on the first request, in one
+   chronological pass over this record's [len] events. *)
+let ensure_hashes h =
+  if not (hashed h) then begin
+    let ehash = Array.make h.len 0 and thash = Array.make h.len 0 in
+    let eh = ref Fnv.seed and th = ref Fnv.seed in
+    for i = 0 to h.len - 1 do
+      let x = Event.hash h.events.(i) in
+      eh := Fnv.mix !eh x;
+      th := Fnv.mix (Fnv.mix !th h.ticks.(i)) x;
+      ehash.(i) <- !eh;
+      thash.(i) <- !th
+    done;
+    h.ehash <- ehash;
+    h.thash <- thash
+  end
+
+let hash_events h =
+  if h.len = 0 then Fnv.seed
+  else (
+    ensure_hashes h;
+    h.ehash.(h.len - 1))
+
+let hash_timed_events h =
+  if h.len = 0 then Fnv.seed
+  else (
+    ensure_hashes h;
+    h.thash.(h.len - 1))
 
 let append h e ~tick =
   if is_crashed h then invalid_arg "History.append: history ends in crash (R4)";
@@ -89,7 +123,7 @@ let prefix_upto h m =
 
 let equal_events a b =
   a.len = b.len
-  && hash_events a = hash_events b
+  && ((not (hashed a && hashed b)) || hash_events a = hash_events b)
   &&
   let rec go i =
     i >= a.len || (Event.equal a.events.(i) b.events.(i) && go (i + 1))
@@ -98,7 +132,7 @@ let equal_events a b =
 
 let equal_timed a b =
   a.len = b.len
-  && hash_timed_events a = hash_timed_events b
+  && ((not (hashed a && hashed b)) || hash_timed_events a = hash_timed_events b)
   &&
   let rec go i =
     i >= a.len
@@ -121,8 +155,6 @@ module Builder = struct
   type t = {
     mutable events : Event.t array; (* capacity >= len *)
     mutable ticks : int array;
-    mutable ehash : int array;
-    mutable thash : int array;
     mutable len : int;
     mutable crashed : bool;
     mutable suspect : Report.t option; (* last Suspect payload, O(1) *)
@@ -137,8 +169,6 @@ module Builder = struct
     {
       events = Array.make capacity Event.Crash;
       ticks = Array.make capacity 0;
-      ehash = Array.make capacity 0;
-      thash = Array.make capacity 0;
       len = 0;
       crashed = false;
       suspect = None;
@@ -158,16 +188,10 @@ module Builder = struct
     let cap' = 2 * cap in
     let events = Array.make cap' Event.Crash in
     let ticks = Array.make cap' 0 in
-    let ehash = Array.make cap' 0 in
-    let thash = Array.make cap' 0 in
     Array.blit b.events 0 events 0 b.len;
     Array.blit b.ticks 0 ticks 0 b.len;
-    Array.blit b.ehash 0 ehash 0 b.len;
-    Array.blit b.thash 0 thash 0 b.len;
     b.events <- events;
-    b.ticks <- ticks;
-    b.ehash <- ehash;
-    b.thash <- thash
+    b.ticks <- ticks
 
   let length b = b.len
   let is_crashed b = b.crashed
@@ -181,24 +205,21 @@ module Builder = struct
       invalid_arg "History.append: more than one event per tick (R2)";
     if b.len = Array.length b.events then grow b;
     let i = b.len in
-    let eh = if i = 0 then Fnv.seed else b.ehash.(i - 1) in
-    let th = if i = 0 then Fnv.seed else b.thash.(i - 1) in
     b.events.(i) <- e;
     b.ticks.(i) <- tick;
-    b.ehash.(i) <- Fnv.mix eh (Event.hash e);
-    b.thash.(i) <- Fnv.mix (Fnv.mix th tick) (Event.hash e);
     b.len <- i + 1;
     (match e with
     | Event.Crash -> b.crashed <- true
     | Event.Suspect r -> b.suspect <- Some r
     | _ -> ())
 
+  (* No hashes: the sealed history fills them on first request. *)
   let seal b : history =
     {
       events = Array.sub b.events 0 b.len;
       ticks = Array.sub b.ticks 0 b.len;
-      ehash = Array.sub b.ehash 0 b.len;
-      thash = Array.sub b.thash 0 b.len;
+      ehash = [||];
+      thash = [||];
       len = b.len;
     }
 

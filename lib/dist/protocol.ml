@@ -43,23 +43,30 @@ let make (module M : S) ~n ~me =
   Packed ((module T : S_timed with type state = M.state), T.create ~n ~me)
 
 let name (Packed ((module M), _)) = M.name
-let on_init (Packed (m, s)) a = let (module M) = m in Packed (m, M.on_init s a)
 
-let on_recv (Packed (m, s)) ~now ~src msg =
-  let (module M) = m in
-  Packed (m, M.on_recv s ~now ~src msg)
+(* A transition that returns its state physically unchanged (the
+   backend adapter, which updates its record in place, and the ring
+   detectors' quiet slots) returns the packed value itself: no fresh
+   pack, and the caller can skip storing it. *)
+let repack (type s) t (m : (module S_timed with type state = s)) (s : s) s' =
+  if s' == s then t else Packed (m, s')
 
-let on_suspect (Packed (m, s)) r =
+let on_init (Packed (m, s) as t) a =
   let (module M) = m in
-  Packed (m, M.on_suspect s r)
+  repack t m s (M.on_init s a)
+
+let on_recv (Packed (m, s) as t) ~now ~src msg =
+  let (module M) = m in
+  repack t m s (M.on_recv s ~now ~src msg)
+
+let on_suspect (Packed (m, s) as t) r =
+  let (module M) = m in
+  repack t m s (M.on_suspect s r)
 
 let step (Packed (m, s) as t) ~now =
   let (module M) = m in
   let s', act = M.step s ~now in
-  (* a step that returns its state physically unchanged (the ring
-     detectors' quiet slots) must not cost a fresh pack either — this is
-     what makes large-n quiet slots allocation-free *)
-  ((if s' == s then t else Packed (m, s')), act)
+  (repack t m s s', act)
 
 let quiescent (Packed ((module M), s)) = M.quiescent s
 let performed (Packed ((module M), s)) = M.performed s

@@ -4,8 +4,14 @@
     to actions. Maintaining the state alongside the history (rather than
     recomputing from it) is an equivalent but efficient presentation: every
     transition is driven by exactly one appended event, so the state is a
-    function of the history. States are immutable values, which lets the
-    exhaustive enumerator snapshot and branch executions. *)
+    function of the history.
+
+    {!S} is pure: its states are immutable values, which lets the
+    exhaustive enumerator snapshot and branch executions. A state of an
+    {!S_timed} backend is single-use: a transition may update its
+    argument in place and return it, and no caller may step an old state
+    again. The simulator steps each process's state exactly once per
+    event, so it runs both kinds. *)
 
 (** What a process does when given a protocol step (one event per tick). *)
 type step_action =
@@ -60,7 +66,9 @@ module type S_timed = sig
   val performed : state -> Action_id.Set.t
 end
 
-(** A protocol instance with hidden state. *)
+(** A protocol instance with hidden state. A transition whose state
+    comes back physically unchanged returns its argument itself, so a
+    caller that stores the result can skip the store. *)
 type t
 
 val make : (module S) -> n:int -> me:Pid.t -> t

@@ -134,10 +134,20 @@ module Cache = Ephemeron.K1.Make (struct
 
   let equal = ( == )
 
-  (* [Hashtbl.hash] is collision-tolerant here: entries are keyed by
-     physical identity, so a hash collision between distinct runs only
-     lengthens one bucket's chain — it can never alias two runs. *)
-  let hash = Hashtbl.hash
+  (* Entries are keyed by physical identity, so a hash collision between
+     distinct runs only lengthens one bucket's chain — it can never alias
+     two runs. The hash reads only what never changes: not
+     [Hashtbl.hash] of the run, which reaches the histories' prefix-hash
+     arrays, filled on first request, so a cached run's bucket would
+     move. *)
+  let hash r =
+    let acc = ref (Fnv.mix Fnv.seed (Run.horizon r)) in
+    for p = 0 to min (Run.n r) 16 - 1 do
+      let h = Run.history r p in
+      acc := Fnv.mix !acc (History.length h);
+      acc := Fnv.mix !acc (Option.value ~default:(-1) (History.last_tick h))
+    done;
+    !acc
 end)
 
 let cache : t Cache.t = Cache.create 64

@@ -190,6 +190,10 @@ let window cfg ~base ~size ~source ~hists make_process =
 
 let append w lp e = History.Builder.append w.hists.(lp) e ~tick:w.now
 
+(* A transition that comes back physically unchanged needs no store:
+   [w.states] is old, and a store into it costs a write barrier. *)
+let set_state w lp s = if s != w.states.(lp) then w.states.(lp) <- s
+
 (* The single crash path, whatever caused the crash: a dead process
    never initiates or crashes again, so its planned inits and faults are
    consumed with it (a stale [At] entry would otherwise block quiescence
@@ -246,7 +250,7 @@ let consume_init w lp entry =
 let deliver_message w lp (src, msg, _sent_at) =
   Channel.deliver w.channel ~src ~dst:lp msg;
   append w lp (Event.Recv { src; msg });
-  w.states.(lp) <- Protocol.on_recv w.states.(lp) ~now:w.now ~src msg
+  set_state w lp (Protocol.on_recv w.states.(lp) ~now:w.now ~src msg)
 
 (* A send to a destination inside the window is gated and enqueued here
    ([Channel.send] split in two, so the gate sees global pids); any other
@@ -254,7 +258,7 @@ let deliver_message w lp (src, msg, _sent_at) =
 let protocol_step w ~send_out lp =
   let p = w.base + lp in
   let state', act = Protocol.step w.states.(lp) ~now:w.now in
-  w.states.(lp) <- state';
+  set_state w lp state';
   match act with
   | Protocol.No_op -> ()
   | Protocol.Perform a ->
@@ -283,7 +287,7 @@ let slot w ~view ~send_out p =
         consume_init w lp entry;
         append w lp (Event.Init entry.Init_plan.action);
         w.initiated <- entry.Init_plan.action :: w.initiated;
-        w.states.(lp) <- Protocol.on_init w.states.(lp) entry.Init_plan.action
+        set_state w lp (Protocol.on_init w.states.(lp) entry.Init_plan.action)
     | None -> (
         let report =
           match w.cfg.oracle.Oracle.poll p (view ()) with
@@ -296,7 +300,7 @@ let slot w ~view ~send_out p =
         match report with
         | Some r ->
             append w lp (Event.Suspect r);
-            w.states.(lp) <- Protocol.on_suspect w.states.(lp) r
+            set_state w lp (Protocol.on_suspect w.states.(lp) r)
         | None -> (
             (* Delivery competes with protocol steps for the slot. The
                delivery probability grows with the backlog (a process

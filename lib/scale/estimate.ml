@@ -105,6 +105,28 @@ let params ?(shards = 1) ?(degree = 2) ?(regime = Explore.Classify.Fair_lossy)
     domains;
   }
 
+(* Each bound keeps a run from failing inside the engine (no shard, a
+   fault plan larger than the system) or from scoring a vacuous verdict
+   (no tick, no monitored pair, no run). *)
+let check p =
+  let below =
+    List.find_opt
+      (fun (_, v, least) -> v < least)
+      [
+        ("-n", p.n, 2);
+        ("--shards", p.shards, 1);
+        ("--degree", p.degree, 1);
+        ("--runs", p.runs, 1);
+        ("--ticks", p.ticks, 1);
+        ("--committee", p.committee, 0);
+      ]
+  in
+  match below with
+  | Some (flag, v, least) -> Error (Printf.sprintf "%s %d < %d" flag v least)
+  | None when p.faults < 0 || p.faults > p.n ->
+      Error (Printf.sprintf "--faults %d outside [0, %d]" p.faults p.n)
+  | None -> Ok ()
+
 (* The regime dressing mirrors [Explore.Classify.config] (loss 0.3 for
    fair-lossy; 0.45 with a global stabilisation tick for
    eventually-timely), with the crash plan drawn per run seed. *)
@@ -308,6 +330,9 @@ let one_run p seed =
   (a, committee_scores, Run.digest run, p.n * Run.horizon run)
 
 let estimate p =
+  (match check p with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Estimate.estimate: " ^ e));
   let t0 = Unix.gettimeofday () in
   let results = Ensemble.run ?domains:p.domains ~seeds:(seeds p) (one_run p) in
   let wall = Unix.gettimeofday () -. t0 in

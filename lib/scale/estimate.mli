@@ -58,6 +58,14 @@ val params :
   unit ->
   params
 
+(** [check p] rejects parameters that would fail inside the engine or
+    yield a vacuous score (no run, no tick, no monitored pair):
+    [n < 2], [shards < 1], [degree < 1], [runs < 1], [ticks < 1],
+    [faults] outside [0 .. n] and [committee < 0]. The message names the
+    [udc scale] flag of the offending field. {!estimate} runs the same
+    check. *)
+val check : params -> (unit, string) result
+
 (** The per-seed simulator configuration (regime dressing mirrors
     [Explore.Classify.config]); exposed so tests and benches reuse the
     exact estimation workload. The oracle field is filled in per run
@@ -91,7 +99,8 @@ type report = {
 }
 
 (** Runs the ensemble (on the {!Ensemble} pool; bit-identical at every
-    domain count) and scores it. *)
+    domain count) and scores it. Raises [Invalid_argument] when {!check}
+    rejects [p]. *)
 val estimate : params -> report
 
 val pp_report : Format.formatter -> report -> unit

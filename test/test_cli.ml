@@ -1,7 +1,8 @@
 (* The exit-code contract of the driver, exercised through the real
    binary: 0 = outcome matches --expect, 1 = outcome contradicts it (or
-   a repro fails to reproduce), 2 = usage/configuration error. Both the
-   explore search and replay paths and the classify path honour it. *)
+   a repro fails to reproduce), 2 = usage/configuration error. The
+   explore search and replay paths, the classify path and the scale
+   flags honour it. *)
 
 (* resolve relative to the test executable so the path holds under both
    `dune runtest` (cwd _build/default/test) and `dune exec` (cwd root) *)
@@ -58,6 +59,25 @@ let contains s sub =
   in
   go 0
 
+(* [cmd] with the flags of [small], except the one a case replaces by
+   its out-of-range value, must exit 2 with a message naming that flag *)
+let rejects_bounds cmd ~small cases =
+  List.iter
+    (fun (flag, bad) ->
+      let code, err =
+        run_capture
+          (cmd
+          @ List.concat_map
+              (fun (f, v) -> if f = flag then [] else [ f; v ])
+              small
+          @ bad)
+      in
+      let what = List.hd cmd ^ ": " ^ String.concat " " bad in
+      Alcotest.(check int) what 2 code;
+      Alcotest.(check bool) (what ^ ", message names it") true
+        (contains err flag))
+    cases
+
 (* a tiny search that reliably finds a k-set violation: the adversary
    plays the detector, so two suspicions split the min rule *)
 let kset_search extra =
@@ -92,24 +112,12 @@ let expect_contract () =
     (kset_search [ "--channel"; "bogus" ]);
   (* a bound that admits no run must not certify a space it never
      searched: a small clean search with one bound out of range *)
-  let small = [ ("-n", "3"); ("--max-ticks", "40"); ("--depth", "1") ] in
-  List.iter
-    (fun (flag, bad) ->
-      let code, err =
-        run_capture
-          ([
-             "explore"; "--protocol"; "reliable"; "--property"; "udc";
-             "--expect"; "none";
-           ]
-          @ List.concat_map
-              (fun (f, v) -> if f = flag then [] else [ f; v ])
-              small
-          @ bad)
-      in
-      Alcotest.(check int) ("explore: bad " ^ flag) 2 code;
-      Alcotest.(check bool)
-        ("explore: bad " ^ flag ^ ", message names it")
-        true (contains err flag))
+  rejects_bounds
+    [
+      "explore"; "--protocol"; "reliable"; "--property"; "udc"; "--expect";
+      "none";
+    ]
+    ~small:[ ("-n", "3"); ("--max-ticks", "40"); ("--depth", "1") ]
     [
       ("-n", [ "-n"; "0" ]);
       ("--max-ticks", [ "--max-ticks=-5" ]);
@@ -191,10 +199,32 @@ let classify_expect () =
   check_exit "kset --expect violated" 1 (cell [ "--expect"; "violated" ]);
   check_exit "kset --expect bogus" 2 (cell [ "--expect"; "bogus" ])
 
+(* [udc scale] bounds: each input either escaped as an uncaught
+   exception (exit 125) or scored runs that ran no tick or monitored no
+   pair (exit 0). A small valid estimate with one flag replaced. *)
+let scale_bounds () =
+  rejects_bounds [ "scale" ]
+    ~small:[ ("-n", "50"); ("--runs", "2"); ("--ticks", "40") ]
+    [
+      ("--shards", [ "--shards"; "0" ]);
+      ("-n", [ "-n"; "0" ]);
+      ("--faults", [ "--faults"; "100" ]);
+      ("--faults", [ "--faults=-1" ]);
+      ("--runs", [ "--runs=-1" ]);
+      ("--committee", [ "--committee=-2" ]);
+      ("--degree", [ "--degree=-1" ]);
+      ("--ticks", [ "--ticks"; "0" ]);
+      ("--ticks", [ "--ticks=-3" ]);
+      ("--degree", [ "--degree"; "0" ]);
+      ("-n", [ "-n"; "1" ]);
+      ("--runs", [ "--runs"; "0" ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "explore --expect exit codes (search and replay)"
       `Slow expect_contract;
+    Alcotest.test_case "scale: out-of-range flags exit 2" `Quick scale_bounds;
     Alcotest.test_case "explore --replay: malformed repro exits 2" `Slow
       malformed_repro;
     Alcotest.test_case "classify --expect exit codes" `Slow classify_expect;

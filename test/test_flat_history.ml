@@ -81,7 +81,10 @@ let equality_matches_reference =
       && History.equal_timed f1 f2 = History.Reference.equal_timed r1 r2)
 
 (* The mutable builder and the functional append construct the same
-   history, hashes included. *)
+   history, hashes included, on every prefix cut. A sealed history
+   computes its hashes on first request, and a prefix shares its
+   parent's buffers: cuts taken before that request compute their own,
+   cuts taken after read the parent's. *)
 let builder_matches_functional =
   QCheck.Test.make ~name:"Builder.seal = functional append" ~count:300
     raw_script (fun codes ->
@@ -90,9 +93,20 @@ let builder_matches_functional =
       let b = History.Builder.fresh () in
       List.iter (fun (e, tick) -> History.Builder.append b e ~tick) script;
       let sealed = History.Builder.seal b in
-      History.equal_timed sealed f
-      && History.hash_events sealed = History.hash_events f
-      && History.hash_timed_events sealed = History.hash_timed_events f)
+      let max_tick = List.fold_left (fun a (_, t) -> max a t) 0 script in
+      let cut_all () =
+        List.init (max_tick + 2) (fun m -> (m, History.prefix_upto sealed m))
+      in
+      let same h g =
+        History.equal_timed h g
+        && History.hash_events h = History.hash_events g
+        && History.hash_timed_events h = History.hash_timed_events g
+      in
+      let matches (m, cut) = same cut (History.prefix_upto f m) in
+      let before = cut_all () in
+      let whole = same sealed f in
+      let after = cut_all () in
+      whole && List.for_all matches before && List.for_all matches after)
 
 (* Arena reuse must not leak state between acquisitions: re-acquired
    builders come back reset, and histories sealed before the release are
@@ -175,10 +189,11 @@ let pinned_digests () =
   in
   Alcotest.(check string)
     "heartbeat protocol, seed 11" "77aa9d8b7d15fc9e07bd87a4542b83aa"
-    (Run.digest (Sim.execute_uniform cfg (module Core.Heartbeat_nudc.P)).Sim.run);
-  (* The full-mesh detector backends, each through its own oracle: a
-     lossy run with one crash, so every core both suspects and, on a
-     late heartbeat or ack, retracts. *)
+    (Run.digest
+       (Sim.execute_uniform cfg (module Core.Heartbeat_nudc.P)).Sim.run);
+  (* The full-mesh detector backends, each through its own oracle, on a
+     lossy run with one crash; the count of suspicion changes shows what
+     each core reported. *)
   let backend label =
     let pair = (Option.get (Detector.Backends.of_label label)) ~n:5 in
     let cfg = Sim.config ~n:5 ~seed:2026L in

@@ -301,9 +301,18 @@ let qcheck_index_agrees =
 
 let test_memoized () =
   let run = random_run 5 in
+  let idx = Run_index.of_run run in
   Alcotest.(check bool)
     "same physical index" true
-    (Run_index.of_run run == Run_index.of_run run)
+    (idx == Run_index.of_run run);
+  (* a simulated run's histories compute their prefix hashes on first
+     request; the cached index must survive that *)
+  for p = 0 to Run.n run - 1 do
+    ignore (History.hash_timed_events (Run.history run p))
+  done;
+  Alcotest.(check bool)
+    "same physical index after the first hash request" true
+    (idx == Run_index.of_run run)
 
 let suite =
   [

@@ -383,7 +383,51 @@ let ring_detects backend () =
           true
           (Run.crashed_by run q horizon))
       final
-  done
+  done;
+  (* Blackout, then recovery, with no crash: every message is lost until
+     tick 150, so every monitor suspects both of its watched peers, and
+     the lossless second half must retract every suspicion. The cores
+     change [suspected] in place; only the adapter's publication carries
+     a retraction into the history. Both engines. *)
+  let cfg = Sim.config ~n ~seed:11L in
+  let cfg =
+    {
+      cfg with
+      Sim.goal = Sim.Run_to_max;
+      max_ticks = 300;
+      loss_rate = 1.0;
+      loss_schedule = [ (150, 0.0) ];
+      max_consecutive_drops = 40;
+    }
+  in
+  List.iter
+    (fun (engine, execute) ->
+      let pair = ring_pair backend ~n ~degree:2 in
+      let run =
+        (execute { cfg with Sim.oracle = pair.Detector.Backends.oracle }
+           pair.Detector.Backends.protocol)
+          .Sim.run
+      in
+      for p = 0 to n - 1 do
+        let timeline = Detector.Spec.event_timeline run p in
+        List.iter
+          (fun q ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s blackout: %d suspects %d" backend engine p
+                 q)
+              true
+              (List.exists (fun (_, s) -> Pid.Set.mem q s) timeline))
+          (Detector.Backends.ring_watched ~n ~degree:2 p);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s recovery: %d suspects nobody" backend engine p)
+          true
+          (Pid.Set.is_empty
+             (List.fold_left (fun _ (_, s) -> s) Pid.Set.empty timeline))
+      done)
+    [
+      ("sim", fun cfg proto -> Sim.execute cfg proto);
+      ("shards=2", fun cfg proto -> Scale.Shard.execute ~shards:2 cfg proto);
+    ]
 
 let phi_deadline_monotone =
   QCheck.Test.make ~name:"phi_deadline inverts phi" ~count:200
