@@ -230,6 +230,51 @@ let untimed_e14_pinned () =
     runs;
   Alcotest.(check int) "all contents distinct" 103 (Hashtbl.length contents)
 
+(* Four exhaustive systems the experiments check theorems over, pinned:
+   run count, run-set digest at domains 1 and 2, and dedup hits. A
+   change to the move grammar, the emission policy or the dedup rule
+   moves one of these. *)
+let pinned_systems () =
+  let system ~depth ~oracle_mode proto =
+    ( {
+        (Enumerate.config ~n:3 ~depth) with
+        Enumerate.max_crashes = 2;
+        init_plan = Init_plan.one ~owner:0 ~at:1;
+        oracle_mode;
+        max_nodes = 20_000_000;
+      },
+      proto )
+  in
+  let fip trust = Core.Fip.make ~trust_reports:trust (module Core.Ack_udc.P) in
+  List.iter
+    (fun (name, (cfg, proto), runs, digest, hits) ->
+      List.iter
+        (fun domains ->
+          let out = Enumerate.runs_exn ~domains cfg proto in
+          let what = Printf.sprintf "%s, domains %d" name domains in
+          Alcotest.(check int) (what ^ ": runs") runs
+            (List.length out.Enumerate.runs);
+          Alcotest.(check string) (what ^ ": digest") digest
+            (Enumerate.digest out.Enumerate.runs);
+          Alcotest.(check int) (what ^ ": dedup hits") hits
+            out.Enumerate.stats.Enumerate.dedup_hits)
+        [ 1; 2 ])
+    [
+      ( "E7",
+        system ~depth:7 ~oracle_mode:Enumerate.Perfect_reports (fip true),
+        3613, "e4d445edff551913485b5b052422df67", 25 );
+      ( "E6 lying",
+        system ~depth:6 ~oracle_mode:(Enumerate.Lying_reports 1) (fip false),
+        17862, "6968518fa7c0980e19512124e65c4df8", 959 );
+      ( "E6 perfect",
+        system ~depth:6 ~oracle_mode:Enumerate.Perfect_reports (fip true),
+        1174, "fdd4771bd2113c38184fcc3215434543", 3 );
+      ( "E14",
+        system ~depth:8 ~oracle_mode:Enumerate.No_oracle
+          (module Core.Nudc.P : Protocol.S),
+        882, "83b0bd6869ada0794c252f8de3d48b13", 14 );
+    ]
+
 (* ---------- structural message matching in traces ---------- *)
 
 (* FIFO discipline with retransmission: two sends of the same content on
@@ -355,6 +400,7 @@ let suite =
       run_level_verdicts_agree;
     Alcotest.test_case "untimed E14 system pinned (103 distinct runs)" `Slow
       untimed_e14_pinned;
+    Alcotest.test_case "E6, E7 and E14 systems pinned" `Quick pinned_systems;
     Alcotest.test_case "trace rendering" `Quick trace_rendering;
     Alcotest.test_case "trace: FIFO matching under retransmission" `Quick
       trace_fifo_matching;
