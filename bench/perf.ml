@@ -517,11 +517,11 @@ let flat_run_representation () =
 (* P8: exhaustive-enumeration throughput, the frontier-parallel explorer
    behind every theorem-level experiment. The digests double as the
    determinism gate: the run set must be bit-identical at every domain
-   count (same run_key digests, same canonical order), and a deliberately
+   count (same digest, same canonical order), and a deliberately
    tiny node budget must raise [Truncated] rather than return a silent
    under-approximation. *)
 let enumeration ~smoke () =
-  Util.header "P8: exhaustive enumeration (frontier-parallel, FNV keys)";
+  Util.header "P8: exhaustive enumeration (frontier-parallel, sibling rule)";
   let depth = if smoke then 6 else 7 in
   let cfg = Enumerate.config ~n:3 ~depth in
   let cfg =

@@ -157,6 +157,11 @@ let enumerate n depth crashes domains max_nodes stats =
       max_nodes;
     }
   in
+  (match Enumerate.check cfg with
+  | Ok () -> ()
+  | Error e ->
+      prerr_endline ("udc enumerate: " ^ e);
+      exit 2);
   match
     Enumerate.runs_exn cfg
       (Core.Fip.make ~trust_reports:true (module Core.Ack_udc.P))

@@ -1,7 +1,5 @@
 type oracle_mode = No_oracle | Perfect_reports | Lying_reports of Pid.t
 
-type dedup = Timed | Untimed
-
 type config = {
   n : int;
   depth : int;
@@ -9,7 +7,6 @@ type config = {
   init_plan : Init_plan.t;
   oracle_mode : oracle_mode;
   max_nodes : int;
-  dedup : dedup;
   frontier : int;
 }
 
@@ -21,9 +18,27 @@ let config ~n ~depth =
     init_plan = Init_plan.empty;
     oracle_mode = No_oracle;
     max_nodes = 2_000_000;
-    dedup = Timed;
     frontier = 128;
   }
+
+let check cfg =
+  match
+    List.find_opt
+      (fun (_, v, least) -> v < least)
+      [
+        ("-n", cfg.n, 1);
+        ("--depth", cfg.depth, 0);
+        ("--crashes", cfg.max_crashes, 0);
+        ("--max-nodes", cfg.max_nodes, 1);
+      ]
+  with
+  | Some (flag, v, least) -> Error (Printf.sprintf "%s %d < %d" flag v least)
+  | None -> Ok ()
+
+let check_exn cfg =
+  match check cfg with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Enumerate: " ^ e)
 
 type stats = {
   nodes : int;
@@ -49,19 +64,13 @@ let () =
              nodes max_nodes)
     | _ -> None)
 
-(* Search node. Per-history hashes are no longer maintained here: the
-   flat {!History} representation carries exactly the incremental FNV
-   fold this enumerator used to compute by hand (ticks mixed in iff
-   [Timed]), so {!History.hash_events}/{!History.hash_timed_events} are
-   O(1) lookups. [inflight_rev] is newest-first (appends are cons, not
-   the quadratic [l @ [x]] of the original enumerator) and caches each
-   message's hash alongside it. *)
+(* Search node. [inflight_rev] is newest-first, so a send is a cons. *)
 type node = {
   step : int; (* next tick to fill, 1-based *)
   hists : History.t array;
   states : Protocol.t array;
   crashed : Pid.Set.t;
-  inflight_rev : (Pid.t * Pid.t * Message.t * int) list; (* src, dst, msg, hash *)
+  inflight_rev : (Pid.t * Pid.t * Message.t) list; (* src, dst, msg *)
   crashes_left : int;
   pending_inits : Init_plan.entry list;
 }
@@ -105,7 +114,7 @@ let moves_for cfg node p =
           (* [inflight_rev] is newest-first; the fold reverses, so the
              moves come out in send order as before *)
           List.fold_left
-            (fun acc (src, dst, msg, _) ->
+            (fun acc (src, dst, msg) ->
               if Pid.equal dst p then M_deliver (src, msg) :: acc else acc)
             [] node.inflight_rev
         in
@@ -163,19 +172,14 @@ let apply node p move =
       | Protocol.Send_to (dst, msg) ->
           append (Event.Send { dst; msg });
           if Pid.Set.mem dst node.crashed then node'
-          else
-            {
-              node' with
-              inflight_rev =
-                (p, dst, msg, Message.hash msg) :: node.inflight_rev;
-            })
+          else { node' with inflight_rev = (p, dst, msg) :: node.inflight_rev })
   | M_deliver (src, msg) ->
       (* remove the *earliest* matching in-flight copy — the FIFO pick of
          the original in-order scan; [inflight_rev] is newest-first, so
          scan its reversal and flip back *)
       let rec remove_first acc = function
         | [] -> invalid_arg "Enumerate: delivery of absent message"
-        | ((s, d, m, _) as x) :: rest ->
+        | ((s, d, m) as x) :: rest ->
             if Pid.equal s src && Pid.equal d p && Message.equal m msg then
               List.rev_append acc rest
             else remove_first (x :: acc) rest
@@ -194,7 +198,7 @@ let apply node p move =
         crashes_left = node.crashes_left - 1;
         inflight_rev =
           List.filter
-            (fun (_, dst, _, _) -> not (Pid.equal dst p))
+            (fun (_, dst, _) -> not (Pid.equal dst p))
             node.inflight_rev;
       }
   | M_suspect r ->
@@ -202,129 +206,30 @@ let apply node p move =
       states.(p) <- Protocol.on_suspect states.(p) r;
       node'
 
-(* Node identity.
-
-   Ticks are excluded from [Untimed] keys: local histories (hence
-   protocol states and knowledge) are tick-insensitive, so nodes that
-   differ only in when events landed generate tick-relabelled,
-   knowledge-equivalent subtrees; merging them is a partial-order
-   reduction.
-
-   [step] is excluded from the key in *both* modes. Every move appends
-   exactly one event (a protocol step is only offered when it produces
-   one), so [step = 1 + Σ_p length hists.(p)] — it is derivable from the
-   histories under either equality and can never separate two otherwise
-   equal nodes. The original enumerator keyed on it anyway, which cost
-   key bytes without merging or separating anything.
-
-   [states] and [crashed] are likewise derivable (protocols are
-   deterministic functions of the local history; crashed_p iff hists.(p)
-   ends in [Crash]), so the key is: histories under the mode's equality,
-   plus in-flight messages (order-sensitive, as in the original),
-   crashes-left, and pending initiations.
-
-   Keys are an FNV fingerprint (see {!Fnv}) resolved by structural
-   equality on collision — replacing a digest of each node's serialised
-   memory image, which (a) re-serialised every node in full, and (b)
-   keyed equal-but-differently-shaped set payloads apart, so two
-   structurally equal runs could both survive the "dedup" and be emitted
-   twice. *)
-
-let hist_equal mode a b =
-  match mode with
-  | Timed -> History.equal_timed a b
-  | Untimed -> History.equal_events a b
-
-let hists_equal mode a b =
-  let n = Array.length a in
-  Array.length b = n
-  &&
-  let rec go i = i >= n || (hist_equal mode a.(i) b.(i) && go (i + 1)) in
-  go 0
-
-let node_equal mode a b =
-  a.crashes_left = b.crashes_left
-  && List.equal
-       (fun (s, d, m, _) (s', d', m', _) ->
-         Pid.equal s s' && Pid.equal d d' && Message.equal m m')
-       a.inflight_rev b.inflight_rev
-  && List.equal
-       (fun e e' -> Action_id.equal e.Init_plan.action e'.Init_plan.action)
-       a.pending_inits b.pending_inits
-  && hists_equal mode a.hists b.hists
-
-(* The mode's per-history hash, O(1) from the flat representation. The
-   values are identical to the hand-maintained fold this file used to
-   carry: [History]'s incremental hashes use the same Fnv formulas. *)
-let hist_hash mode h =
-  match mode with
-  | Timed -> History.hash_timed_events h
-  | Untimed -> History.hash_events h
-
-let hists_hash mode hists =
-  Array.fold_left (fun acc h -> Fnv.mix acc (hist_hash mode h)) Fnv.seed hists
-
-let node_fingerprint mode node =
-  let acc = hists_hash mode node.hists in
-  let acc =
-    List.fold_left
-      (fun acc (s, d, _, mh) ->
-        Fnv.mix (Fnv.mix (Fnv.mix acc (Pid.hash s)) (Pid.hash d)) mh)
-      acc node.inflight_rev
-  in
-  let acc =
-    List.fold_left
-      (fun acc e -> Fnv.mix acc (Action_id.hash e.Init_plan.action))
-      acc node.pending_inits
-  in
-  Fnv.mix acc node.crashes_left
-
-(* Fingerprint-bucketed structural tables. *)
-let table_mem tbl mode fp node =
-  match Hashtbl.find_opt tbl fp with
-  | None -> false
-  | Some bucket -> List.exists (node_equal mode node) bucket
-
-let table_add tbl fp node =
-  Hashtbl.replace tbl fp
-    (node :: Option.value ~default:[] (Hashtbl.find_opt tbl fp))
-
-(* Collected runs: the emission's fingerprint is the fold of the
-   per-history hashes, so in [Untimed] mode runs are deduplicated by
-   event content and the kept representative is the first emitted in the
-   deterministic merge order (the original enumerator deduplicated
-   emissions by *timed* key even in [Untimed] mode, so tick-relabelled
-   variants of one untimed run could all be emitted). *)
-type emission = { ehists : History.t array; rfp : int }
-
-type collector = {
-  mode : dedup;
-  collected : (int, History.t array list) Hashtbl.t;
-  mutable out_rev : emission list;
-  mutable dups : int;
-}
-
-let collector mode =
-  { mode; collected = Hashtbl.create 512; out_rev = []; dups = 0 }
-
-let collect c (em : emission) =
-  let bucket =
-    Option.value ~default:[] (Hashtbl.find_opt c.collected em.rfp)
-  in
-  if List.exists (hists_equal c.mode em.ehists) bucket then
-    c.dups <- c.dups + 1
-  else begin
-    Hashtbl.replace c.collected em.rfp (em.ehists :: bucket);
-    c.out_rev <- em :: c.out_rev
-  end
-
-let emission_of_node mode node =
-  { ehists = node.hists; rfp = hists_hash mode node.hists }
-
 let all_moves cfg node =
   List.concat_map
     (fun p -> List.map (fun mv -> (p, mv)) (moves_for cfg node p))
     (Pid.all cfg.n)
+
+(* The sibling rule. Every move appends exactly one event at the node's
+   tick, so a node's timed histories determine its whole ancestor chain,
+   and two nodes are equal only if they are children of one parent by
+   moves that append the same event at the same process. That is this
+   equality: in practice a second in-flight copy of one message, or a
+   [Lying_reports] report equal to the accurate one. Such a move leads to
+   the node its earlier sibling already leads to, so the search skips it
+   and counts a dedup hit; no node is ever met twice, so no visited table
+   is needed. *)
+let same_move (p, a) (q, b) =
+  Pid.equal p q
+  &&
+  match (a, b) with
+  | M_init e, M_init e' ->
+      Action_id.equal e.Init_plan.action e'.Init_plan.action
+  | M_step, M_step | M_crash, M_crash -> true
+  | M_deliver (s, m), M_deliver (s', m') -> Pid.equal s s' && Message.equal m m'
+  | M_suspect r, M_suspect r' -> Report.equal r r'
+  | (M_init _ | M_step | M_deliver _ | M_crash | M_suspect _), _ -> false
 
 (* Emission policy. A run may stop (idle to the horizon) exactly when no
    move is *owed*: crashes are never forced, deliveries can be withheld
@@ -354,129 +259,98 @@ let root_node cfg (proto : (module Protocol.S)) =
     pending_inits = Init_plan.entries cfg.init_plan;
   }
 
-(* One independent subtree, explored depth-first under a node budget.
-   Per-subtree tables are sound: in [Timed] mode every event carries a
-   distinct global tick, so a node's timed state determines its whole
-   ancestor chain and distinct frontier nodes root *disjoint* subtrees —
-   a global visited table could not have merged anything across them. In
-   [Untimed] mode subtrees can re-derive tick-relabelled states of each
-   other; those meet again at the merge, where runs are deduplicated by
-   untimed content. *)
-type subtree_result = {
-  emissions : emission list; (* in DFS emission order *)
-  sub_nodes : int;
-  sub_hits : int;
-  sub_truncated : bool;
+(* The counters of one search phase: the shared prefix, or one subtree.
+   [emitted] holds each emitted run's histories, newest first. *)
+type phase = {
+  mutable nodes : int;
+  mutable hits : int;
+  mutable truncated : bool;
+  mutable emitted : History.t array list;
 }
 
-let explore_subtree cfg root ~budget =
-  let mode = cfg.dedup in
-  let visited = Hashtbl.create 1024 in
-  let c = collector mode in
-  let nodes = ref 0 in
-  let hits = ref 0 in
-  let truncated = ref false in
-  let rec go node =
-    if !truncated then ()
-    else if node.step > cfg.depth then collect c (emission_of_node mode node)
-    else if !nodes >= budget then truncated := true
-    else begin
-      incr nodes;
-      let fp = node_fingerprint mode node in
-      if table_mem visited mode fp node then incr hits
-      else begin
-        table_add visited fp node;
-        let moves = all_moves cfg node in
-        if not (owed moves) then collect c (emission_of_node mode node);
-        List.iter (fun (p, mv) -> go (apply node p mv)) moves
-      end
-    end
-  in
-  go root;
-  {
-    emissions = List.rev c.out_rev;
-    sub_nodes = !nodes;
-    sub_hits = !hits + c.dups;
-    sub_truncated = !truncated;
-  }
+let phase () = { nodes = 0; hits = 0; truncated = false; emitted = [] }
 
-(* Phase 1: breadth-first expansion of the shared prefix, deduplicating
-   within each level (every move appends exactly one event, so equal
-   nodes — under either mode's equality — have equal event counts and
-   can only meet within a level). Stops when a level is at least
-   [cfg.frontier] wide; the constant is part of the configuration and
-   *not* derived from the domain count, so the decomposition — hence the
-   emitted run set — is identical for every pool size. *)
-let bfs_prefix cfg c root =
-  let mode = cfg.dedup in
-  let nodes = ref 0 in
-  let hits = ref 0 in
-  let truncated = ref false in
-  let expand_level level =
-    let seen = Hashtbl.create 512 in
-    let next_rev = ref [] in
-    List.iter
-      (fun node ->
-        if !truncated then ()
-        else if node.step > cfg.depth then collect c (emission_of_node mode node)
-        else if !nodes >= cfg.max_nodes then truncated := true
-        else begin
-          incr nodes;
-          let moves = all_moves cfg node in
-          if not (owed moves) then collect c (emission_of_node mode node);
-          List.iter
-            (fun (p, mv) ->
-              let child = apply node p mv in
-              let fp = node_fingerprint mode child in
-              if table_mem seen mode fp child then incr hits
-              else begin
-                table_add seen fp child;
-                next_rev := child :: !next_rev
-              end)
-            moves
-        end)
-      level;
-    List.rev !next_rev
-  in
+(* Visits one node under a node budget: emits it if it is a leaf or may
+   stop here, and returns one child per move that no earlier sibling
+   already made. *)
+let expand cfg ph ~budget node =
+  if ph.truncated then []
+  else if node.step > cfg.depth then begin
+    ph.emitted <- node.hists :: ph.emitted;
+    []
+  end
+  else if ph.nodes >= budget then begin
+    ph.truncated <- true;
+    []
+  end
+  else begin
+    ph.nodes <- ph.nodes + 1;
+    let rec distinct = function
+      | [] -> []
+      | m :: rest ->
+          let rest' = List.filter (fun m' -> not (same_move m m')) rest in
+          ph.hits <- ph.hits + List.length rest - List.length rest';
+          m :: distinct rest'
+    in
+    let moves = distinct (all_moves cfg node) in
+    if not (owed moves) then ph.emitted <- node.hists :: ph.emitted;
+    List.map (fun (p, mv) -> apply node p mv) moves
+  end
+
+(* Phase 1: breadth-first expansion of the shared prefix until a level
+   is at least [cfg.frontier] wide. The constant is part of the
+   configuration and *not* derived from the domain count, so the
+   decomposition — hence the node counts — is identical for every pool
+   size. *)
+let bfs_prefix cfg ph root =
   let rec grow level =
-    if !truncated || level = [] then []
+    if ph.truncated || level = [] then []
     else if List.length level >= cfg.frontier then level
-    else grow (expand_level level)
+    else grow (List.concat_map (expand cfg ph ~budget:cfg.max_nodes) level)
   in
-  let frontier = grow [ root ] in
-  (frontier, !nodes, !hits, !truncated)
+  grow [ root ]
+
+(* Phase 2: one frontier node's subtree, depth-first. Distinct frontier
+   nodes have distinct timed histories, hence root disjoint subtrees. *)
+let explore_subtree cfg root ~budget =
+  let ph = phase () in
+  let rec go node = List.iter go (expand cfg ph ~budget node) in
+  go root;
+  ph
 
 let compare_timed (e, t) (e', t') =
   match Int.compare t t' with 0 -> Event.compare e e' | c -> c
 
 let compare_emissions a b =
-  let n = Array.length a.ehists in
+  let n = Array.length a in
   let rec go i =
     if i >= n then 0
     else
       match
         List.compare compare_timed
-          (History.timed_events a.ehists.(i))
-          (History.timed_events b.ehists.(i))
+          (History.timed_events a.(i))
+          (History.timed_events b.(i))
       with
       | 0 -> go (i + 1)
       | c -> c
   in
   go 0
 
+let make_runs cfg emitted =
+  List.map
+    (fun hists -> Run.make ~n:cfg.n ~horizon:cfg.depth (Array.copy hists))
+    emitted
+
 let runs ?domains cfg (proto : (module Protocol.S)) =
-  let c = collector cfg.dedup in
-  let root = root_node cfg proto in
-  let frontier, prefix_nodes, prefix_hits, prefix_truncated =
-    bfs_prefix cfg c root
-  in
-  let subtrees = Array.of_list frontier in
+  check_exn cfg;
+  let prefix = phase () in
+  let subtrees = Array.of_list (bfs_prefix cfg prefix (root_node cfg proto)) in
   let nsub = Array.length subtrees in
   let results =
-    if prefix_truncated || nsub = 0 then [||]
+    if prefix.truncated || nsub = 0 then [||]
     else begin
       (* deterministic per-subtree budget slices of what the prefix left *)
-      let remaining = max 0 (cfg.max_nodes - prefix_nodes) in
+      let remaining = max 0 (cfg.max_nodes - prefix.nodes) in
       let budgets =
         Array.init nsub (fun i ->
             (remaining / nsub) + if i < remaining mod nsub then 1 else 0)
@@ -486,39 +360,24 @@ let runs ?domains cfg (proto : (module Protocol.S)) =
         (Array.init nsub Fun.id)
     end
   in
-  (* Merge per-subtree run sets in subtree order — sequential and
-     deterministic, so the kept representative of each run is the same
-     whatever the pool size. *)
-  Array.iter (fun r -> List.iter (collect c) r.emissions) results;
-  let truncated_subtrees =
-    Array.fold_left
-      (fun acc r -> if r.sub_truncated then acc + 1 else acc)
-      0 results
+  (* No run is emitted twice, so the canonical sort alone fixes the
+     order, whatever the pool size. *)
+  let emitted =
+    Array.fold_left (fun acc r -> r.emitted @ acc) prefix.emitted results
   in
-  let nodes =
-    Array.fold_left (fun acc r -> acc + r.sub_nodes) prefix_nodes results
-  in
-  let dedup_hits =
-    Array.fold_left (fun acc r -> acc + r.sub_hits) (prefix_hits + c.dups)
-      results
-  in
-  let sorted = List.sort compare_emissions (List.rev c.out_rev) in
-  let runs =
-    List.map
-      (fun em -> Run.make ~n:cfg.n ~horizon:cfg.depth (Array.copy em.ehists))
-      sorted
-  in
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
+  let truncated_subtrees = sum (fun r -> if r.truncated then 1 else 0) in
   {
-    runs;
-    exhaustive = not (prefix_truncated || truncated_subtrees > 0);
+    runs = make_runs cfg (List.sort compare_emissions emitted);
+    exhaustive = not (prefix.truncated || truncated_subtrees > 0);
     stats =
       {
-        nodes;
-        dedup_hits;
-        prefix_nodes;
+        nodes = prefix.nodes + sum (fun r -> r.nodes);
+        dedup_hits = prefix.hits + sum (fun r -> r.hits);
+        prefix_nodes = prefix.nodes;
         subtrees = nsub;
         truncated_subtrees;
-        subtree_nodes = Array.map (fun r -> r.sub_nodes) results;
+        subtree_nodes = Array.map (fun r -> r.nodes) results;
       };
   }
 
@@ -553,7 +412,7 @@ let digest runs =
     runs;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let pp_stats ppf s =
+let pp_stats ppf (s : stats) =
   Format.fprintf ppf
     "@[<v>nodes explored: %d (prefix %d, %d subtree%s%s)@,\
      dedup hits: %d (%.1f%% of visits)@]"
@@ -568,51 +427,45 @@ let pp_stats ppf s =
        100.0 *. float_of_int s.dedup_hits
        /. float_of_int (s.nodes + s.dedup_hits))
 
-(* The original single-table sequential depth-first enumerator, kept as a
-   differential oracle for the tests (precedent: [Checker.Reference]).
-   Shares the move grammar and the structural keys; differs in search
-   order and in using one global visited table. In [Timed] mode its run
-   set must match the frontier enumerator's exactly. *)
+(* The plain definition: every path of the raw move grammar, with no
+   table and no sibling rule, then the canonical sort with equal
+   neighbours dropped. *)
 module Reference = struct
   let runs cfg (proto : (module Protocol.S)) =
-    let mode = cfg.dedup in
-    let visited = Hashtbl.create 4096 in
-    let c = collector mode in
-    let nodes = ref 0 in
-    let hits = ref 0 in
-    let truncated = ref false in
+    check_exn cfg;
+    let nodes = ref 0 and truncated = ref false and emitted = ref [] in
     let rec go node =
       if !truncated then ()
-      else if node.step > cfg.depth then collect c (emission_of_node mode node)
+      else if node.step > cfg.depth then emitted := node.hists :: !emitted
       else if !nodes >= cfg.max_nodes then truncated := true
       else begin
         incr nodes;
-        let fp = node_fingerprint mode node in
-        if table_mem visited mode fp node then incr hits
-        else begin
-          table_add visited fp node;
-          let moves = all_moves cfg node in
-          if not (owed moves) then collect c (emission_of_node mode node);
-          List.iter (fun (p, mv) -> go (apply node p mv)) moves
-        end
+        let moves = all_moves cfg node in
+        if not (owed moves) then emitted := node.hists :: !emitted;
+        List.iter (fun (p, mv) -> go (apply node p mv)) moves
       end
     in
     go (root_node cfg proto);
-    let sorted = List.sort compare_emissions (List.rev c.out_rev) in
+    let sorted = List.sort compare_emissions !emitted in
+    let distinct =
+      List.rev
+        (List.fold_left
+           (fun acc h ->
+             match acc with
+             | prev :: _ when compare_emissions prev h = 0 -> acc
+             | _ -> h :: acc)
+           [] sorted)
+    in
     {
-      runs =
-        List.map
-          (fun em ->
-            Run.make ~n:cfg.n ~horizon:cfg.depth (Array.copy em.ehists))
-          sorted;
+      runs = make_runs cfg distinct;
       exhaustive = not !truncated;
       stats =
         {
           nodes = !nodes;
-          dedup_hits = !hits + c.dups;
+          dedup_hits = List.length sorted - List.length distinct;
           prefix_nodes = !nodes;
-          subtrees = 1;
-          truncated_subtrees = (if !truncated then 1 else 0);
+          subtrees = 0;
+          truncated_subtrees = 0;
           subtree_nodes = [||];
         };
     }

@@ -17,6 +17,10 @@
     local histories ignore ticks, so idle padding creates no new local
     states and hence no new knowledge distinctions (see DESIGN.md).
 
+    Enumeration is exact: every interleaving is a distinct run, so the
+    system contains every point (cut). The only runs it merges are
+    bit-identical ones, reached by two equal moves from one parent.
+
     Because exhaustiveness is load-bearing, truncation is loud:
     {!outcome} carries exploration counters and theorem-level callers go
     through {!runs_exn}, which raises {!Truncated} instead of returning a
@@ -25,22 +29,18 @@
     {2 Execution}
 
     The enumerator is a frontier-based parallel explorer on the
-    {!Ensemble} pool: the shared prefix is expanded breadth-first
-    (deduplicating within each level) until a level is at least
-    [frontier] wide, then each frontier node's subtree is explored
-    depth-first as an independent pool task under a deterministic slice
-    of the node budget, and the per-subtree run sets are merged
-    sequentially in subtree order. The frontier width is a configuration
-    constant, never derived from the pool size — so the emitted run set
-    (runs, canonical order, digest) is {b bit-identical for every domain
-    count}, including [domains = 1]. See DESIGN.md "Exhaustive
-    enumeration" for the disjoint-subtree argument.
-
-    Node and run keys are FNV fingerprints over canonical components
-    ({!Fnv}, {!Event.hash}) resolved by structural equality on collision
-    — not [Marshal]+[Digest], which re-serialised every node from
-    scratch and keyed equal-but-differently-shaped set payloads apart
-    (so two structurally equal runs could both survive deduplication). *)
+    {!Ensemble} pool: the shared prefix is expanded breadth-first until a
+    level is at least [frontier] wide, then each frontier node's subtree
+    is explored depth-first as an independent pool task under a
+    deterministic slice of the node budget, and the emitted runs are
+    sorted canonically. Every move appends one event at the node's tick,
+    so a node's timed histories determine its ancestor chain: distinct
+    frontier nodes root disjoint subtrees, and two nodes are equal only
+    when one parent reaches both by equal moves. The search skips a move
+    equal to an earlier sibling's, and needs no visited table. The
+    emitted run set (runs, canonical order, digest) is {b bit-identical
+    for every domain count}, including [domains = 1]. See DESIGN.md
+    "Exhaustive enumeration". *)
 
 type oracle_mode =
   | No_oracle
@@ -53,45 +53,36 @@ type oracle_mode =
           is weakly but not strongly accurate, driving the Proposition 3.4
           construction *)
 
-type dedup =
-  | Timed
-      (** exact: every interleaving is a distinct run, so the system
-          contains every point (cut) — required for sound knowledge at
-          interior points; exponentially larger *)
-  | Untimed
-      (** node-merging heuristic: exploration states with equal untimed
-          histories are merged, and emitted runs are deduplicated by
-          event content (one representative per untimed run). The result
-          is a much smaller {e sub-sample} of the exact system (every
-          emitted run also occurs, up to tick relabelling, in the timed
-          mode). It is NOT a lossless reduction: it under-approximates
-          interior points, and — because protocols pace retransmissions
-          by tick — can drop whole run contents. Use it only for scale
-          demos; every theorem-level check uses [Timed]. See DESIGN.md. *)
-
 type config = {
-  n : int;
-  depth : int;  (** number of global steps (= run horizon) *)
-  max_crashes : int;
+  n : int;  (** at least 1 *)
+  depth : int;  (** number of global steps (= run horizon), at least 0 *)
+  max_crashes : int;  (** at least 0 *)
   init_plan : Init_plan.t;
   oracle_mode : oracle_mode;
-  max_nodes : int;  (** exploration cap; exceeding it truncates *)
-  dedup : dedup;
+  max_nodes : int;
+      (** exploration cap, at least 1; exceeding it truncates *)
   frontier : int;
-      (** target width of the BFS frontier fanned out to the pool. Part
-          of the run-set semantics in [Untimed] mode (it fixes where the
-          tick-relabelling quotient is taken), so it is a configuration
-          constant — never derived from the pool size. *)
+      (** target width of the BFS frontier fanned out to the pool. It
+          shapes no exhaustive run set: it fixes how the work splits into
+          subtrees ([prefix_nodes], [subtrees]) and how a truncating
+          budget is sliced. It is a configuration constant, never derived
+          from the pool size, so the counters and a truncated run set are
+          the same at every domain count. *)
 }
 
 (** Defaults: no crashes, no oracle, empty init plan, [max_nodes] = 2M,
-    [Timed] dedup, [frontier] = 128. *)
+    [frontier] = 128. *)
 val config : n:int -> depth:int -> config
 
-(** Exploration counters. [nodes] counts explored node visits including
-    duplicate hits ([prefix_nodes] of them in the sequential BFS prefix);
-    [dedup_hits] counts visits absorbed by a visited table or by the
-    run-level deduplication. *)
+(** [check cfg] rejects [n < 1], [depth < 0], [max_crashes < 0] and
+    [max_nodes < 1]. The message names the [udc enumerate] flag: [-n],
+    [--depth], [--crashes] or [--max-nodes]. *)
+val check : config -> (unit, string) result
+
+(** Exploration counters. [nodes] counts each distinct interior node
+    once ([prefix_nodes] of them in the sequential BFS prefix); runs
+    reaching the depth bound are not nodes. [dedup_hits] counts the moves
+    skipped because an earlier sibling made an equal one. *)
 type stats = {
   nodes : int;
   dedup_hits : int;
@@ -108,7 +99,8 @@ exception Truncated of { nodes : int; max_nodes : int }
 (** [runs ?domains cfg proto] enumerates the system generated by [proto]
     in the context [cfg]. Distinct runs only, in a canonical sort order
     (lexicographic per-process timed events); bit-identical for every
-    [?domains] (default: the pool's configured size). *)
+    [?domains] (default: the pool's configured size). Raises
+    [Invalid_argument] when {!check} rejects [cfg]. *)
 val runs : ?domains:int -> config -> (module Protocol.S) -> outcome
 
 (** Like {!runs}, but raises {!Truncated} when the outcome is not
@@ -126,11 +118,15 @@ val digest : Run.t list -> string
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** The pre-parallel single-table sequential depth-first enumerator,
-    kept as a differential oracle for the tests (precedent:
-    [Checker.Reference]). Shares the move grammar and the structural
-    keys with the frontier enumerator; in [Timed] mode the run sets must
-    match exactly. *)
+(** The plain definition, kept as a differential oracle for the tests
+    (precedent: [Checker.Reference]): a sequential walk of every path of
+    the raw move grammar, with no table and no sibling rule, then the
+    canonical sort with equal neighbours dropped. It shares only the
+    move grammar, the emission policy and the canonical order with
+    {!runs}; an exhaustive run set must match exactly.
+    Its [nodes] counts raw-grammar visits and its [dedup_hits] the
+    duplicate runs dropped. Raises [Invalid_argument] when {!check}
+    rejects [cfg]. *)
 module Reference : sig
   val runs : config -> (module Protocol.S) -> outcome
 end

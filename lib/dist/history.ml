@@ -1,73 +1,35 @@
 (* Struct-of-arrays histories. The event sequence lives in parallel
-   [events]/[ticks] arrays (chronological), with per-prefix seeded FNV
-   hashes in [ehash]/[thash]: [ehash.(i)] hashes events [0..i] (oldest
-   first), [thash.(i)] additionally mixes the ticks. The event arrays are
-   never mutated after construction, so [prefix_upto] shares them and
-   only shrinks [len] — a cut is O(log n) time and O(1) space. The
-   incremental-hash invariant:
-
-     ehash.(i) = Fnv.mix ehash.(i-1) (Event.hash events.(i))
-     thash.(i) = Fnv.mix (Fnv.mix thash.(i-1) ticks.(i)) (Event.hash events.(i))
-
-   with [Fnv.seed] standing in for index -1. The functional [append]
-   below maintains it eagerly and copies (it is the cold path:
-   enumeration trees, whose node keys read the hashes, and tests). The
-   simulator's hot loop goes through [Builder], which appends events and
-   ticks only into reusable arena buffers and seals an exact-size
-   snapshot per run with no hashes, since nothing on that path reads
-   them. A sealed history, and any prefix cut from it, fills its hash
-   arrays on the first [hash_events]/[hash_timed_events]. The fill is a
-   plain write into the record, so only sequential code asks: the
-   explorer's merge, through [Seen], and tests. The equalities use the
-   hashes as a fast negative only when both sides already hold them. *)
+   [events]/[ticks] arrays (chronological). The arrays are never mutated
+   after construction, so [prefix_upto] shares them and only shrinks
+   [len] — a cut is O(log n) time and O(1) space. The functional
+   [append] copies both arrays (the cold path: enumeration trees, whose
+   histories are bounded by the search depth, and tests). The
+   simulator's hot loop goes through [Builder], which appends into
+   reusable arena buffers and seals an exact-size snapshot per run. A
+   history carries no hash: the one product reader, the explorer's seen
+   cache, fingerprints each run once, and [hash_timed_events] is a plain
+   O(n) fold. *)
 
 type t = {
   events : Event.t array;
   ticks : int array;
-  mutable ehash : int array; (* [||] until first asked, when sealed *)
-  mutable thash : int array;
   len : int;
       (* may be smaller than the arrays: prefixes share their parent's
          buffers *)
 }
 
-let empty =
-  { events = [||]; ticks = [||]; ehash = [||]; thash = [||]; len = 0 }
-
+let empty = { events = [||]; ticks = [||]; len = 0 }
 let length h = h.len
 let is_crashed h = h.len > 0 && Event.is_crash h.events.(h.len - 1)
 let last h = if h.len = 0 then None else Some h.events.(h.len - 1)
 let last_tick h = if h.len = 0 then None else Some h.ticks.(h.len - 1)
-let hashed h = Array.length h.thash >= h.len
-
-(* A sealed history fills both arrays on the first request, in one
-   chronological pass over this record's [len] events. *)
-let ensure_hashes h =
-  if not (hashed h) then begin
-    let ehash = Array.make h.len 0 and thash = Array.make h.len 0 in
-    let eh = ref Fnv.seed and th = ref Fnv.seed in
-    for i = 0 to h.len - 1 do
-      let x = Event.hash h.events.(i) in
-      eh := Fnv.mix !eh x;
-      th := Fnv.mix (Fnv.mix !th h.ticks.(i)) x;
-      ehash.(i) <- !eh;
-      thash.(i) <- !th
-    done;
-    h.ehash <- ehash;
-    h.thash <- thash
-  end
-
-let hash_events h =
-  if h.len = 0 then Fnv.seed
-  else (
-    ensure_hashes h;
-    h.ehash.(h.len - 1))
 
 let hash_timed_events h =
-  if h.len = 0 then Fnv.seed
-  else (
-    ensure_hashes h;
-    h.thash.(h.len - 1))
+  let acc = ref Fnv.seed in
+  for i = 0 to h.len - 1 do
+    acc := Fnv.mix (Fnv.mix !acc h.ticks.(i)) (Event.hash h.events.(i))
+  done;
+  !acc
 
 let append h e ~tick =
   if is_crashed h then invalid_arg "History.append: history ends in crash (R4)";
@@ -77,15 +39,9 @@ let append h e ~tick =
   let len = h.len in
   let events = Array.make (len + 1) e in
   let ticks = Array.make (len + 1) tick in
-  let eh = Fnv.mix (hash_events h) (Event.hash e) in
-  let th = Fnv.mix (Fnv.mix (hash_timed_events h) tick) (Event.hash e) in
-  let ehash = Array.make (len + 1) eh in
-  let thash = Array.make (len + 1) th in
   Array.blit h.events 0 events 0 len;
   Array.blit h.ticks 0 ticks 0 len;
-  Array.blit h.ehash 0 ehash 0 len;
-  Array.blit h.thash 0 thash 0 len;
-  { events; ticks; ehash; thash; len = len + 1 }
+  { events; ticks; len = len + 1 }
 
 let events h = List.init h.len (fun i -> h.events.(i))
 
@@ -121,18 +77,8 @@ let prefix_upto h m =
   done;
   if !lo = h.len then h else { h with len = !lo }
 
-let equal_events a b =
-  a.len = b.len
-  && ((not (hashed a && hashed b)) || hash_events a = hash_events b)
-  &&
-  let rec go i =
-    i >= a.len || (Event.equal a.events.(i) b.events.(i) && go (i + 1))
-  in
-  go 0
-
 let equal_timed a b =
   a.len = b.len
-  && ((not (hashed a && hashed b)) || hash_timed_events a = hash_timed_events b)
   &&
   let rec go i =
     i >= a.len
@@ -213,13 +159,10 @@ module Builder = struct
     | Event.Suspect r -> b.suspect <- Some r
     | _ -> ())
 
-  (* No hashes: the sealed history fills them on first request. *)
   let seal b : history =
     {
       events = Array.sub b.events 0 b.len;
       ticks = Array.sub b.ticks 0 b.len;
-      ehash = [||];
-      thash = [||];
       len = b.len;
     }
 
@@ -295,23 +238,13 @@ module Reference = struct
   let last h = match h.rev with [] -> None | (e, _) :: _ -> Some e
   let last_tick h = if h.last_tick < 0 then None else Some h.last_tick
 
-  let equal_events a b =
-    a.len = b.len
-    && List.for_all2 (fun (e, _) (e', _) -> Event.equal e e') a.rev b.rev
-
   let equal_timed a b =
     a.len = b.len
     && List.for_all2
          (fun (e, t) (e', t') -> Int.equal t t' && Event.equal e e')
          a.rev b.rev
 
-  (* chronological (oldest-first) folds: the canonical hash order shared
-     with the flat representation's incremental [ehash]/[thash] *)
-  let hash_events h =
-    List.fold_left
-      (fun acc (e, _) -> Fnv.mix acc (Event.hash e))
-      Fnv.seed (timed_events h)
-
+  (* the chronological (oldest-first) fold of the flat representation *)
   let hash_timed_events h =
     List.fold_left
       (fun acc (e, t) -> Fnv.mix (Fnv.mix acc t) (Event.hash e))

@@ -9,18 +9,12 @@
     landed.
 
     Internally a history is struct-of-arrays: parallel chronological
-    [events]/[ticks] arrays plus per-prefix seeded FNV hashes, so
-    {!last}, {!last_tick} and {!is_crashed} are O(1) and {!prefix_upto}
-    is O(log n) with full structure sharing. The event arrays are
-    immutable after construction. The functional {!append} copies and is
-    the cold path; it computes the prefix hashes eagerly, so
-    {!hash_events} and {!hash_timed_events} are O(1) on its histories.
-    The simulator's hot loop appends through {!Builder}, whose arena
-    buffers are reused across seeds on the same worker and which hashes
-    nothing: a sealed history computes its prefix hashes, in O(n), the
-    first time one is asked for, and O(1) after. Only sequential code
-    asks for them (the explorer's merge, through its seen cache, and
-    tests). *)
+    [events]/[ticks] arrays, immutable after construction, so {!last},
+    {!last_tick} and {!is_crashed} are O(1) and {!prefix_upto} is
+    O(log n) with full structure sharing. A history carries no cached
+    hash. The functional {!append} copies and is the cold path. The
+    simulator's hot loop appends through {!Builder}, whose arena buffers
+    are reused across seeds on the same worker. *)
 
 type t
 
@@ -71,33 +65,18 @@ val last : t -> Event.t option
 (** Tick of the most recent event, if any. O(1). *)
 val last_tick : t -> int option
 
-(** Structural equality of the event sequences (ticks ignored): the
-    indistinguishability test of the paper. When both sides already hold
-    their hashes they give an O(1) fast negative; the comparison never
-    computes them. *)
-val equal_events : t -> t -> bool
-
 (** Exact equality of the timed event sequences (ticks included) — the
-    bit-identical comparison used by determinism tests. *)
+    bit-identical comparison used by determinism tests. The paper's
+    tick-insensitive indistinguishability lives in [Epistemic.System],
+    which indexes points by event sequence. *)
 val equal_timed : t -> t -> bool
 
-(** A hash of the event sequence (ticks ignored), consistent with
-    [equal_events]; used to index points of a system by local state. A
-    seeded FNV fold of {!Event.hash} over {e every} event in chronological
-    order — O(1) per call, including on prefixes, except for the first
-    call on a history sealed by {!Builder} (or a prefix of one), which
-    computes the prefix hashes in O(n). That first call writes them into
-    the history, so it must not race with another domain reading the
-    same history. (Not [Hashtbl.hash] on a list, whose bounded traversal
+(** A seeded FNV fold of the ticks and {!Event.hash} over {e every}
+    event in chronological order, consistent with [equal_timed]: O(n)
+    per call. (Not [Hashtbl.hash] on a list, whose bounded traversal
     would systematically collide histories that differ only in later
     events, and whose shape-sensitivity would hash equal set payloads
     apart.) *)
-val hash_events : t -> int
-
-(** Like {!hash_events} with the ticks mixed in: consistent with
-    [equal_timed]. This is the per-history ingredient of the enumerator's
-    [Timed] node keys. Same cost and same first-call rule as
-    {!hash_events}. *)
 val hash_timed_events : t -> int
 
 val pp : Format.formatter -> t -> unit
@@ -107,10 +86,9 @@ val pp : Format.formatter -> t -> unit
     (domain); {!Builder.acquire} hands out [n] reset builders whose
     backing arrays are grown geometrically and never shrunk, so after the
     first few runs a worker stops allocating history storage altogether.
-    A builder stores events and ticks only. {!Builder.seal} snapshots it
-    into an exact-size {!t} without prefix hashes; sealed histories share
-    nothing with the arena, which is why reuse across seeds cannot leak
-    state between runs. *)
+    {!Builder.seal} snapshots a builder into an exact-size {!t}; sealed
+    histories share nothing with the arena, which is why reuse across
+    seeds cannot leak state between runs. *)
 module Builder : sig
   type history := t
   type t
@@ -137,8 +115,7 @@ module Builder : sig
       at append time (the simulator's report-change test). *)
   val last_suspect : t -> Report.t option
 
-  (** Exact-size snapshot; shares nothing with the builder. Its prefix
-      hashes are computed on first request. *)
+  (** Exact-size snapshot; shares nothing with the builder. *)
   val seal : t -> history
 
   type arena
@@ -155,7 +132,7 @@ end
 
 (** The legacy cons-list implementation, retained as the executable
     specification for differential tests: same validation, same accessor
-    semantics, same chronological hash folds. *)
+    semantics, same chronological hash fold. *)
 module Reference : sig
   type t
 
@@ -169,8 +146,6 @@ module Reference : sig
   val prefix_upto : t -> int -> t
   val last : t -> Event.t option
   val last_tick : t -> int option
-  val equal_events : t -> t -> bool
   val equal_timed : t -> t -> bool
-  val hash_events : t -> int
   val hash_timed_events : t -> int
 end

@@ -136,10 +136,8 @@ module Cache = Ephemeron.K1.Make (struct
 
   (* Entries are keyed by physical identity, so a hash collision between
      distinct runs only lengthens one bucket's chain — it can never alias
-     two runs. The hash reads only what never changes: not
-     [Hashtbl.hash] of the run, which reaches the histories' prefix-hash
-     arrays, filled on first request, so a cached run's bucket would
-     move. *)
+     two runs. The hash reads two O(1) fields (length and last tick) of at
+     most 16 histories, so a lookup never walks the events. *)
   let hash r =
     let acc = ref (Fnv.mix Fnv.seed (Run.horizon r)) in
     for p = 0 to min (Run.n r) 16 - 1 do

@@ -353,8 +353,9 @@ let slot w ~view ~send_out p =
                        narrow the bounded search, never corrupt a
                        verdict — and a (src, msg) pair is shallow enough
                        for the bounded traversal to cover it. Contrast
-                       [History.hash_events], where collisions were
-                       systematic and had to be fixed. *)
+                       whole histories, whose hash folds every event
+                       ([History.hash_timed_events]) because the bounded
+                       traversal collided them systematically. *)
                     let keys () =
                       Array.init backlog (fun i ->
                           let src, msg, _ =

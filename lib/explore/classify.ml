@@ -24,6 +24,17 @@ type params = { n : int; crashes : int; runs : int; max_ticks : int; gst : int }
 
 let default_params = { n = 5; crashes = 2; runs = 30; max_ticks = 320; gst = 160 }
 
+let check p =
+  match
+    List.find_opt
+      (fun (_, v, least) -> v < least)
+      [ ("-n", p.n, 2); ("--runs", p.runs, 1); ("--max-ticks", p.max_ticks, 1) ]
+  with
+  | Some (flag, v, least) -> Error (Printf.sprintf "%s %d < %d" flag v least)
+  | None when p.crashes < 0 || p.crashes > p.n - 1 ->
+      Error (Printf.sprintf "--crashes %d outside [0, %d]" p.crashes (p.n - 1))
+  | None -> Ok ()
+
 let classes =
   Detector.Spec.
     [
@@ -111,9 +122,10 @@ let maximal sat_all =
     sat_all
 
 let classify ?domains ~backend ~regime params =
-  match Protocols.backend_pair backend with
-  | None -> Error (Printf.sprintf "unknown detector backend %S" backend)
-  | Some mk ->
+  match (check params, Protocols.backend_pair backend) with
+  | Error e, _ -> Error e
+  | Ok (), None -> Error (Printf.sprintf "unknown detector backend %S" backend)
+  | Ok (), Some mk ->
       let job seed =
         let cfg = config ~regime ~params ~seed in
         let pair = mk ~n:params.n in
@@ -319,9 +331,10 @@ let kset_epistemics ~k run =
 
 let kset ?domains ~backend ~regime ~k params =
   if k < 1 then invalid_arg "Classify.kset: k < 1";
-  match Detector.Backends.of_label_inner backend with
-  | None -> Error (Printf.sprintf "unknown detector backend %S" backend)
-  | Some mk ->
+  match (check params, Detector.Backends.of_label_inner backend) with
+  | Error e, _ -> Error e
+  | Ok (), None -> Error (Printf.sprintf "unknown detector backend %S" backend)
+  | Ok (), Some mk ->
       let proposals = Array.init params.n Fun.id in
       let job seed =
         let cfg = config ~regime ~params ~seed in

@@ -49,8 +49,8 @@ let fingerprint (r : Run.t) =
   !acc
 
 (* [true] iff an equal run was already present; otherwise remembers it.
-   [Run.equal] starts from the O(1) per-history hash comparison, so the
-   common fingerprint-hit-and-equal case never walks the events. *)
+   A fingerprint hit is confirmed by [Run.equal], which walks the events
+   of each bucket entry until one matches. *)
 let check_add t r =
   let fp = fingerprint r in
   let tbl = t.shards.(fp land t.mask) in

@@ -84,8 +84,8 @@ let well_formed ?(k = 8) run =
 let seeds count = List.init count (fun i -> Int64.of_int ((i * 7919) + 13))
 
 (* Random *enumeration* workloads for the frontier-enumerator QCheck
-   tests: a small bounded context — protocol, oracle mode, dedup mode,
-   crash budget and frontier width — drawn deterministically from a seed
+   tests: a small bounded context — protocol, oracle mode, crash budget
+   and frontier width — drawn deterministically from a seed
    so a failure prints a replayable counterexample. *)
 let random_enum_setup seed =
   let prng = Prng.create seed in
@@ -111,8 +111,6 @@ let random_enum_setup seed =
       Enumerate.max_crashes = Prng.int prng 3;
       init_plan = Init_plan.one ~owner:0 ~at:1;
       oracle_mode;
-      dedup =
-        (if Prng.int prng 2 = 0 then Enumerate.Timed else Enumerate.Untimed);
       (* frontier 1 makes the root itself the frontier — one subtree, no
          shared prefix — exercising the degenerate decomposition *)
       frontier = [| 1; 8; 64 |].(Prng.int prng 3);

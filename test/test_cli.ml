@@ -220,11 +220,58 @@ let scale_bounds () =
       ("--runs", [ "--runs"; "0" ]);
     ]
 
+(* [udc enumerate] bounds: a zero-process or negative-depth system was
+   certified with exit 0, a negative crash budget enumerated anyway, and
+   a node budget below one was reported as truncation (exit 3). *)
+let enumerate_bounds () =
+  rejects_bounds [ "enumerate" ]
+    ~small:[ ("-n", "2"); ("--depth", "4") ]
+    [
+      ("-n", [ "-n"; "0" ]);
+      ("--depth", [ "--depth=-1" ]);
+      ("--crashes", [ "--crashes=-1" ]);
+      ("--max-nodes", [ "--max-nodes"; "0" ]);
+      ("--max-nodes", [ "--max-nodes=-5" ]);
+    ]
+
+(* [udc classify] bounds, for both problems: each input either escaped
+   as an uncaught exception (exit 125) or printed an assignment that
+   held vacuously, over no run, no tick, no peer or no correct
+   process. *)
+let classify_bounds () =
+  let small = [ ("--runs", "2"); ("--max-ticks", "60") ] in
+  let backend = [ "-b"; "gossip"; "-r"; "reliable" ] in
+  rejects_bounds ("classify" :: backend) ~small
+    [
+      ("-n", [ "-n"; "0" ]);
+      ("-n", [ "-n"; "1" ]);
+      ("--crashes", [ "--crashes"; "9" ]);
+      ("--crashes", [ "--crashes=-1" ]);
+      ("--crashes", [ "-n"; "5"; "--crashes"; "5" ]);
+      ("--runs", [ "--runs=-1" ]);
+      ("--runs", [ "--runs"; "0" ]);
+      ("--max-ticks", [ "--max-ticks"; "0" ]);
+      ("--max-ticks", [ "--max-ticks=-5" ]);
+    ];
+  rejects_bounds
+    ([ "classify"; "--problem"; "kset" ] @ backend)
+    ~small
+    [
+      ("-n", [ "-n"; "0" ]);
+      ("--crashes", [ "--crashes=-1" ]);
+      ("--runs", [ "--runs"; "0" ]);
+      ("--max-ticks", [ "--max-ticks"; "0" ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "explore --expect exit codes (search and replay)"
       `Slow expect_contract;
     Alcotest.test_case "scale: out-of-range flags exit 2" `Quick scale_bounds;
+    Alcotest.test_case "enumerate: out-of-range flags exit 2" `Quick
+      enumerate_bounds;
+    Alcotest.test_case "classify: out-of-range flags exit 2" `Quick
+      classify_bounds;
     Alcotest.test_case "explore --replay: malformed repro exits 2" `Slow
       malformed_repro;
     Alcotest.test_case "classify --expect exit codes" `Slow classify_expect;

@@ -71,17 +71,6 @@ let history_prefix () =
   Alcotest.(check int) "prefix at 4" 1 (History.length (History.prefix_upto h 4));
   Alcotest.(check int) "prefix at 5" 2 (History.length (History.prefix_upto h 5))
 
-let history_equal_ignores_ticks () =
-  let mk ticks =
-    List.fold_left
-      (fun h tick -> History.append h (Event.Init (alpha 0 0)) ~tick)
-      History.empty ticks
-  in
-  (* one event each, at different ticks *)
-  let a = mk [ 1 ] and b = mk [ 7 ] in
-  Alcotest.(check bool) "tick-insensitive" true (History.equal_events a b);
-  Alcotest.(check int) "same hash" (History.hash_events a) (History.hash_events b)
-
 let history_hash_covers_all_events () =
   (* regression: [Hashtbl.hash] on the event list only traverses a
      bounded prefix, so histories differing only past ~event 10 collided
@@ -96,20 +85,19 @@ let history_hash_covers_all_events () =
       (List.init 20 Fun.id)
   in
   let a = mk 12 and b = mk 999 in
-  Alcotest.(check bool) "sequences differ" false (History.equal_events a b);
+  Alcotest.(check bool) "sequences differ" false (History.equal_timed a b);
   Alcotest.(check bool)
     "histories differing only at index 12 hash differently" false
-    (History.hash_events a = History.hash_events b);
-  (* and equal sequences still agree, ticks ignored *)
-  let c =
-    List.fold_left
-      (fun h i -> History.append h (Event.Do (alpha 0 i)) ~tick:((i + 1) * 3))
-      History.empty
-      (List.init 20 Fun.id)
-  in
+    (History.hash_timed_events a = History.hash_timed_events b);
+  (* and an equal timed sequence built by the other constructor agrees *)
+  let c = History.Builder.fresh () in
+  List.iter
+    (fun i -> History.Builder.append c (Event.Do (alpha 0 i)) ~tick:(i + 1))
+    (List.init 20 Fun.id);
   Alcotest.(check int)
-    "equal sequences, equal hash" (History.hash_events (mk 12))
-    (History.hash_events c)
+    "equal sequences, equal hash"
+    (History.hash_timed_events (mk 12))
+    (History.hash_timed_events (History.Builder.seal c))
 
 (* ---------- Outbox ---------- *)
 
@@ -764,8 +752,6 @@ let suite =
     Alcotest.test_case "history: append/R2" `Quick history_append_order;
     Alcotest.test_case "history: crash final (R4)" `Quick history_crash_is_final;
     Alcotest.test_case "history: cut prefixes" `Quick history_prefix;
-    Alcotest.test_case "history: tick-insensitive equality" `Quick
-      history_equal_ignores_ticks;
     Alcotest.test_case "history: hash covers all events" `Quick
       history_hash_covers_all_events;
     Alcotest.test_case "outbox: one-shot FIFO" `Quick outbox_fifo;

@@ -1,82 +1,8 @@
-(* The enumerator's two dedup modes: the untimed quotient is sound for
-   run-level properties but under-approximates interior points — the
-   regression that motivated DESIGN.md's "modelling decisions" #2. *)
+(* The exhaustive enumerator: pinned systems, domain-count determinism,
+   the differential against the plain reference, and trace rendering of
+   enumerated runs. *)
 
 let alpha0 = Action_id.make ~owner:0 ~tag:0
-
-let enumerate dedup =
-  let cfg = Enumerate.config ~n:3 ~depth:7 in
-  let cfg =
-    {
-      cfg with
-      Enumerate.max_crashes = 2;
-      init_plan = Init_plan.one ~owner:0 ~at:1;
-      oracle_mode = Enumerate.Perfect_reports;
-      max_nodes = 20_000_000;
-      dedup;
-    }
-  in
-  let out =
-    Enumerate.runs cfg (Core.Fip.make ~trust_reports:true (module Core.Ack_udc.P))
-  in
-  Alcotest.(check bool) "exhaustive" true out.Enumerate.exhaustive;
-  out.Enumerate.runs
-
-(* The quotient merges nodes with equal untimed state: strictly fewer
-   runs, and every content it produces is one the exact mode produces
-   (a sub-sample, not a lossless reduction: protocols with paced
-   retransmission are tick-sensitive, so tick-relabelled paths can
-   diverge - see the mli and DESIGN.md). *)
-let quotient_is_smaller_content_subset () =
-  let timed = enumerate Enumerate.Timed in
-  let untimed = enumerate Enumerate.Untimed in
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer runs (%d < %d)" (List.length untimed)
-       (List.length timed))
-    true
-    (List.length untimed < List.length timed);
-  let content run =
-    String.concat "|"
-      (List.map
-         (fun p ->
-           String.concat ";"
-             (List.map
-                (fun e -> Format.asprintf "%a" Event.pp e)
-                (History.events (Run.history run p))))
-         (Pid.all (Run.n run)))
-  in
-  let key_set runs =
-    let t = Hashtbl.create 256 in
-    List.iter (fun r -> Hashtbl.replace t (content r) ()) runs;
-    t
-  in
-  let kt = key_set timed and ku = key_set untimed in
-  Hashtbl.iter
-    (fun k () ->
-      if not (Hashtbl.mem kt k) then
-        Alcotest.failf "untimed-only content: %s" k)
-    ku
-
-(* Run-level verdicts agree between the modes (the quotient is sound for
-   properties of complete runs). *)
-let run_level_verdicts_agree () =
-  let verdict_counts runs =
-    ( List.length (List.filter (fun r -> Result.is_ok (Core.Spec.udc r)) runs),
-      List.length
-        (List.filter
-           (fun r -> Result.is_ok (Detector.Spec.strong_accuracy r))
-           runs) )
-  in
-  let timed = enumerate Enumerate.Timed in
-  let untimed = enumerate Enumerate.Untimed in
-  (* counts differ (different run multiplicity) but full-accuracy must hold
-     in both, and the udc-clean FRACTION of distinct contents is equal by
-     the content-completeness above; here we check the absolute property *)
-  let _, acc_t = verdict_counts timed in
-  let _, acc_u = verdict_counts untimed in
-  Alcotest.(check int) "timed all strongly accurate" (List.length timed) acc_t;
-  Alcotest.(check int) "untimed all strongly accurate" (List.length untimed)
-    acc_u
 
 (* Trace rendering: matched pairs and loss marking. *)
 let trace_rendering () =
@@ -120,7 +46,7 @@ let trace_rendering () =
 
 (* The determinism contract: the run set — digests of the canonically
    sorted runs — is bit-identical at every domain count, exhaustive or
-   truncated, for every mode. The frontier split never depends on the
+   truncated. The frontier split never depends on the
    pool size, so this is exact equality, not set equality. *)
 let parallel_determinism =
   QCheck.Test.make ~name:"enumerate: domains {1,2,4} give identical run sets"
@@ -169,66 +95,32 @@ let parallel_determinism =
       end;
       true)
 
-(* Differential oracle: in [Timed] mode the frontier decomposition is a
-   pure repartition of the original single-table DFS — distinct frontier
-   nodes root disjoint subtrees — so the run set must equal the
-   reference's exactly. *)
+(* Differential oracle: the plain reference walks every path of the raw
+   move grammar with no table and no sibling rule, so it shares neither
+   the frontier split nor the dedup rule with the enumerator; the run
+   sets must be equal exactly. Every drawn context runs under each
+   oracle mode. *)
 let reference_differential =
   QCheck.Test.make
-    ~name:"enumerate: frontier run set = sequential reference (Timed)"
-    ~count:10 QCheck.int64 (fun seed ->
+    ~name:"enumerate: frontier run set = sequential reference" ~count:10
+    QCheck.int64 (fun seed ->
       let label, proto, cfg = Helpers.random_enum_setup seed in
-      let cfg = { cfg with Enumerate.dedup = Enumerate.Timed } in
-      let out = Enumerate.runs ~domains:2 cfg proto in
-      let ref_out = Enumerate.Reference.runs cfg proto in
-      if
-        not
-          (String.equal
-             (Enumerate.digest out.Enumerate.runs)
-             (Enumerate.digest ref_out.Enumerate.runs))
-      then
-        QCheck.Test.fail_reportf "%s: frontier and reference run sets differ"
-          label;
+      List.iter
+        (fun oracle_mode ->
+          let cfg = { cfg with Enumerate.oracle_mode } in
+          let out = Enumerate.runs ~domains:2 cfg proto in
+          let ref_out = Enumerate.Reference.runs cfg proto in
+          if
+            not
+              (String.equal
+                 (Enumerate.digest out.Enumerate.runs)
+                 (Enumerate.digest ref_out.Enumerate.runs))
+          then
+            QCheck.Test.fail_reportf
+              "%s: frontier and reference run sets differ" label)
+        Enumerate.
+          [ No_oracle; Perfect_reports; Lying_reports (cfg.n - 1) ];
       true)
-
-(* The E14 system under the untimed quotient, pinned. The original
-   enumerator (step in the untimed key, Marshal node/run keys) emitted
-   197 runs here of which only 103 were distinct — 94 duplicates from
-   keying structurally equal runs apart by the in-memory shape of their
-   set payloads. The rewrite emits exactly the 103 distinct contents
-   (measured differentially against the original before its removal);
-   dropping [step] from the untimed key merges nothing on this system. *)
-let untimed_e14_pinned () =
-  let cfg = Enumerate.config ~n:3 ~depth:8 in
-  let cfg =
-    {
-      cfg with
-      Enumerate.max_crashes = 2;
-      init_plan = Init_plan.one ~owner:0 ~at:1;
-      oracle_mode = Enumerate.No_oracle;
-      max_nodes = 20_000_000;
-      dedup = Enumerate.Untimed;
-    }
-  in
-  let out = Enumerate.runs_exn cfg (module Core.Nudc.P) in
-  let runs = out.Enumerate.runs in
-  Alcotest.(check int) "runs" 103 (List.length runs);
-  let contents = Hashtbl.create 128 in
-  List.iter
-    (fun r ->
-      let key =
-        String.concat "|"
-          (List.map
-             (fun p ->
-               String.concat ";"
-                 (List.map
-                    (fun e -> Format.asprintf "%a" Event.pp e)
-                    (History.events (Run.history r p))))
-             (Pid.all (Run.n r)))
-      in
-      Hashtbl.replace contents key ())
-    runs;
-  Alcotest.(check int) "all contents distinct" 103 (Hashtbl.length contents)
 
 (* Four exhaustive systems the experiments check theorems over, pinned:
    run count, run-set digest at domains 1 and 2, and dedup hits. A
@@ -394,12 +286,6 @@ let hash_shape_independence =
 
 let suite =
   [
-    Alcotest.test_case "quotient: smaller, content subset" `Slow
-      quotient_is_smaller_content_subset;
-    Alcotest.test_case "quotient: run-level verdicts sound" `Slow
-      run_level_verdicts_agree;
-    Alcotest.test_case "untimed E14 system pinned (103 distinct runs)" `Slow
-      untimed_e14_pinned;
     Alcotest.test_case "E6, E7 and E14 systems pinned" `Quick pinned_systems;
     Alcotest.test_case "trace rendering" `Quick trace_rendering;
     Alcotest.test_case "trace: FIFO matching under retransmission" `Quick

@@ -214,6 +214,54 @@ let max_known_crashed_sane () =
       pids
   done
 
+(* [(r,m) ~p (r',m')] compares p's event sequences and ignores the
+   ticks they landed at (DESIGN, modelling decision 1); [System]
+   implements it as a per-process trie over event sequences. Runs [a]
+   and [b] hold the same events at different ticks; run [c] differs from
+   [a] in p0's second event only. *)
+let indistinguishability_ignores_ticks () =
+  let alpha1 = Action_id.make ~owner:0 ~tag:1 in
+  let beta = Action_id.make ~owner:1 ~tag:0 in
+  let hist events =
+    List.fold_left
+      (fun h (e, tick) -> History.append h e ~tick)
+      History.empty events
+  in
+  let run p0 p1 = Run.make ~n:2 ~horizon:6 [| hist p0; hist p1 |] in
+  let a =
+    run
+      [ (Event.Init alpha0, 1); (Event.Do alpha0, 3) ]
+      [ (Event.Init beta, 1) ]
+  in
+  let b =
+    run
+      [ (Event.Init alpha0, 2); (Event.Do alpha0, 5) ]
+      [ (Event.Init beta, 4) ]
+  in
+  let c =
+    run
+      [ (Event.Init alpha0, 1); (Event.Do alpha1, 3) ]
+      [ (Event.Init beta, 2) ]
+  in
+  let sys = System.of_runs [ a; b; c ] in
+  let cls p (run, tick) = System.class_id sys p ~run ~tick in
+  let same p what points =
+    let first = cls p (List.hd points) in
+    List.iter (fun pt -> Alcotest.(check int) what first (cls p pt)) points
+  in
+  same 0 "p0: empty history" [ (0, 0); (1, 0); (1, 1); (2, 0) ];
+  same 0 "p0: init" [ (0, 1); (0, 2); (1, 2); (1, 4); (2, 1); (2, 2) ];
+  same 0 "p0: init, do" [ (0, 3); (0, 6); (1, 5); (1, 6) ];
+  same 1 "p1: init" [ (0, 1); (1, 4); (1, 6); (2, 2) ];
+  Alcotest.(check bool)
+    "p0: one different event, a different class" true
+    (cls 0 (0, 3) <> cls 0 (2, 3));
+  Alcotest.(check bool)
+    "p0: a longer history, a different class" true
+    (cls 0 (0, 1) <> cls 0 (0, 3));
+  Alcotest.(check int) "p0: four classes" 4 (System.class_count sys 0);
+  Alcotest.(check int) "p1: two classes" 2 (System.class_count sys 1)
+
 let suite =
   [
     Alcotest.test_case "axiom T (knowledge is truthful)" `Quick axiom_truth;
@@ -234,4 +282,6 @@ let suite =
       knows_crashed_consistent;
     Alcotest.test_case "max_known_crashed sanity" `Quick
       max_known_crashed_sane;
+    Alcotest.test_case "indistinguishability ignores ticks" `Quick
+      indistinguishability_ignores_ticks;
   ]

@@ -55,36 +55,28 @@ let flat_matches_reference =
       && History.rev_timed_events f = History.Reference.rev_timed_events r
       && History.last f = History.Reference.last r
       && History.last_tick f = History.Reference.last_tick r
-      && History.hash_events f = History.Reference.hash_events r
       && History.hash_timed_events f = History.Reference.hash_timed_events r
       && List.for_all
            (fun m ->
              let pf = History.prefix_upto f m
              and pr = History.Reference.prefix_upto r m in
              History.timed_events pf = History.Reference.timed_events pr
-             && History.hash_events pf = History.Reference.hash_events pr
              && History.hash_timed_events pf
                 = History.Reference.hash_timed_events pr)
            (List.init (max_tick + 2) Fun.id))
 
-(* The two-history comparisons agree as well (including pairs that share
+(* The two-history comparison agrees as well (including pairs that share
    event sequences but differ in ticks). *)
 let equality_matches_reference =
-  QCheck.Test.make
-    ~name:"equal_events/equal_timed agree with Reference" ~count:300
+  QCheck.Test.make ~name:"equal_timed agrees with Reference" ~count:300
     QCheck.(pair raw_script raw_script)
     (fun (c1, c2) ->
       let s1 = build_script c1 and s2 = build_script c2 in
-      let f1 = flat_of s1 and f2 = flat_of s2 in
-      let r1 = ref_of s1 and r2 = ref_of s2 in
-      History.equal_events f1 f2 = History.Reference.equal_events r1 r2
-      && History.equal_timed f1 f2 = History.Reference.equal_timed r1 r2)
+      History.equal_timed (flat_of s1) (flat_of s2)
+      = History.Reference.equal_timed (ref_of s1) (ref_of s2))
 
 (* The mutable builder and the functional append construct the same
-   history, hashes included, on every prefix cut. A sealed history
-   computes its hashes on first request, and a prefix shares its
-   parent's buffers: cuts taken before that request compute their own,
-   cuts taken after read the parent's. *)
+   history, hash included, on every prefix cut. *)
 let builder_matches_functional =
   QCheck.Test.make ~name:"Builder.seal = functional append" ~count:300
     raw_script (fun codes ->
@@ -94,19 +86,15 @@ let builder_matches_functional =
       List.iter (fun (e, tick) -> History.Builder.append b e ~tick) script;
       let sealed = History.Builder.seal b in
       let max_tick = List.fold_left (fun a (_, t) -> max a t) 0 script in
-      let cut_all () =
-        List.init (max_tick + 2) (fun m -> (m, History.prefix_upto sealed m))
-      in
       let same h g =
         History.equal_timed h g
-        && History.hash_events h = History.hash_events g
         && History.hash_timed_events h = History.hash_timed_events g
       in
-      let matches (m, cut) = same cut (History.prefix_upto f m) in
-      let before = cut_all () in
-      let whole = same sealed f in
-      let after = cut_all () in
-      whole && List.for_all matches before && List.for_all matches after)
+      same sealed f
+      && List.for_all
+           (fun m ->
+             same (History.prefix_upto sealed m) (History.prefix_upto f m))
+           (List.init (max_tick + 2) Fun.id))
 
 (* Arena reuse must not leak state between acquisitions: re-acquired
    builders come back reset, and histories sealed before the release are
@@ -358,11 +346,12 @@ let digest_iff_equal =
       in
       Bool.equal (Run.equal a b) (String.equal (Run.digest a) (Run.digest b)))
 
-(* Why the digest is not a fold of the per-history [thash]: [Fnv.mix 1 1 =
-   Fnv.mix 2 2 = 0], so [send(p1,hb(1))] and [recv(p2,hb(1))] hash alike,
-   and two one-event runs that differ only there share every per-history
-   hash. A receive from the send's own peer differs from it only in the
-   constructor, which the digest must see too. *)
+(* Why the digest is not a fold of [History.hash_timed_events]:
+   [Fnv.mix 1 1 = Fnv.mix 2 2 = 0], so [send(p1,hb(1))] and
+   [recv(p2,hb(1))] hash alike, and two one-event runs that differ only
+   there share every per-history hash. A receive from the send's own
+   peer differs from it only in the constructor, which the digest must
+   see too. *)
 let digest_separates_thash_collision () =
   let one e =
     Run.make ~n:3 ~horizon:4

@@ -305,8 +305,7 @@ let test_memoized () =
   Alcotest.(check bool)
     "same physical index" true
     (idx == Run_index.of_run run);
-  (* a simulated run's histories compute their prefix hashes on first
-     request; the cached index must survive that *)
+  (* hashing the run's histories must not disturb the cached index *)
   for p = 0 to Run.n run - 1 do
     ignore (History.hash_timed_events (Run.history run p))
   done;
