@@ -85,8 +85,8 @@ let seeds count = List.init count (fun i -> Int64.of_int ((i * 7919) + 13))
 
 (* Random *enumeration* workloads for the frontier-enumerator QCheck
    tests: a small bounded context — protocol, oracle mode, crash budget
-   and frontier width — drawn deterministically from a seed
-   so a failure prints a replayable counterexample. *)
+   and frontier width — drawn deterministically from a seed so a failure
+   prints a replayable counterexample. *)
 let random_enum_setup seed =
   let prng = Prng.create seed in
   let n = 2 + Prng.int prng 2 in
