@@ -167,6 +167,29 @@ let pinned_systems () =
         882, "83b0bd6869ada0794c252f8de3d48b13", 14 );
     ]
 
+(* The library applies [Enumerate.check] too: no system with no
+   process, a negative horizon or crash budget, or no node budget. *)
+let rejects_out_of_range () =
+  let base = Enumerate.config ~n:2 ~depth:3 in
+  let proto = (module Core.Nudc.P : Protocol.S) in
+  let raises f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  List.iter
+    (fun (what, cfg) ->
+      Alcotest.(check bool) (what ^ ": runs") true
+        (raises (fun () -> Enumerate.runs cfg proto));
+      Alcotest.(check bool) (what ^ ": runs_exn") true
+        (raises (fun () -> Enumerate.runs_exn cfg proto));
+      Alcotest.(check bool) (what ^ ": reference") true
+        (raises (fun () -> Enumerate.Reference.runs cfg proto)))
+    [
+      ("n 0", { base with Enumerate.n = 0 });
+      ("depth -1", { base with Enumerate.depth = -1 });
+      ("crashes -1", { base with Enumerate.max_crashes = -1 });
+      ("max_nodes 0", { base with Enumerate.max_nodes = 0 });
+    ]
+
 (* ---------- structural message matching in traces ---------- *)
 
 (* FIFO discipline with retransmission: two sends of the same content on
@@ -287,6 +310,7 @@ let hash_shape_independence =
 let suite =
   [
     Alcotest.test_case "E6, E7 and E14 systems pinned" `Quick pinned_systems;
+    Alcotest.test_case "out-of-range configs raise" `Quick rejects_out_of_range;
     Alcotest.test_case "trace rendering" `Quick trace_rendering;
     Alcotest.test_case "trace: FIFO matching under retransmission" `Quick
       trace_fifo_matching;
