@@ -174,25 +174,30 @@ let suspicion_is_knowledge_under_perfect_reports () =
         pids)
     pids
 
-(* knows_crashed agrees with the formula-level definition. *)
+(* knows_crashed agrees with the formula-level definition at every
+   tick, under the kernel and under the reference evaluator. *)
 let knows_crashed_consistent () =
   let env = Lazy.force enumerated in
   let sys = Checker.system env in
+  let reference = Checker.Reference.make sys in
   for ri = 0 to min 40 (System.run_count sys - 1) do
-    let h = System.horizon sys ri in
-    List.iter
-      (fun p ->
-        let s = Checker.knows_crashed env p ~run:ri ~tick:h in
-        List.iter
-          (fun q ->
-            Alcotest.(check bool)
-              (Printf.sprintf "knows_crashed p%d q%d run%d" p q ri)
-              (Pid.Set.mem q s)
-              (Checker.holds env
-                 (Formula.knows p (Formula.crashed q))
-                 ~run:ri ~tick:h))
-          pids)
-      pids
+    for tick = 0 to System.horizon sys ri do
+      List.iter
+        (fun p ->
+          let s = Checker.knows_crashed env p ~run:ri ~tick in
+          List.iter
+            (fun q ->
+              let f = Formula.knows p (Formula.crashed q) in
+              let what =
+                Printf.sprintf "knows_crashed p%d q%d run%d tick%d" p q ri tick
+              in
+              Alcotest.(check bool) what (Pid.Set.mem q s)
+                (Checker.holds env f ~run:ri ~tick);
+              Alcotest.(check bool) (what ^ " (reference)") (Pid.Set.mem q s)
+                (Checker.Reference.holds reference f ~run:ri ~tick))
+            pids)
+        pids
+    done
   done
 
 (* max_known_crashed is monotone in the subset and bounded by the truth. *)

@@ -63,29 +63,34 @@ let prop_3_4 () =
   in
   Alcotest.(check bool) "proof witness exists" true witness
 
+(* Proposition 3.5's antecedent and consequent for process [p] of the
+   3-process system, built afresh on every call. *)
+let antecedent p =
+  let open Epistemic.Formula in
+  let inits = inited alpha0 in
+  knows p
+    (inits
+    &&& conj
+          (List.map
+             (fun q -> eventually (knows q inits ||| crashed q))
+             (Pid.all 3)))
+
+let consequent p =
+  let open Epistemic.Formula in
+  let inits = inited alpha0 in
+  knows p
+    (disj (List.map (fun q -> always (neg (crashed q))) (Pid.all 3))
+    ==> disj
+          (List.map
+             (fun q -> knows q inits &&& always (neg (crashed q)))
+             (Pid.all 3)))
+
 (* Proposition 3.5: the epistemic precondition for performing an action,
    valid at every point of the generated system. *)
 let prop_3_5 () =
   let env = Lazy.force udc_env in
   let n = 3 in
   let open Epistemic.Formula in
-  let inits = inited alpha0 in
-  let antecedent p =
-    knows p
-      (inits
-      &&& conj
-            (List.map
-               (fun q -> eventually (knows q inits ||| crashed q))
-               (Pid.all n)))
-  in
-  let consequent p =
-    knows p
-      (disj (List.map (fun q -> always (neg (crashed q))) (Pid.all n))
-      ==> disj
-            (List.map
-               (fun q -> knows q inits &&& always (neg (crashed q)))
-               (Pid.all n)))
-  in
   let formula =
     conj (List.map (fun p -> antecedent p ==> consequent p) (Pid.all n))
   in
@@ -102,6 +107,34 @@ let prop_3_5 () =
       (Pid.all n)
   in
   Alcotest.(check bool) "antecedent realized" true nonvacuous
+
+(* Proposition 3.5 pointwise, as E7 and the knowledge-exact benchmark
+   check it: both sides built afresh and queried at every (point, p), so
+   every query interns a formula the checker has not seen physically.
+   The counts are E7's; a second identical pass adds no memo entry. *)
+let prop_3_5_per_point () =
+  let env = Lazy.force udc_env in
+  let sys = Epistemic.Checker.system env in
+  let pass () =
+    let ante = ref 0 and bad = ref 0 in
+    Epistemic.System.iter_points sys (fun ~run ~tick ->
+        List.iter
+          (fun p ->
+            if Epistemic.Checker.holds env (antecedent p) ~run ~tick then begin
+              incr ante;
+              if not (Epistemic.Checker.holds env (consequent p) ~run ~tick)
+              then incr bad
+            end)
+          (Pid.all 3));
+    (!ante, !bad)
+  in
+  let ante, bad = pass () in
+  Alcotest.(check int) "antecedent points" 2205 ante;
+  Alcotest.(check int) "violations" 0 bad;
+  let entries = Epistemic.Checker.memo_entries env in
+  Alcotest.(check (pair int int)) "second pass" (ante, bad) (pass ());
+  Alcotest.(check int) "memo entries after a second pass" entries
+    (Epistemic.Checker.memo_entries env)
 
 (* Theorem 3.6, accuracy half: the f-construction's reports are knowledge,
    so they can never be wrong — strong accuracy holds in every f-run,
@@ -232,6 +265,8 @@ let suite =
     Alcotest.test_case "Prop 3.4: weak acc = strong acc under A1+A5" `Slow
       prop_3_4;
     Alcotest.test_case "Prop 3.5: epistemic precondition valid" `Slow prop_3_5;
+    Alcotest.test_case "Prop 3.5: per-point queries on fresh formulas" `Slow
+      prop_3_5_per_point;
     Alcotest.test_case "Thm 3.6: f-runs perfectly accurate" `Slow
       thm_3_6_accuracy;
     Alcotest.test_case "Thm 3.6: f-runs complete on discharged runs" `Slow
