@@ -17,6 +17,8 @@ type env = {
   memo : (int, table) Hashtbl.t; (* interned formula id -> table *)
   class_masks : masks option array; (* per pid, built lazily *)
   dk_masks : (int list, masks) Hashtbl.t; (* joint classes per group *)
+  crash_rows : table array option array;
+      (* per pid p: the table of K_p crash(q) per q, built lazily *)
   lock : Mutex.t;
       (* guards every mutable field: the parallel ensemble engine
          evaluates formulas against a shared env from several domains *)
@@ -28,6 +30,7 @@ let make sys =
     memo = Hashtbl.create 64;
     class_masks = Array.make (System.n sys) None;
     dk_masks = Hashtbl.create 8;
+    crash_rows = Array.make (System.n sys) None;
     lock = Mutex.create ();
   }
 
@@ -164,13 +167,15 @@ let aggregate env (masks : masks) tf =
 let table_and = Array.map2 Bitvec.logand
 let table_equal a b = Array.for_all2 Bitvec.equal a b
 
-(* The raw memoized evaluator. Formulas reaching [table] are interned, so
-   the memo key is the O(1) dense id and subformulas hit the intern fast
-   path. Recursion stays on the unlocked path; the public [table] takes
-   the env lock once, making a shared env safe to query from several
+(* The raw memoized evaluator. [lookup] takes an interned node with its
+   id, the O(1) memo key; the subformulas of an interned node are
+   interned, so [table] resolves them on the intern fast path.
+   Recursion stays on the unlocked path; the public [table] takes the
+   env lock once, making a shared env safe to query from several
    domains (tables are immutable once memoized). *)
-let rec table env (f : Formula.t) =
-  let fid = Formula.id f in
+let rec table env f = lookup env (Formula.intern_id f)
+
+and lookup env (f, fid) =
   match Hashtbl.find_opt env.memo fid with
   | Some t -> t
   | None ->
@@ -210,12 +215,26 @@ and compute env = function
       fix (blank env true)
   | Formula.Dk (s, f) -> aggregate env (dk_class_masks env s) (table env f)
 
+(* The tables of K_p crash(q) for every q, resolved once per process:
+   the f-construction (condition P3) reads them at every point. Call
+   with the lock held. *)
+let crash_rows env p =
+  match env.crash_rows.(p) with
+  | Some rows -> rows
+  | None ->
+      let rows =
+        Array.init (System.n env.sys) (fun q ->
+            table env (Formula.K (p, Formula.crashed q)))
+      in
+      env.crash_rows.(p) <- Some rows;
+      rows
+
 (* Shadow the recursive evaluator with the locked entry point: every
-   public query interns its formula and takes the lock exactly once (no
-   reentrancy — [compute] recurses on the unlocked binding above). *)
+   public query interns its formula once and takes the lock exactly once
+   (no reentrancy — [compute] recurses on the unlocked binding above). *)
 let table env f =
-  let f = Formula.intern f in
-  Mutex.protect env.lock (fun () -> table env f)
+  let node = Formula.intern_id f in
+  Mutex.protect env.lock (fun () -> lookup env node)
 
 let holds env f ~run ~tick = Bitvec.get (table env f).(run) tick
 
@@ -254,13 +273,12 @@ let table_digest env f =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let knows_crashed env p ~run ~tick =
-  List.fold_left
-    (fun acc q ->
-      if holds env (Formula.K (p, Formula.crashed q)) ~run ~tick then
-        Pid.Set.add q acc
-      else acc)
-    Pid.Set.empty
-    (Pid.all (System.n env.sys))
+  let rows = Mutex.protect env.lock (fun () -> crash_rows env p) in
+  let known = ref Pid.Set.empty in
+  Array.iteri
+    (fun q t -> if Bitvec.get t.(run) tick then known := Pid.Set.add q !known)
+    rows;
+  !known
 
 let max_known_crashed env p s ~run ~tick =
   let rec down k =

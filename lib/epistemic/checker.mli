@@ -11,10 +11,11 @@
     Representation (see DESIGN.md, "Truth-table representation"): a truth
     table is one bit-packed {!Bitvec.t} row per run, connectives are
     word-parallel, and the knowledge operators AND-fold precomputed
-    per-class (run, word, mask) triples. Queries intern their formula
-    ({!Formula.intern}) and memoize by {!Formula.id}, so semantically
-    equal formulas share one table. [env] is safe to share across domains
-    (all queries serialize on an internal lock). *)
+    per-class (run, word, mask) triples. Each query interns its formula
+    once ({!Formula.intern_id}) and memoizes by its id, so semantically
+    equal formulas share one table, and a freshly built copy of a formula
+    seen before costs one structural lookup. [env] is safe to share
+    across domains (all queries serialize on an internal lock). *)
 
 type env
 
@@ -32,7 +33,9 @@ val counterexample : env -> Formula.t -> (int * int) option
 
 (** [knows_crashed env p ~run ~tick] is [{q : (R,r,m) |= K_p crash(q)}] —
     the suspicion set of the simulated perfect failure detector (condition
-    P3 of the f-construction, Section 3). *)
+    P3 of the f-construction, Section 3). The tables of [K_p crash(q)] are
+    resolved on the first call for [p] and memoized in [env]; every call
+    then reads one bit per process. *)
 val knows_crashed : env -> Pid.t -> run:int -> tick:int -> Pid.Set.t
 
 (** [max_known_crashed env p s ~run ~tick] is the largest [k] such that

@@ -85,7 +85,14 @@ let everyone g f = conj (List.map (fun p -> K (p, f)) (Pid.Set.elements g))
    shape-independent [Message.hash]/[Pid.Set.hash]; a composite node by
    operator + child ids, and [Dk]/[Ck] by member list + child id, so a
    key is O(1) in the subformula count. Two formulas share a key iff
-   they print alike (a property test checks it). *)
+   they print alike (a property test checks it).
+
+   Callers build formulas per query, so most formulas reaching [intern]
+   are fresh copies of a node interned earlier. The canonical nodes are
+   therefore also indexed by their own structure: a formula structurally
+   equal to one returns it after one hash and one comparison, without
+   the walk. Structurally equal formulas print alike, so this index only
+   short-cuts the walk and never changes a node or an id. *)
 
 type key =
   | Key_true
@@ -135,19 +142,23 @@ module Nodes = Hashtbl.Make (struct
   let hash = function Key_prim p -> prim_hash p | k -> Hashtbl.hash k
 end)
 
-module Phys = Hashtbl.Make (struct
+(* Physical equality first: a canonical node and its subterms, which
+   are canonical by construction, hit without a structural comparison. *)
+module Structural = Hashtbl.Make (struct
   type nonrec t = t
 
-  let equal = ( == )
+  let equal a b = a == b || compare a b = 0
   let hash = Hashtbl.hash
 end)
 
 let intern_lock = Mutex.create ()
 let nodes : (t * int) Nodes.t = Nodes.create 256
 
-(* canonical node -> id: the O(1) fast path for already-interned
-   formulas (and their subterms, which are interned by construction) *)
-let ids : int Phys.t = Phys.create 256
+(* canonical node, by structure -> (node, id): the fast path for a
+   formula structurally equal to an interned one. It holds canonical
+   nodes only, so it grows with the distinct formulas, not the queries;
+   a set payload of another shape misses and takes the walk. *)
+let canonical : (t * int) Structural.t = Structural.create 256
 let next_id = ref 0
 
 (* [Set.of_list] sorts and builds a perfectly balanced tree, so equal
@@ -182,12 +193,12 @@ let hashcons key node =
       let id = !next_id in
       incr next_id;
       Nodes.add nodes key (node, id);
-      Phys.add ids node id;
+      Structural.add canonical node (node, id);
       (node, id)
 
 let rec go f =
-  match Phys.find_opt ids f with
-  | Some id -> (f, id)
+  match Structural.find_opt canonical f with
+  | Some hit -> hit
   | None -> (
       match f with
       | True -> hashcons Key_true (fun () -> f)
@@ -228,8 +239,9 @@ let rec go f =
             (Key_ck (Pid.Set.elements s, ia))
             (fun () -> Ck (canon_pid_set s, a)))
 
-let intern f = Mutex.protect intern_lock (fun () -> fst (go f))
-let id f = Mutex.protect intern_lock (fun () -> snd (go f))
+let intern_id f = Mutex.protect intern_lock (fun () -> go f)
+let intern f = fst (intern_id f)
+let id f = snd (intern_id f)
 
 let equal a b =
   Mutex.protect intern_lock (fun () -> snd (go a) = snd (go b))

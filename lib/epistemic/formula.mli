@@ -52,13 +52,22 @@ val to_string : t -> string
     without printing: a primitive by its content under [Message.equal]/
     [Pid.Set.equal], a composite by operator and child ids. Two formulas
     intern to the same node iff they print alike. Thread-safe (the
-    intern table is shared across domains). *)
+    intern table is shared across domains).
+
+    Cost: one hash and one structural comparison for a formula
+    structurally equal to an interned one, a freshly built copy
+    included (a physical comparison for the node itself). A formula
+    whose set payloads have another shape than the canonical one takes
+    the full walk, one key lookup per subterm. *)
 val intern : t -> t
 
 (** Dense unique id of [intern f] — equal iff the formulas are
-    semantically equal. O(1) for already-interned formulas; the sound
-    memo key used by {!Checker}. *)
+    semantically equal. Same cost as [intern]; the sound memo key used
+    by {!Checker}. *)
 val id : t -> int
+
+(** [(intern f, id f)] in one lookup. *)
+val intern_id : t -> t * int
 
 (** Semantic equality, via interning. *)
 val equal : t -> t -> bool
