@@ -9,16 +9,28 @@
 open Cmdliner
 
 let protocol_conv =
+  (* [name:T] with an integer threshold [T]; its sign is checked with the
+     other simulate bounds *)
+  let threshold name tag s =
+    let k = String.length name + 1 in
+    match int_of_string_opt (String.sub s k (String.length s - k)) with
+    | Some t -> Ok (tag t)
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "bad protocol %S (expected %s:T, T an integer)" s
+               name))
+  in
   let parse = function
     | "nudc" -> Ok `Nudc
     | "reliable" -> Ok `Reliable
     | "ack" -> Ok `Ack
     | "theta" -> Ok `Theta
     | "heartbeat" -> Ok `Heartbeat
-    | s when String.length s > 9 && String.sub s 0 9 = "majority:" ->
-        Ok (`Majority (int_of_string (String.sub s 9 (String.length s - 9))))
-    | s when String.length s > 4 && String.sub s 0 4 = "gen:" ->
-        Ok (`Gen (int_of_string (String.sub s 4 (String.length s - 4))))
+    | s when String.starts_with ~prefix:"majority:" s ->
+        threshold "majority" (fun t -> `Majority t) s
+    | s when String.starts_with ~prefix:"gen:" s ->
+        threshold "gen" (fun t -> `Gen t) s
     | s -> Error (`Msg ("unknown protocol: " ^ s))
   in
   let print ppf = function
@@ -116,6 +128,22 @@ let oracle_arg =
            | theta | gen.")
 
 let simulate n seed loss crashes actions proto oracle verbose diagram =
+  let fail fmt =
+    Printf.ksprintf
+      (fun s ->
+        prerr_endline ("udc simulate: " ^ s);
+        exit 2)
+      fmt
+  in
+  if n < 1 then fail "-n %d < 1" n;
+  if crashes < 0 || crashes > n then
+    fail "--crashes %d outside [0, %d]" crashes n;
+  if not (loss >= 0.0 && loss <= 1.0) then fail "--loss %g outside [0, 1]" loss;
+  if actions < 0 then fail "--actions %d < 0" actions;
+  (match proto with
+  | `Majority t when t < 0 -> fail "--protocol majority:%d: T < 0" t
+  | `Gen t when t < 0 -> fail "--protocol gen:%d: T < 0" t
+  | _ -> ());
   let prng = Prng.create seed in
   let cfg = Sim.config ~n ~seed in
   let cfg =
@@ -191,6 +219,10 @@ let enumerate n depth crashes domains max_nodes stats =
       Format.printf "UDC-clean runs: %d@." udc_clean
 
 let scenarios n seed =
+  (* the confined clique is built at t = n/2, which needs n/2 < n - 1 *)
+  if n < 4 then (
+    prerr_endline (Printf.sprintf "udc scenarios: -n %d < 4" n);
+    exit 2);
   List.iter
     (fun (s, verdict) ->
       Format.printf "@.%s: %s@." s.Core.Adversary.name

@@ -1,8 +1,8 @@
 (* The exit-code contract of the driver, exercised through the real
    binary: 0 = outcome matches --expect, 1 = outcome contradicts it (or
    a repro fails to reproduce), 2 = usage/configuration error. The
-   explore search and replay paths, the classify path and the scale
-   flags honour it. *)
+   explore search and replay paths, the classify path and the scale,
+   enumerate, simulate and scenarios flags honour it. *)
 
 (* resolve relative to the test executable so the path holds under both
    `dune runtest` (cwd _build/default/test) and `dune exec` (cwd root) *)
@@ -263,6 +263,38 @@ let classify_bounds () =
       ("--max-ticks", [ "--max-ticks"; "0" ]);
     ]
 
+(* [udc simulate] bounds, on the default flags: each input escaped as
+   an uncaught exception (exit 125), or ran a protocol waiting for more
+   acknowledgements than there are processes (exit 0). A threshold that
+   is not an integer is a parse error (exit 124) naming the form. *)
+let simulate_bounds () =
+  rejects_bounds [ "simulate" ] ~small:[]
+    [
+      ("-n", [ "-n"; "0" ]);
+      ("--crashes", [ "--crashes"; "9" ]);
+      ("--crashes", [ "--crashes=-1" ]);
+      ("--actions", [ "--actions=-2" ]);
+      ("--loss", [ "--loss"; "2" ]);
+      ("--loss", [ "--loss=-0.5" ]);
+      ("--loss", [ "--loss"; "nan" ]);
+      ("--protocol", [ "-p"; "majority:-1" ]);
+      ("--protocol", [ "-p"; "gen:-1" ]);
+    ];
+  List.iter
+    (fun (bad, form) ->
+      let code, err = run_capture [ "simulate"; "-p"; bad ] in
+      let what = "simulate: -p " ^ bad in
+      Alcotest.(check int) what 124 code;
+      Alcotest.(check bool) (what ^ ", message names " ^ form) true
+        (contains err form))
+    [ ("majority:abc", "majority:T"); ("gen:x", "gen:T") ]
+
+(* [udc scenarios] builds the confined clique at t = n/2, which needs
+   n >= 4: below that it escaped as an uncaught exception (exit 125). *)
+let scenarios_bounds () =
+  rejects_bounds [ "scenarios" ] ~small:[]
+    [ ("-n", [ "-n"; "0" ]); ("-n", [ "-n"; "3" ]) ]
+
 let suite =
   [
     Alcotest.test_case "explore --expect exit codes (search and replay)"
@@ -272,6 +304,10 @@ let suite =
       enumerate_bounds;
     Alcotest.test_case "classify: out-of-range flags exit 2" `Quick
       classify_bounds;
+    Alcotest.test_case "simulate: out-of-range flags exit 2" `Quick
+      simulate_bounds;
+    Alcotest.test_case "scenarios: -n below 4 exits 2" `Quick
+      scenarios_bounds;
     Alcotest.test_case "explore --replay: malformed repro exits 2" `Slow
       malformed_repro;
     Alcotest.test_case "classify --expect exit codes" `Slow classify_expect;
