@@ -221,7 +221,7 @@ let enumerate n depth crashes domains max_nodes stats =
 let scenarios n seed =
   (* the confined clique is built at t = n/2, which needs n/2 < n - 1 *)
   if n < 4 then (
-    prerr_endline (Printf.sprintf "udc scenarios: -n %d < 4" n);
+    Printf.eprintf "udc scenarios: -n %d < 4\n" n;
     exit 2);
   List.iter
     (fun (s, verdict) ->
