@@ -125,7 +125,9 @@ let reference_differential =
 (* Four exhaustive systems the experiments check theorems over, pinned:
    run count, run-set digest at domains 1 and 2, and dedup hits. A
    change to the move grammar, the emission policy or the dedup rule
-   moves one of these. *)
+   moves one of these. A node budget far below E6 perfect's must be
+   loud: [runs_exn] raises and [runs] reports a partial system, never a
+   silent under-approximation. *)
 let pinned_systems () =
   let system ~depth ~oracle_mode proto =
     ( {
@@ -138,6 +140,9 @@ let pinned_systems () =
       proto )
   in
   let fip trust = Core.Fip.make ~trust_reports:trust (module Core.Ack_udc.P) in
+  let e6_perfect =
+    system ~depth:6 ~oracle_mode:Enumerate.Perfect_reports (fip true)
+  in
   List.iter
     (fun (name, (cfg, proto), runs, digest, hits) ->
       List.iter
@@ -158,14 +163,21 @@ let pinned_systems () =
       ( "E6 lying",
         system ~depth:6 ~oracle_mode:(Enumerate.Lying_reports 1) (fip false),
         17862, "6968518fa7c0980e19512124e65c4df8", 959 );
-      ( "E6 perfect",
-        system ~depth:6 ~oracle_mode:Enumerate.Perfect_reports (fip true),
-        1174, "fdd4771bd2113c38184fcc3215434543", 3 );
+      ( "E6 perfect", e6_perfect, 1174, "fdd4771bd2113c38184fcc3215434543",
+        3 );
       ( "E14",
         system ~depth:8 ~oracle_mode:Enumerate.No_oracle
           (module Core.Nudc.P : Protocol.S),
         882, "83b0bd6869ada0794c252f8de3d48b13", 14 );
-    ]
+    ];
+  let cfg, proto = e6_perfect in
+  let tiny = { cfg with Enumerate.max_nodes = 10 } in
+  Alcotest.(check bool) "E6 perfect, max_nodes 10: runs_exn raises" true
+    (match Enumerate.runs_exn tiny proto with
+    | exception Enumerate.Truncated _ -> true
+    | _ -> false);
+  Alcotest.(check bool) "E6 perfect, max_nodes 10: not exhaustive" false
+    (Enumerate.runs tiny proto).Enumerate.exhaustive
 
 (* The library applies [Enumerate.check] too: no system with no
    process, a negative horizon or crash budget, or no node budget. *)

@@ -132,7 +132,7 @@ let arena_reuse_no_leak () =
     && History.timed_events a1 = [ (Event.Do (alpha 1 0), 3) ]
     && History.is_crashed a0)
 
-(* Run digests of four fixed simulations. The runs were first pinned
+(* Run digests of five fixed simulations. The runs were first pinned
    under the legacy cons-list representation, before the flattening, and
    re-pinned once when the digest became structural, with every run's
    printed form unchanged. [Run.digest] depends on structure alone, so
@@ -157,6 +157,10 @@ let pinned_digests () =
   Alcotest.(check string)
     "perfect oracle, seed 31" "c2ffa8ead06a39c3c6f6834355bcac46"
     (digest ~n:6 ~t:2 ~loss:0.3 ~oracle:(Detector.Oracles.perfect ()) 31L);
+  Alcotest.(check string)
+    "perfect oracle, seed 104760" "876f719b378f13234c9dcdb568ed030e"
+    (digest ~n:6 ~t:2 ~loss:0.3 ~oracle:(Detector.Oracles.perfect ())
+       104760L);
   Alcotest.(check string)
     "no oracle, seed 42" "b9e133331b0ab79cc5fcb59facdf4059"
     (digest ~n:3 ~t:0 ~loss:0.0 ~oracle:Oracle.none 42L);
