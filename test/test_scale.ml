@@ -76,8 +76,13 @@ let show_case c =
     cfg.Sim.fault_plan Init_plan.pp cfg.Sim.init_plan
 
 (* The hand-picked cases the shards=1 check started from: every ring
-   backend with its oracle, seeds 1/7/42, n=7, 120 ticks. *)
+   backend with its oracle, seeds 1/7/42, n=7, 120 ticks; and one
+   estimator workload (gossip under fair loss with an ack committee,
+   n=48, 160 ticks, seed 7), configured as [udc scale] configures it. *)
 let current_cases =
+  let estimator =
+    Scale.Estimate.params ~n:48 ~ticks:160 ~seed:7L ~backend:"gossip" ()
+  in
   List.concat_map
     (fun backend ->
       List.map
@@ -90,6 +95,14 @@ let current_cases =
           })
         [ 1L; 7L; 42L ])
     Detector.Backends.labels
+  @ [
+      {
+        backend = "gossip";
+        with_oracle = true;
+        committee = estimator.Scale.Estimate.committee;
+        cfg = Scale.Estimate.config estimator ~seed:7L;
+      };
+    ]
 
 (* Plan entries may name pids outside [0, n): out-of-range fault victims
    and init owners must block quiescence in both engines, and never
@@ -154,8 +167,8 @@ let case_gen =
     }
 
 (* [Sim.execute] and [Shard.execute ~shards:1] agree on the digest and
-   the stop reason; shards 2 and 3 give one digest at domains 1/2/4; and
-   per-shard record/replay reproduces it strictly. *)
+   the stop reason at domains 1/2/4; shards 2 and 3 give one digest at
+   domains 1/2/4; and per-shard record/replay reproduces it strictly. *)
 let engines_agree =
   QCheck.Test.make ~name:"shards=1 is bit-identical to Sim.execute" ~count:200
     (QCheck.make ~print:show_case
@@ -170,11 +183,17 @@ let engines_agree =
         let cfg, proto = build c in
         Sim.execute cfg proto
       in
-      let one = sharded 1 in
-      if digest sim <> digest one then
-        QCheck.Test.fail_report "shards=1 digest differs from Sim.execute";
-      if sim.Sim.reason <> one.Sim.reason then
-        QCheck.Test.fail_report "shards=1 stop reason differs from Sim.execute";
+      List.iter
+        (fun domains ->
+          let one = sharded ~domains 1 in
+          if digest sim <> digest one then
+            QCheck.Test.fail_reportf
+              "shards=1 digest at domains %d differs from Sim.execute" domains;
+          if sim.Sim.reason <> one.Sim.reason then
+            QCheck.Test.fail_reportf
+              "shards=1 stop reason at domains %d differs from Sim.execute"
+              domains)
+        [ 1; 2; 4 ];
       List.iter
         (fun shards ->
           let d = digest (sharded ~domains:1 shards) in
