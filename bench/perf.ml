@@ -20,10 +20,15 @@ let records : (string * float * int option * string) list ref = ref []
 let record ?(extra = "") name ~wall ~runs =
   records := (name, wall, runs, extra) :: !records
 
-let timed name ?runs f =
+(* [f ()] and its wall time in seconds *)
+let time f =
   let t0 = Unix.gettimeofday () in
-  f ();
-  record name ~wall:(Unix.gettimeofday () -. t0) ~runs
+  let r = f () in
+  (Unix.gettimeofday () -. t0, r)
+
+let timed name ?runs f =
+  let wall, () = time f in
+  record name ~wall ~runs
 
 (* experiment names are data, not format strings: escape them or a name
    with a quote/backslash silently corrupts the whole JSON document *)
@@ -82,7 +87,58 @@ let write_json path =
   pr "  ]\n}\n";
   close_out oc
 
-let run_one ~n ~loss ~t ~oracle ~k ~lag:_ proto seed =
+(* The determinism gate: [out], computed at [domains], must carry the key
+   of [seq], computed at domains 1. *)
+let same_key what ~key ~domains seq out =
+  let k1 = key seq and k = key out in
+  if not (String.equal k1 k) then
+    failwith
+      (Printf.sprintf
+         "%s determinism violated: %s at domains=1 vs %s at domains=%d" what
+         k1 k domains)
+
+(* The harness P5, P7, P8 and P11 share: run [work] at domains 1 and on
+   [pool] domains, fail unless both results have the same [key], record
+   both as [name:domains=D] ([runs] and [extra] fill a record from its
+   wall time and result) and print both rates of [count] items per
+   second. Returns the domains-1 wall time and result. [gate] fails the
+   bench when the pool is more than 10% slower than domains 1, so the
+   spawn-per-call regression (domains=2 ran the explorer 2.2x slower
+   because every 256-node chunk spawned fresh domains; Ensemble.run
+   callers were hit first) cannot come back. It needs parallel hardware:
+   on a single-core runner extra domains time-share one core and the
+   ratio measures the OS scheduler, not the dispatch path. *)
+let measure ~name ~unit ?(pool = max (Ensemble.domain_count ()) 1)
+    ?(gate = false) ~key ~count ?(runs = count) ?(extra = fun _ _ -> "") work
+    =
+  let seq_wall, seq = time (fun () -> work 1) in
+  let par_wall, par = time (fun () -> work pool) in
+  same_key name ~key ~domains:pool seq par;
+  List.iter
+    (fun (domains, wall, out) ->
+      record
+        (Printf.sprintf "%s:domains=%d" name domains)
+        ~wall ~runs:(Some (runs out)) ~extra:(extra wall out))
+    [ (1, seq_wall, seq); (pool, par_wall, par) ];
+  let rate wall = float_of_int (count seq) /. wall in
+  Format.printf "    %-28s %10.2f %s@." "sequential (1 domain)" (rate seq_wall)
+    unit;
+  Format.printf "    %-28s %10.2f %s  (speedup %.2fx)@."
+    (Printf.sprintf "pool (%d domains)" pool)
+    (rate par_wall) unit (seq_wall /. par_wall);
+  if
+    gate && pool >= 2
+    && Domain.recommended_domain_count () >= 2
+    && par_wall > 1.10 *. seq_wall
+  then
+    failwith
+      (Printf.sprintf
+         "%s parallel scaling regressed: domains=%d took %.3fs vs %.3fs at \
+          domains=1 (> 10%% slower)"
+         name pool par_wall seq_wall);
+  (seq_wall, seq)
+
+let run_one ~n ~loss ~t ~oracle ~k proto seed =
   let prng = Prng.create seed in
   let cfg = Sim.config ~n ~seed in
   let cfg =
@@ -110,7 +166,7 @@ let message_complexity () =
         mean
           (List.map
              (fun seed ->
-               let r = run_one ~n ~loss ~t:0 ~oracle ~k:8 ~lag:0 proto seed in
+               let r = run_one ~n ~loss ~t:0 ~oracle ~k:8 proto seed in
                float_of_int (Stats.of_run r.Sim.run).Stats.sends)
              (Util.seeds 10))
       in
@@ -138,7 +194,7 @@ let quiet_ablation () =
                let r =
                  run_one ~n ~loss:0.3 ~t:1
                    ~oracle:(Detector.Oracles.perfect ~lag:1 ())
-                   ~k:8 ~lag:0 proto seed
+                   ~k:8 proto seed
                in
                float_of_int (Stats.of_run r.Sim.run).Stats.sends)
              (Util.seeds 10))
@@ -163,7 +219,7 @@ let latency_vs_loss () =
                let r =
                  run_one ~n:6 ~loss ~t:2
                    ~oracle:(Detector.Oracles.perfect ())
-                   ~k:8 ~lag:0
+                   ~k:8
                    (module Core.Ack_udc.P)
                    seed
                in
@@ -194,7 +250,7 @@ let fairness_ablation () =
             let r =
               run_one ~n:6 ~loss:0.5 ~t:2
                 ~oracle:(Detector.Oracles.perfect ())
-                ~k ~lag:0
+                ~k
                 (module Core.Ack_udc.P)
                 seed
             in
@@ -219,7 +275,7 @@ let lag_sensitivity () =
             let r =
               run_one ~n:6 ~loss:0.3 ~t:2
                 ~oracle:(Detector.Oracles.perfect ~lag ())
-                ~k:8 ~lag
+                ~k:8
                 (module Core.Ack_udc.P)
                 seed
             in
@@ -240,35 +296,25 @@ let bechamel () =
            ignore
              (run_one ~n:6 ~loss:0.3 ~t:2
                 ~oracle:(Detector.Oracles.perfect ())
-                ~k:8 ~lag:0
+                ~k:8
                 (module Core.Ack_udc.P)
                 7L)))
+  in
+  let enum_cfg =
+    {
+      (Enumerate.config ~n:3 ~depth:6) with
+      Enumerate.max_crashes = 1;
+      init_plan = Init_plan.one ~owner:0 ~at:1;
+      oracle_mode = Enumerate.Perfect_reports;
+    }
   in
   let enum_bench =
     Test.make ~name:"enumerate:n=3 depth=6"
       (Staged.stage (fun () ->
-           let cfg = Enumerate.config ~n:3 ~depth:6 in
-           let cfg =
-             {
-               cfg with
-               Enumerate.max_crashes = 1;
-               init_plan = Init_plan.one ~owner:0 ~at:1;
-               oracle_mode = Enumerate.Perfect_reports;
-             }
-           in
-           ignore (Enumerate.runs cfg (module Core.Nudc.P))))
+           ignore (Enumerate.runs enum_cfg (module Core.Nudc.P))))
   in
   let knowledge_bench =
-    let cfg = Enumerate.config ~n:3 ~depth:6 in
-    let cfg =
-      {
-        cfg with
-        Enumerate.max_crashes = 1;
-        init_plan = Init_plan.one ~owner:0 ~at:1;
-        oracle_mode = Enumerate.Perfect_reports;
-      }
-    in
-    let runs = (Enumerate.runs cfg (module Core.Nudc.P)).Enumerate.runs in
+    let runs = (Enumerate.runs enum_cfg (module Core.Nudc.P)).Enumerate.runs in
     let sys = Epistemic.System.of_runs runs in
     Test.make ~name:"knowledge:K_p crash table"
       (Staged.stage (fun () ->
@@ -318,7 +364,7 @@ let checker_kernel () =
         let r =
           run_one ~n ~loss:0.6 ~t:2
             ~oracle:(Detector.Oracles.perfect ~lag:8 ())
-            ~k:8 ~lag:8
+            ~k:8
             (module Core.Ack_udc.P)
             seed
         in
@@ -363,20 +409,20 @@ let checker_kernel () =
   (* each round gets a fresh env (cold memo and class masks) so setup
      cost is charged to both sides; rounds amortize timer noise *)
   let rounds = 5 in
-  let time make eval =
-    let t0 = Unix.gettimeofday () in
-    let r = ref [] in
-    for _ = 1 to rounds do
-      let env = make sys in
-      r := List.map (eval env) fs
-    done;
-    (Unix.gettimeofday () -. t0, !r)
+  let verdicts make eval =
+    time (fun () ->
+        let r = ref [] in
+        for _ = 1 to rounds do
+          let env = make sys in
+          r := List.map (eval env) fs
+        done;
+        !r)
   in
   let packed_wall, packed =
-    time C.make (fun env f -> C.counterexample env f)
+    verdicts C.make (fun env f -> C.counterexample env f)
   in
   let ref_wall, reference =
-    time C.Reference.make (fun env f -> C.Reference.counterexample env f)
+    verdicts C.Reference.make (fun env f -> C.Reference.counterexample env f)
   in
   if packed <> reference then
     failwith "checker kernel: packed and reference verdicts differ";
@@ -392,12 +438,15 @@ let checker_kernel () =
     (List.length fs)
     (Epistemic.System.point_count sys)
 
-(* P5: throughput of the ensemble engine itself — the same seed list
-   mapped sequentially and on the domain pool. The digests double as a
-   cheap determinism assertion: the parallel map must reproduce the
-   sequential one bit for bit. *)
+(* P5/P10: throughput and allocation of the simulator hot path over the
+   flat (struct-of-arrays) run representation, through the ensemble
+   engine. The run digests double as the determinism gate: they must be
+   bit-identical at domains 1, 2 and 4 and on the pool (arena reuse on
+   pool workers cannot leak state between seeds); test_flat_history pins
+   the first two. Minor words per run come from the domains-1 pass,
+   which runs on the calling domain. *)
 let ensemble_throughput ~gate () =
-  Util.header "P5: ensemble engine throughput (sequential vs domain pool)";
+  Util.header "P5/P10: ensemble throughput over the flat run representation";
   let nseeds = 16 in
   let seeds = Util.seeds nseeds in
   let sim seed =
@@ -407,126 +456,48 @@ let ensemble_throughput ~gate () =
     in
     Run.digest (Sim.execute cfg (Util.uniform (module Core.Ack_udc.P) cfg)).Sim.run
   in
-  let time domains =
-    let t0 = Unix.gettimeofday () in
+  let work domains =
+    let mw0 = Gc.minor_words () in
     let digests = Ensemble.run ~domains ~seeds sim in
-    (Unix.gettimeofday () -. t0, digests)
+    (digests, Gc.minor_words () -. mw0)
   in
-  let pool = max (Ensemble.domain_count ()) 1 in
-  let seq_wall, seq_digests = time 1 in
-  let par_wall, par_digests = time pool in
-  if not (List.equal String.equal seq_digests par_digests) then
-    failwith "ensemble determinism violated: parallel digests differ";
-  record "ensemble-throughput:domains=1" ~wall:seq_wall ~runs:(Some nseeds);
-  record
-    (Printf.sprintf "ensemble-throughput:domains=%d" pool)
-    ~wall:par_wall ~runs:(Some nseeds);
-  Format.printf "    %-28s %8.2f runs/s@." "sequential (1 domain)"
-    (float_of_int nseeds /. seq_wall);
-  Format.printf "    %-28s %8.2f runs/s  (speedup %.2fx)@."
-    (Printf.sprintf "pool (%d domains)" pool)
-    (float_of_int nseeds /. par_wall)
-    (seq_wall /. par_wall);
-  Format.printf
-    "    (digests of both maps compared: bit-identical on %d runs)@." nseeds;
-  (* the same scaling gate as P7, previously missing here: the PR-3
-     spawn-per-call regression hit Ensemble.run callers first, but only
-     the explorer gated on it. Same multi-core carve-out — on a
-     single-core runner extra domains time-share one core and the ratio
-     measures the OS scheduler, not the dispatch path. *)
-  if
-    gate && pool >= 2
-    && Domain.recommended_domain_count () >= 2
-    && par_wall > 1.10 *. seq_wall
-  then
-    failwith
-      (Printf.sprintf
-         "ensemble parallel scaling regressed: domains=%d took %.3fs vs \
-          %.3fs at domains=1 (> 10%% slower)"
-         pool par_wall seq_wall)
-
-(* P10: the flat (struct-of-arrays) run-representation gate. Throughput
-   and allocation of the simulator hot path, plus two self-checking
-   digest gates: (a) run digests are bit-identical at domains 1, 2 and 4
-   (arena reuse on pool workers cannot leak state between seeds), and
-   (b) the first two digests equal pinned values — the runs are the
-   ones the simulator has always produced, not merely self-consistent.
-   The runs were pinned under the pre-flattening cons-list
-   representation and re-pinned once when the digest became
-   structural, with their printed forms unchanged. *)
-let pinned_digests =
-  (* Run.digest for the first two Util.seeds (n=6, t=2, loss=0.3,
-     perfect oracle) *)
-  [
-    (31L, "c2ffa8ead06a39c3c6f6834355bcac46");
-    (104760L, "876f719b378f13234c9dcdb568ed030e");
-  ]
-
-let flat_run_representation () =
-  Util.header
-    "P10: flat run representation (throughput, allocation, digest gates)";
-  let nseeds = 16 in
-  let seeds = Util.seeds nseeds in
-  let sim seed =
-    let cfg =
-      Util.udc_config ~n:6 ~t:2 ~loss:0.3
-        ~oracle:(Detector.Oracles.perfect ()) seed
-    in
-    Run.digest (Sim.execute cfg (Util.uniform (module Core.Ack_udc.P) cfg)).Sim.run
+  let key (digests, _) =
+    Digest.to_hex (Digest.string (String.concat "" digests))
   in
-  (* sequential pass: wall time and minor allocation per run *)
-  let mw0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let seq_digests = List.map sim seeds in
-  let seq_wall = Unix.gettimeofday () -. t0 in
-  let minor_per_run = (Gc.minor_words () -. mw0) /. float_of_int nseeds in
-  (* gate (a): pool digests bit-identical at several domain counts *)
+  let wall, ((_, minor_words) as seq) =
+    measure ~name:"ensemble-throughput" ~unit:"runs/s" ~gate ~key
+      ~count:(fun _ -> nseeds)
+      work
+  in
   List.iter
     (fun domains ->
-      let digests = Ensemble.run ~domains ~seeds sim in
-      if not (List.equal String.equal seq_digests digests) then
-        failwith
-          (Printf.sprintf
-             "flat representation: digests at --domains %d differ from \
-              sequential"
-             domains))
-    [ 1; 2; 4 ];
-  (* gate (b): pinned digests *)
-  List.iter
-    (fun (seed, expect) ->
-      let got = sim seed in
-      if not (String.equal got expect) then
-        failwith
-          (Printf.sprintf
-             "flat representation: digest for seed %Ld is %s; pinned %s"
-             seed got expect))
-    pinned_digests;
-  record "flat-representation" ~wall:seq_wall ~runs:(Some nseeds)
+      same_key "ensemble-throughput" ~key ~domains seq (work domains))
+    [ 2; 4 ];
+  let minor_per_run = minor_words /. float_of_int nseeds in
+  record "flat-representation" ~wall ~runs:(Some nseeds)
     ~extra:
       (Printf.sprintf
-         ", \"minor_words_per_run\": %.0f, \"digest_domains\": [1, 2, 4], \
-          \"pinned_digest_gate\": true"
+         ", \"minor_words_per_run\": %.0f, \"digest_domains\": [1, 2, 4]"
          minor_per_run);
-  Format.printf "    %-28s %8.2f runs/s@." "throughput (sequential)"
-    (float_of_int nseeds /. seq_wall);
-  Format.printf "    %-28s %8.0f minor words/run@." "allocation" minor_per_run;
+  Format.printf "    %-28s %10.0f minor words/run@." "allocation" minor_per_run;
   Format.printf
-    "    (digests bit-identical at --domains 1, 2, 4 and equal to the \
-     pinned digests)@."
+    "    (digests of %d runs bit-identical at domains 1, 2, 4 and on the \
+     pool)@."
+    nseeds
 
 (* P8: exhaustive-enumeration throughput, the frontier-parallel explorer
-   behind every theorem-level experiment. The digests double as the
+   behind every theorem-level experiment. The run-set digest is the
    determinism gate: the run set must be bit-identical at every domain
-   count (same digest, same canonical order), and a deliberately
-   tiny node budget must raise [Truncated] rather than return a silent
-   under-approximation. *)
+   count (same digest, same canonical order), so the pool has at least 2
+   domains even where the default pool has one. test_enumerate pins the
+   smoke system (E6 perfect) at domains 1 and 2, and checks that a tiny
+   node budget raises [Truncated] instead of under-approximating. *)
 let enumeration ~smoke () =
   Util.header "P8: exhaustive enumeration (frontier-parallel, sibling rule)";
   let depth = if smoke then 6 else 7 in
-  let cfg = Enumerate.config ~n:3 ~depth in
   let cfg =
     {
-      cfg with
+      (Enumerate.config ~n:3 ~depth) with
       Enumerate.max_crashes = 2;
       init_plan = Init_plan.one ~owner:0 ~at:1;
       oracle_mode = Enumerate.Perfect_reports;
@@ -534,61 +505,36 @@ let enumeration ~smoke () =
     }
   in
   let proto = Core.Fip.make ~trust_reports:true (module Core.Ack_udc.P) in
-  let time domains =
-    let t0 = Unix.gettimeofday () in
-    let out = Enumerate.runs ~domains cfg proto in
-    (Unix.gettimeofday () -. t0, out)
-  in
-  let pool = max (Ensemble.domain_count ()) 2 in
-  let seq_wall, seq = time 1 in
-  let par_wall, par = time pool in
-  if not (String.equal (Enumerate.digest seq.Enumerate.runs)
-            (Enumerate.digest par.Enumerate.runs))
-  then failwith "enumeration determinism violated: run digests differ";
-  let report name wall (out : Enumerate.outcome) =
+  let nodes (out : Enumerate.outcome) = out.Enumerate.stats.Enumerate.nodes in
+  let extra wall (out : Enumerate.outcome) =
     let st = out.Enumerate.stats in
-    let nodes = st.Enumerate.nodes in
     let hit_rate =
       float_of_int st.Enumerate.dedup_hits
-      /. float_of_int (max 1 (nodes + st.Enumerate.dedup_hits))
+      /. float_of_int (max 1 (nodes out + st.Enumerate.dedup_hits))
     in
-    record name ~wall
-      ~runs:(Some (List.length out.Enumerate.runs))
-      ~extra:
-        (Printf.sprintf
-           ", \"nodes\": %d, \"nodes_per_sec\": %.0f, \"dedup_hits\": %d, \
-            \"dedup_hit_rate\": %.4f, \"prefix_nodes\": %d, \"subtrees\": %d"
-           nodes
-           (if wall > 0.0 then float_of_int nodes /. wall else 0.0)
-           st.Enumerate.dedup_hits hit_rate st.Enumerate.prefix_nodes
-           st.Enumerate.subtrees)
+    Printf.sprintf
+      ", \"nodes\": %d, \"nodes_per_sec\": %.0f, \"dedup_hits\": %d, \
+       \"dedup_hit_rate\": %.4f, \"prefix_nodes\": %d, \"subtrees\": %d"
+      (nodes out)
+      (if wall > 0.0 then float_of_int (nodes out) /. wall else 0.0)
+      st.Enumerate.dedup_hits hit_rate st.Enumerate.prefix_nodes
+      st.Enumerate.subtrees
   in
-  report "enumeration:domains=1" seq_wall seq;
-  report (Printf.sprintf "enumeration:domains=%d" pool) par_wall par;
-  let st = seq.Enumerate.stats in
-  Format.printf "    %-28s %8.0f nodes/s@." "sequential (1 domain)"
-    (float_of_int st.Enumerate.nodes /. seq_wall);
-  Format.printf "    %-28s %8.0f nodes/s  (speedup %.2fx)@."
-    (Printf.sprintf "pool (%d domains)" pool)
-    (float_of_int st.Enumerate.nodes /. par_wall)
-    (seq_wall /. par_wall);
+  let _, out =
+    measure ~name:"enumeration" ~unit:"nodes/s"
+      ~pool:(max (Ensemble.domain_count ()) 2)
+      ~key:(fun out -> Enumerate.digest out.Enumerate.runs)
+      ~count:nodes
+      ~runs:(fun out -> List.length out.Enumerate.runs)
+      ~extra
+      (fun domains -> Enumerate.runs ~domains cfg proto)
+  in
+  let st = out.Enumerate.stats in
   Format.printf
     "    (digest-identical run sets: %d runs, %d nodes, %d dedup hits, %d \
      subtrees)@."
-    (List.length seq.Enumerate.runs)
-    st.Enumerate.nodes st.Enumerate.dedup_hits st.Enumerate.subtrees;
-  (* the loud-truncation gate: an impossible budget must raise, never
-     silently under-approximate the system *)
-  let tiny = { cfg with Enumerate.max_nodes = 10 } in
-  (match Enumerate.runs_exn tiny proto with
-  | exception Enumerate.Truncated _ -> ()
-  | _ -> failwith "enumeration truncation gate: runs_exn did not raise");
-  let out = Enumerate.runs tiny proto in
-  if out.Enumerate.exhaustive then
-    failwith "enumeration truncation gate: tiny budget claims exhaustive";
-  Format.printf
-    "    (truncation gate: max_nodes=10 raises Truncated and reports \
-     exhaustive=false)@."
+    (List.length out.Enumerate.runs)
+    st.Enumerate.nodes st.Enumerate.dedup_hits st.Enumerate.subtrees
 
 (* P7: schedule-explorer throughput. An exhaustive bounded search with a
    property that never fires (DC3 holds by construction), so the whole
@@ -613,47 +559,18 @@ let explorer_throughput ~gate () =
         domains = Some domains;
       }
     in
-    let t0 = Unix.gettimeofday () in
-    let outcome, stats = Explore.Engine.search ~options problem in
-    (match outcome with
-    | Explore.Engine.Exhausted _ | Explore.Engine.Budget _ -> ()
-    | Explore.Engine.Violation _ ->
-        failwith "explorer perf: DC3 unexpectedly violated");
-    (Unix.gettimeofday () -. t0, stats.Explore.Engine.explored)
+    match Explore.Engine.search ~options problem with
+    | (Explore.Engine.Exhausted _ | Explore.Engine.Budget _), stats ->
+        stats.Explore.Engine.explored
+    | Explore.Engine.Violation _, _ ->
+        failwith "explorer perf: DC3 unexpectedly violated"
   in
-  let pool = max (Ensemble.domain_count ()) 1 in
-  let seq_wall, explored = search 1 in
-  let par_wall, explored' = search pool in
-  if explored <> explored' then
-    failwith "explorer determinism violated: explored counts differ";
-  record "explorer:domains=1" ~wall:seq_wall ~runs:(Some explored);
-  record
-    (Printf.sprintf "explorer:domains=%d" pool)
-    ~wall:par_wall ~runs:(Some explored);
-  Format.printf "    %-28s %8.0f states/s@." "sequential (1 domain)"
-    (float_of_int explored /. seq_wall);
-  Format.printf "    %-28s %8.0f states/s  (speedup %.2fx)@."
-    (Printf.sprintf "pool (%d domains)" pool)
-    (float_of_int explored /. par_wall)
-    (seq_wall /. par_wall);
+  let _, explored =
+    measure ~name:"explorer" ~unit:"states/s" ~gate ~key:string_of_int
+      ~count:Fun.id search
+  in
   Format.printf "    (exhaustive to depth 2: %d states, both counts equal)@."
-    explored;
-  (* the scaling gate that keeps the PR-3 regression (domains=2 ran the
-     explorer 2.2x slower than domains=1, because every 256-node chunk
-     spawned and joined fresh domains) from ever coming back. Only
-     meaningful where there is parallel hardware to scale onto: on a
-     single-core runner extra domains time-share one core and the ratio
-     measures the OS scheduler, not the dispatch path. *)
-  if
-    gate && pool >= 2
-    && Domain.recommended_domain_count () >= 2
-    && par_wall > 1.10 *. seq_wall
-  then
-    failwith
-      (Printf.sprintf
-         "explorer parallel scaling regressed: domains=%d took %.3fs vs \
-          %.3fs at domains=1 (> 10%% slower)"
-         pool par_wall seq_wall)
+    explored
 
 (* P9: the explorer at a million states. The heartbeat protocol is the
    reduction showcase: periodic heartbeats pile up into backlogs whose
@@ -689,129 +606,76 @@ let explorer_million ~gate () =
     Explore.Problem.make ~name:"p9-heartbeat" ~config ~protocol
       ~protocol_label:"heartbeat" Explore.Property.Dc3
   in
+  let open Explore.Engine in
   let options mode domains =
     {
-      Explore.Engine.default_options with
-      Explore.Engine.mode;
+      default_options with
+      mode;
       depth = 2;
-      max_runs = 120_000;
+      (* fuzz never exhausts; its budget is its phase size *)
+      max_runs = (if mode = Fuzz then 600 else 120_000);
       crash_points = 1_000;
       pick_points = 1_000;
       domains = Some domains;
       mutants = 16;
     }
   in
+  (* bfs and dpor must exhaust the move space; fuzz must end on its
+     budget *)
   let phase mode domains =
-    let t0 = Unix.gettimeofday () in
-    let outcome, stats =
-      Explore.Engine.search ~options:(options mode domains) problem
+    let wall, (outcome, stats) =
+      time (fun () -> search ~options:(options mode domains) problem)
     in
-    (Unix.gettimeofday () -. t0, outcome, stats)
-  in
-  let pool = max (Ensemble.domain_count ()) 1 in
-  let exhausted mode (outcome : Explore.Engine.outcome) =
-    match outcome with
-    | Explore.Engine.Exhausted _ -> ()
-    | Explore.Engine.Budget _ ->
+    (match (mode, outcome) with
+    | Fuzz, Budget _ | (Bfs | Dpor), Exhausted _ -> ()
+    | _, (Exhausted _ | Budget _) ->
         failwith
-          (Printf.sprintf "P9: %s ran out of budget before the move space"
-             (Explore.Engine.mode_to_string mode))
-    | Explore.Engine.Violation _ ->
+          (Printf.sprintf "P9: %s %s" (mode_to_string mode)
+             (if mode = Fuzz then "claims exhaustion"
+              else "ran out of budget before the move space"))
+    | _, Violation _ ->
         failwith
           (Printf.sprintf "P9: DC3 unexpectedly violated in %s mode"
-             (Explore.Engine.mode_to_string mode))
+             (mode_to_string mode)));
+    (wall, stats)
   in
-  let report name wall (stats : Explore.Engine.stats) =
-    record name ~wall
-      ~runs:(Some stats.Explore.Engine.explored)
+  let report name wall stats =
+    record name ~wall ~runs:(Some stats.explored)
       ~extra:
         (Printf.sprintf
            ", \"states\": %d, \"states_per_sec\": %.0f, \"distinct\": %d, \
             \"seen_hits\": %d, \"pruned\": %d"
-           stats.Explore.Engine.states
-           (if wall > 0.0 then
-              float_of_int stats.Explore.Engine.states /. wall
-            else 0.0)
-           stats.Explore.Engine.distinct stats.Explore.Engine.seen_hits
-           stats.Explore.Engine.pruned);
+           stats.states
+           (if wall > 0.0 then float_of_int stats.states /. wall else 0.0)
+           stats.distinct stats.seen_hits stats.pruned);
     Format.printf "    %-28s %8.0f states/s  (%d runs, %d states, %d pruned)@."
       name
-      (float_of_int stats.Explore.Engine.states /. wall)
-      stats.Explore.Engine.explored stats.Explore.Engine.states
-      stats.Explore.Engine.pruned
+      (float_of_int stats.states /. wall)
+      stats.explored stats.states stats.pruned
   in
-  let bfs_wall, bfs_outcome, bfs = phase Explore.Engine.Bfs 1 in
-  exhausted Explore.Engine.Bfs bfs_outcome;
-  let dpor_wall, dpor_outcome, dpor = phase Explore.Engine.Dpor 1 in
-  exhausted Explore.Engine.Dpor dpor_outcome;
-  (* fuzz never exhausts; its budget is its phase size *)
-  let fuzz_options domains =
-    { (options Explore.Engine.Fuzz domains) with Explore.Engine.max_runs = 600 }
-  in
-  let fuzz_wall, fuzz_outcome, fuzz =
-    let t0 = Unix.gettimeofday () in
-    let outcome, stats =
-      Explore.Engine.search ~options:(fuzz_options 1) problem
-    in
-    (Unix.gettimeofday () -. t0, outcome, stats)
-  in
-  (match fuzz_outcome with
-  | Explore.Engine.Budget _ -> ()
-  | Explore.Engine.Exhausted _ -> failwith "P9: fuzz claims exhaustion"
-  | Explore.Engine.Violation _ ->
-      failwith "P9: DC3 unexpectedly violated in fuzz mode");
+  let bfs_wall, bfs = phase Bfs 1 in
+  let dpor_wall, dpor = phase Dpor 1 in
+  let fuzz_wall, fuzz = phase Fuzz 1 in
   report "explorer-p9:bfs" bfs_wall bfs;
   report "explorer-p9:dpor" dpor_wall dpor;
   report "explorer-p9:fuzz" fuzz_wall fuzz;
   (* determinism: the pool must reproduce the sequential counts exactly *)
-  if pool >= 2 then begin
-    let _, dpor_outcome', dpor' = phase Explore.Engine.Dpor pool in
-    exhausted Explore.Engine.Dpor dpor_outcome';
-    if
-      dpor'.Explore.Engine.explored <> dpor.Explore.Engine.explored
-      || dpor'.Explore.Engine.states <> dpor.Explore.Engine.states
-      || dpor'.Explore.Engine.seen_hits <> dpor.Explore.Engine.seen_hits
-    then
-      failwith
-        (Printf.sprintf
-           "P9 determinism violated: domains=%d explored/states/hits \
-            %d/%d/%d vs %d/%d/%d at domains=1"
-           pool dpor'.Explore.Engine.explored dpor'.Explore.Engine.states
-           dpor'.Explore.Engine.seen_hits dpor.Explore.Engine.explored
-           dpor.Explore.Engine.states dpor.Explore.Engine.seen_hits);
-    let _, fuzz_outcome', fuzz' =
-      let t0 = Unix.gettimeofday () in
-      let outcome, stats =
-        Explore.Engine.search ~options:(fuzz_options pool) problem
-      in
-      (Unix.gettimeofday () -. t0, outcome, stats)
-    in
-    ignore fuzz_outcome';
-    if
-      fuzz'.Explore.Engine.explored <> fuzz.Explore.Engine.explored
-      || fuzz'.Explore.Engine.states <> fuzz.Explore.Engine.states
-    then
-      failwith
-        (Printf.sprintf
-           "P9 fuzz determinism violated: domains=%d explored/states %d/%d \
-            vs %d/%d at domains=1"
-           pool fuzz'.Explore.Engine.explored fuzz'.Explore.Engine.states
-           fuzz.Explore.Engine.explored fuzz.Explore.Engine.states)
-  end;
-  let total_states =
-    bfs.Explore.Engine.states + dpor.Explore.Engine.states
-    + fuzz.Explore.Engine.states
+  let pool = max (Ensemble.domain_count ()) 1 in
+  let key s =
+    Printf.sprintf "explored/states/hits %d/%d/%d" s.explored s.states
+      s.seen_hits
   in
-  let ratio =
-    float_of_int bfs.Explore.Engine.explored
-    /. float_of_int (max 1 dpor.Explore.Engine.explored)
-  in
-  let rate = float_of_int total_states /. (bfs_wall +. dpor_wall +. fuzz_wall) in
-  record "explorer-p9:total" ~wall:(bfs_wall +. dpor_wall +. fuzz_wall)
-    ~runs:
-      (Some
-         (bfs.Explore.Engine.explored + dpor.Explore.Engine.explored
-        + fuzz.Explore.Engine.explored))
+  if pool >= 2 then
+    List.iter
+      (fun (mode, stats) ->
+        same_key "P9" ~key ~domains:pool stats (snd (phase mode pool)))
+      [ (Dpor, dpor); (Fuzz, fuzz) ];
+  let total_states = bfs.states + dpor.states + fuzz.states in
+  let ratio = float_of_int bfs.explored /. float_of_int (max 1 dpor.explored) in
+  let wall = bfs_wall +. dpor_wall +. fuzz_wall in
+  let rate = float_of_int total_states /. wall in
+  record "explorer-p9:total" ~wall
+    ~runs:(Some (bfs.explored + dpor.explored + fuzz.explored))
     ~extra:
       (Printf.sprintf ", \"states\": %d, \"reduction_ratio\": %.2f" total_states
          ratio);
@@ -850,122 +714,63 @@ let classification ~smoke () =
     }
   in
   let cell domains =
-    let t0 = Unix.gettimeofday () in
     match
       Explore.Classify.classify ~domains ~backend:"phi"
         ~regime:Explore.Classify.Fair_lossy params
     with
     | Error e -> failwith ("classification bench: " ^ e)
-    | Ok o -> (Unix.gettimeofday () -. t0, o)
+    | Ok o -> o
   in
-  let pool = max (Ensemble.domain_count ()) 1 in
-  let seq_wall, seq = cell 1 in
-  let par_wall, par = cell pool in
-  if not (String.equal seq.Explore.Classify.digest par.Explore.Classify.digest)
-  then
-    failwith
-      (Printf.sprintf
-         "classification determinism violated: digest %s at domains=1 vs %s \
-          at domains=%d"
-         seq.Explore.Classify.digest par.Explore.Classify.digest pool);
-  let runs = params.Explore.Classify.runs in
-  let extra =
-    Printf.sprintf ", \"assignment\": \"%s\", \"digest\": \"%s\""
-      (json_escape
-         (Explore.Classify.assignment_string seq.Explore.Classify.assignment))
-      (json_escape seq.Explore.Classify.digest)
+  let assignment (o : Explore.Classify.outcome) =
+    Explore.Classify.assignment_string o.Explore.Classify.assignment
   in
-  record "classification:domains=1" ~wall:seq_wall ~runs:(Some runs) ~extra;
-  record
-    (Printf.sprintf "classification:domains=%d" pool)
-    ~wall:par_wall ~runs:(Some runs) ~extra;
-  Format.printf "    %-28s %8.2f runs/s@." "sequential (1 domain)"
-    (float_of_int runs /. seq_wall);
-  Format.printf "    %-28s %8.2f runs/s  (speedup %.2fx)@."
-    (Printf.sprintf "pool (%d domains)" pool)
-    (float_of_int runs /. par_wall)
-    (seq_wall /. par_wall);
+  let digest (o : Explore.Classify.outcome) = o.Explore.Classify.digest in
+  let _, o =
+    measure ~name:"classification" ~unit:"runs/s" ~key:digest
+      ~count:(fun _ -> params.Explore.Classify.runs)
+      ~extra:(fun _ o ->
+        Printf.sprintf ", \"assignment\": \"%s\", \"digest\": \"%s\""
+          (json_escape (assignment o))
+          (json_escape (digest o)))
+      cell
+  in
   Format.printf
     "    (phi × lossy assignment %S, outcome digest bit-identical at \
-     domains 1 and %d)@."
-    (Explore.Classify.assignment_string seq.Explore.Classify.assignment)
-    pool
+     domains 1 and on the pool)@."
+    (assignment o)
 
-(* P12: the sharded large-n engine. Two gates ride the smoke job. The
-   fidelity gate runs one small-n workload through [Sim.execute] and
-   [Scale.Shard.execute ~shards:1] at domain counts 1/2/4 and requires
-   bit-identical run digests. Both engines run the same slot kernel
-   ([Sim.tick]), so the gate is a tripwire for what each adds around
-   it: a drift means their views, barrier or set-up diverged, and every
-   pinned digest in the repo is suspect. The throughput gate times
+(* P12: the sharded large-n engine's throughput floor. It times
    [Shard.execute] directly (the estimator's wall clock includes
-   indexing, scoring and digesting) on a gossip ring at n = 100k
-   (smoke: 10k). The traced end-to-end benchmark (bench/e2e/README.md)
-   puts the kernel at about 2us per slot on one core of a 2-vCPU VM,
-   of which decision draws are 3.5%; the floor sits 10x under the
-   measured rate (conservative floor, same policy as P9). *)
+   indexing, scoring and digesting) on a gossip ring at n = 100k (smoke:
+   10k). The traced end-to-end benchmark (bench/e2e/README.md) puts the
+   kernel at about 2us per slot on one core of a 2-vCPU VM, of which
+   decision draws are 3.5%; the floor sits 10x under the measured rate
+   (conservative floor, same policy as P9). That shards=1 is
+   bit-identical to [Sim.execute] at domains 1/2/4 is test_scale's
+   [engines_agree] and [udc scale --check-digest]'s gate. *)
 let sharded_engine ~smoke () =
-  Util.header "P12: sharded engine (shards=1 digest gate + throughput)";
+  Util.header "P12: sharded engine throughput";
   let mk_pair =
     match Detector.Backends.of_ring_label "gossip" with
     | Some mk -> mk
     | None -> failwith "P12: gossip backend missing"
   in
-  let pair p =
-    let committee =
-      if p.Scale.Estimate.committee > 0 then
-        Some (p.Scale.Estimate.committee, (module Core.Ack_udc.P : Protocol.S))
-      else None
-    in
-    mk_pair ~degree:p.Scale.Estimate.degree ?committee
-      ~n:p.Scale.Estimate.n ()
-  in
-  (* fidelity: small n so the unsharded reference run stays cheap *)
-  let p_small =
-    Scale.Estimate.params ~n:48 ~ticks:160 ~seed:7L ~backend:"gossip" ()
-  in
-  let cfg_small = Scale.Estimate.config p_small ~seed:7L in
-  let run_with exec =
-    let pr = pair p_small in
-    exec
-      { cfg_small with Sim.oracle = pr.Detector.Backends.oracle }
-      pr.Detector.Backends.protocol
-  in
-  let reference = Run.digest (run_with Sim.execute).Sim.run in
-  List.iter
-    (fun domains ->
-      let d =
-        Run.digest
-          (run_with (Scale.Shard.execute ~shards:1 ~domains)).Sim.run
-      in
-      if not (String.equal d reference) then
-        failwith
-          (Printf.sprintf
-             "P12 fidelity violated: shards=1 digest %s at domains=%d vs \
-              Sim.execute %s"
-             d domains reference))
-    [ 1; 2; 4 ];
-  Format.printf
-    "    digest gate: shards=1 bit-identical to Sim.execute at domains \
-     1/2/4 (%s)@."
-    reference;
-  (* throughput: the bare engine, no committee (the detector ring is the
-     per-slot workload the E18 grid scales) *)
+  (* the bare engine, no committee (the detector ring is the per-slot
+     workload the E18 grid scales) *)
   let n = if smoke then 10_000 else 100_000 in
   let ticks = 12 in
-  let p_big =
+  let p =
     Scale.Estimate.params ~n ~shards:4 ~committee:0 ~ticks ~faults:2
       ~seed:11L ~backend:"gossip" ()
   in
-  let cfg_big = Scale.Estimate.config p_big ~seed:11L in
-  let pr = pair p_big in
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Scale.Shard.execute ~shards:4
-      { cfg_big with Sim.oracle = pr.Detector.Backends.oracle }
-      pr.Detector.Backends.protocol
+  let cfg = Scale.Estimate.config p ~seed:11L in
+  let pr = mk_pair ~degree:p.Scale.Estimate.degree ~n () in
+  let wall, result =
+    time (fun () ->
+        Scale.Shard.execute ~shards:4
+          { cfg with Sim.oracle = pr.Detector.Backends.oracle }
+          pr.Detector.Backends.protocol)
   in
-  let wall = Unix.gettimeofday () -. t0 in
   let rate = float_of_int (n * ticks) /. wall in
   let extra =
     Printf.sprintf
@@ -984,10 +789,10 @@ let sharded_engine ~smoke () =
           (conservative floor: this machine measures ~1e5)"
          rate)
 
-(* [smoke] keeps only the fast self-checking experiments — the kernel
-   differential, the ensemble determinism assertion, and the explorer
-   determinism assertion — so CI can gate on them and still publish a
-   BENCH_perf.json artifact. *)
+(* [smoke] keeps only the fast self-checking experiments, so CI can gate
+   on them and still publish a BENCH_perf.json artifact: the kernel
+   differential, the cross-domain determinism keys of P5/P10, P7, P8, P9
+   and P11, the scaling gates of P5 and P7, and the P9 and P12 floors. *)
 let run ?(smoke = false) ?(pool_stats = false) () =
   records := [];
   if not smoke then begin
@@ -999,26 +804,11 @@ let run ?(smoke = false) ?(pool_stats = false) () =
     timed "lag-sensitivity" ~runs:48 lag_sensitivity
   end;
   checker_kernel ();
-  (* the smoke job gates on ensemble parallel scaling too — Ensemble.run
-     callers were the first victims of the spawn-per-call regression *)
   ensemble_throughput ~gate:smoke ();
-  (* the flat-representation gate rides the smoke job: CI fails if run
-     digests drift from their pins or across domain counts *)
-  flat_run_representation ();
-  (* enumeration rides the smoke job too: the digest match across domain
-     counts and the loud-truncation gate are cheap and self-checking *)
   enumeration ~smoke ();
-  (* the smoke job gates on parallel scaling so the spawn-per-call
-     regression stays fixed forever *)
   explorer_throughput ~gate:smoke ();
-  (* P9 rides the smoke job: the million-state floor, the dpor reduction
-     ratio and the cross-domain count equality are all self-checking *)
   explorer_million ~gate:smoke ();
-  (* classification rides the smoke job: the cross-domain digest gate
-     keeps the empirical Table 1 rows machine-independent *)
   classification ~smoke ();
-  (* the sharded engine rides the smoke job: the shards=1 digest gate and
-     the throughput floor are both self-checking *)
   sharded_engine ~smoke ();
   write_json "BENCH_perf.json";
   if pool_stats then
