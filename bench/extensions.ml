@@ -338,7 +338,7 @@ let classify () =
      replayable witness that phi does not realise the class P *)
   (match
      Explore.Classify.certify ~backend:"phi" ~against:Detector.Spec.Perfect
-       ~n:5 ()
+       ~n:5
    with
   | Error e -> failwith e
   | Ok cert ->
@@ -407,7 +407,7 @@ let kset () =
     Detector.Backends.labels;
   (* the negative cell, certified: with the adversary playing the
      detector, a legal schedule splits the min rule past k values *)
-  (match Explore.Classify.certify_kset ~k:1 ~n:3 () with
+  (match Explore.Classify.certify_kset ~k:1 ~n:3 with
   | Error e -> failwith e
   | Ok cert ->
       Format.printf

@@ -636,7 +636,7 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
         | Some against -> (
             Format.printf "certify: searching for a schedule violating %s@."
               (Detector.Spec.cls_name against);
-            match Explore.Classify.certify ~backend ~against ~n () with
+            match Explore.Classify.certify ~backend ~against ~n with
             | Error e -> fail "certification failed: %s" e
             | Ok cert ->
                 Format.printf "certified: %s is not %s (%d runs explored)@."
@@ -669,7 +669,7 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
         Format.printf
           "certify: searching for a suspicion pattern deciding > %d values@."
           k;
-        match Explore.Classify.certify_kset ~k ~n () with
+        match Explore.Classify.certify_kset ~k ~n with
         | Error e -> fail "certification failed: %s" e
         | Ok cert ->
             Format.printf

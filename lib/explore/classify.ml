@@ -224,14 +224,17 @@ type certificate = {
   explored : int;
 }
 
-let certify ?(max_ticks = 160) ?(options = Engine.default_options) ~backend
-    ~against ~n () =
+let certify ~backend ~against ~n =
   match Protocols.instantiate backend ~n with
   | Error _ ->
       Error (Printf.sprintf "unknown detector backend %S" backend)
   | Ok protocol ->
       let config =
-        { (Sim.config ~n ~seed:1L) with Sim.goal = Sim.Run_to_max; max_ticks }
+        {
+          (Sim.config ~n ~seed:1L) with
+          Sim.goal = Sim.Run_to_max;
+          max_ticks = 160;
+        }
       in
       let problem =
         Problem.make
@@ -239,7 +242,7 @@ let certify ?(max_ticks = 160) ?(options = Engine.default_options) ~backend
           ~config ~protocol ~protocol_label:backend
           (Property.Detector against)
       in
-      let outcome, stats = Engine.search ~options problem in
+      let outcome, stats = Engine.search problem in
       let explored = stats.Engine.explored in
       (match outcome with
       | Engine.Violation (witness, _) ->
@@ -401,14 +404,13 @@ type kset_certificate = { k : int; repro : Repro.t; explored : int }
    a violation is a legal schedule + suspicion pattern under which the
    min-rule protocol decides more than [k] values — exactly what an
    oracle below (S,k) permits. *)
-let certify_kset ?(max_ticks = 40) ?(options = Engine.default_options) ~k ~n ()
-    =
+let certify_kset ~k ~n =
   if k < 1 then invalid_arg "Classify.certify_kset: k < 1";
   let config =
     {
       (Sim.config ~n ~seed:1L) with
       Sim.goal = Sim.Run_to_max;
-      max_ticks;
+      max_ticks = 40;
       init_plan = proposal_plan n;
     }
   in
@@ -419,7 +421,7 @@ let certify_kset ?(max_ticks = 40) ?(options = Engine.default_options) ~k ~n ()
       ~protocol:(fun p -> Protocol.make (module Consensus.Kset.P) ~n ~me:p)
       ~protocol_label:"kset" (Property.Kset k)
   in
-  let outcome, stats = Engine.search ~options problem in
+  let outcome, stats = Engine.search problem in
   let explored = stats.Engine.explored in
   match outcome with
   | Engine.Violation (witness, _) ->

@@ -91,16 +91,14 @@ type certificate = {
   explored : int;  (** explorer nodes evaluated *)
 }
 
-(** Bounded search for a legal schedule violating [against]'s axioms on
-    a crash-free run of the backend. [Error] when the bounded space
-    contains no violation (itself evidence, at that depth). *)
+(** Bounded search, with {!Engine.default_options}, for a legal schedule
+    violating [against]'s axioms on a crash-free 160-tick run of the
+    backend. [Error] when the bounded space contains no violation
+    (itself evidence, at that depth). *)
 val certify :
-  ?max_ticks:int ->
-  ?options:Engine.options ->
   backend:string ->
   against:Detector.Spec.cls ->
   n:int ->
-  unit ->
   (certificate, string) result
 
 (** {2 k-set agreement grid}
@@ -155,16 +153,11 @@ type kset_certificate = {
   explored : int;  (** explorer nodes evaluated *)
 }
 
-(** Certify a negative cell: bounded search, with the {e adversarial}
+(** Certify a negative cell: bounded search, with
+    {!Engine.default_options} over 40-tick runs and the {e adversarial}
     oracle playing the detector (explorer-chosen suspicions), for a
     legal schedule on which the min-rule protocol decides more than [k]
     values — evidence that an oracle below (S,k) admits the violation.
     [Error] when the bounded space contains none. Raises
     [Invalid_argument] when [k < 1]. *)
-val certify_kset :
-  ?max_ticks:int ->
-  ?options:Engine.options ->
-  k:int ->
-  n:int ->
-  unit ->
-  (kset_certificate, string) result
+val certify_kset : k:int -> n:int -> (kset_certificate, string) result

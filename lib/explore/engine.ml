@@ -43,15 +43,8 @@ type options = {
   max_runs : int;
   crash_points : int;
   pick_points : int;
-  suspect_points : int;
-  suspect_stride : int;
   branch_silences : bool;
-  branch_crashes : bool;
-  branch_picks : bool;
-  branch_deliver : bool;
-  branch_suspects : bool option;
   seen_cache : bool;
-  chunk : int;
   mutants : int;
 }
 
@@ -64,17 +57,21 @@ let default_options =
     max_runs = 20_000;
     crash_points = 8;
     pick_points = 6;
-    suspect_points = 2;
-    suspect_stride = 3;
     branch_silences = true;
-    branch_crashes = true;
-    branch_picks = true;
-    branch_deliver = false;
-    branch_suspects = None;
     seen_cache = true;
-    chunk = 1024;
     mutants = 16;
   }
+
+(* Suspicion branch points per process, and the fewest ticks between two
+   of them in bfs mode (dpor spaces them by dependence instead). *)
+let suspect_points = 2
+let suspect_stride = 3
+
+(* Runs evaluated per {!Ensemble} wave. The witness and every counter
+   are independent of it: waves partition the frontier in order and each
+   is merged in frontier order, so the first violating node of the BFS
+   prefix wins for every wave size, and counting stops at the witness. *)
+let chunk = 1024
 
 type stats = {
   explored : int;
@@ -107,7 +104,8 @@ type outcome = Violation of witness * stats | Exhausted of stats | Budget of sta
      capped per victim;
    - pick deviations only for alternatives with a distinct content key
      (delivering an identical message commutes);
-   - suspicion deviations capped per process and spaced by ticks.
+   - suspicion deviations capped per process and spaced by ticks, only
+     when the problem lets the explorer play the detector.
    In dpor mode the journal's happens-before relation ({!Hb}) tightens the
    crash, suspicion and pick families further — see each family below for
    the equivalence argument — and the suppressed branch points are counted
@@ -139,54 +137,48 @@ let children problem opts node (journal : Decision.entry array) =
       | _ -> ()
     done
   end;
-  if opts.branch_crashes then begin
-    let last_events = Hashtbl.create 8 and count = Hashtbl.create 8 in
-    (* dpor: last *kept* crash point per victim, as (index, events) *)
-    let last_kept = Hashtbl.create 8 in
-    for i = 0 to limit - 1 do
-      match (journal.(i).Decision.query, journal.(i).Decision.taken) with
-      | Decision.Q_crash { pid; events }, Decision.Crash false ->
-          let fresh =
-            match Hashtbl.find_opt last_events pid with
-            | Some e -> e <> events
-            | None -> true
-          in
-          Hashtbl.replace last_events pid events;
-          if fresh && i > last_dev then begin
-            let c = Option.value ~default:0 (Hashtbl.find_opt count pid) in
-            if c < opts.crash_points then begin
-              (* dpor refinement: a crash point whose whole event delta
-                 since the previous kept point is passive receipts
-                 commutes with it — the victim's trailing receives are
-                 the only difference between the two runs, and a crashed
-                 process's unacted-on receipts are invisible to every
-                 property. Points where the victim sent, initiated,
-                 performed or reported remain dependent and are kept. *)
-              let keep =
-                (not dpor)
-                ||
-                match Hashtbl.find_opt last_kept pid with
-                | None -> true
-                | Some (i0, e0) ->
-                    events - e0
-                    > Hb.receives_between journal ~dst:pid ~lo:i0 ~hi:i
-              in
-              if keep then begin
-                Hashtbl.replace count pid (c + 1);
-                Hashtbl.replace last_kept pid (i, events);
-                emit (Deviate (i, Decision.Crash true))
-              end
-              else incr pruned
-            end
-          end
-      | _ -> ()
-    done
-  end;
-  let branch_suspects =
-    Option.value ~default:problem.Problem.adversarial_oracle
-      opts.branch_suspects
-  in
-  if branch_suspects then begin
+  (let last_events = Hashtbl.create 8 and count = Hashtbl.create 8 in
+   (* dpor: last *kept* crash point per victim, as (index, events) *)
+   let last_kept = Hashtbl.create 8 in
+   for i = 0 to limit - 1 do
+     match (journal.(i).Decision.query, journal.(i).Decision.taken) with
+     | Decision.Q_crash { pid; events }, Decision.Crash false ->
+         let fresh =
+           match Hashtbl.find_opt last_events pid with
+           | Some e -> e <> events
+           | None -> true
+         in
+         Hashtbl.replace last_events pid events;
+         if fresh && i > last_dev then begin
+           let c = Option.value ~default:0 (Hashtbl.find_opt count pid) in
+           if c < opts.crash_points then begin
+             (* dpor refinement: a crash point whose whole event delta
+                since the previous kept point is passive receipts
+                commutes with it — the victim's trailing receives are
+                the only difference between the two runs, and a crashed
+                process's unacted-on receipts are invisible to every
+                property. Points where the victim sent, initiated,
+                performed or reported remain dependent and are kept. *)
+             let keep =
+               (not dpor)
+               ||
+               match Hashtbl.find_opt last_kept pid with
+               | None -> true
+               | Some (i0, e0) ->
+                   events - e0
+                   > Hb.receives_between journal ~dst:pid ~lo:i0 ~hi:i
+             in
+             if keep then begin
+               Hashtbl.replace count pid (c + 1);
+               Hashtbl.replace last_kept pid (i, events);
+               emit (Deviate (i, Decision.Crash true))
+             end
+             else incr pruned
+           end
+         end
+     | _ -> ()
+   done);
+  if problem.Problem.adversarial_oracle then begin
     let count = Hashtbl.create 8 and last_tick = Hashtbl.create 8 in
     let last_kept = Hashtbl.create 8 in
     for i = 0 to limit - 1 do
@@ -204,11 +196,11 @@ let children problem opts node (journal : Decision.entry array) =
               | Some i0 -> Hb.touches_between journal ~pid ~lo:i0 ~hi:i
             else
               match Hashtbl.find_opt last_tick pid with
-              | Some t -> journal.(i).Decision.tick >= t + opts.suspect_stride
+              | Some t -> journal.(i).Decision.tick >= t + suspect_stride
               | None -> true
           in
           let c = Option.value ~default:0 (Hashtbl.find_opt count pid) in
-          if c < opts.suspect_points then begin
+          if c < suspect_points then begin
             if spaced then begin
               Hashtbl.replace last_tick pid journal.(i).Decision.tick;
               Hashtbl.replace last_kept pid i;
@@ -222,62 +214,49 @@ let children problem opts node (journal : Decision.entry array) =
       | _ -> ()
     done
   end;
-  if opts.branch_picks then begin
-    let points = ref 0 in
-    (* dpor: last kept pick point per destination, as (index, sorted
-       keys) *)
-    let last_kept = Hashtbl.create 8 in
-    for i = 0 to limit - 1 do
-      match (journal.(i).Decision.query, journal.(i).Decision.taken) with
-      | Decision.Q_pick { dst; keys }, Decision.Pick k
-        when i > last_dev && Array.length keys > 1 && !points < opts.pick_points
-        ->
-          (* dpor refinement: a pick point whose alternative set is the
-             same as the destination's previous kept point, with nothing
-             touching the destination in between, offers the same
-             reorderings — branching there again explores permutations
-             of commuting deliveries *)
-          let sorted () =
-            let s = Array.copy keys in
-            Array.sort compare s;
-            s
-          in
-          let keep =
-            (not dpor)
-            ||
-            match Hashtbl.find_opt last_kept dst with
-            | None -> true
-            | Some (i0, keys0) ->
-                keys0 <> sorted ()
-                || Hb.touches_between journal ~pid:dst ~lo:i0 ~hi:i
-          in
-          if keep then begin
-            incr points;
-            if dpor then Hashtbl.replace last_kept dst (i, sorted ());
-            let seen = ref [ keys.(k) ] in
-            Array.iteri
-              (fun j key ->
-                if j <> k && not (List.mem key !seen) then begin
-                  seen := key :: !seen;
-                  emit (Deviate (i, Decision.Pick j))
-                end)
-              keys
-          end
-          else incr pruned
-      | _ -> ()
-    done
-  end;
-  if opts.branch_deliver then begin
-    let points = ref 0 in
-    for i = 0 to limit - 1 do
-      match (journal.(i).Decision.query, journal.(i).Decision.taken) with
-      | Decision.Q_deliver _, Decision.Deliver true
-        when i > last_dev && !points < opts.pick_points ->
-          incr points;
-          emit (Deviate (i, Decision.Deliver false))
-      | _ -> ()
-    done
-  end;
+  (let points = ref 0 in
+   (* dpor: last kept pick point per destination, as (index, sorted
+      keys) *)
+   let last_kept = Hashtbl.create 8 in
+   for i = 0 to limit - 1 do
+     match (journal.(i).Decision.query, journal.(i).Decision.taken) with
+     | Decision.Q_pick { dst; keys }, Decision.Pick k
+       when i > last_dev && Array.length keys > 1 && !points < opts.pick_points
+       ->
+         (* dpor refinement: a pick point whose alternative set is the
+            same as the destination's previous kept point, with nothing
+            touching the destination in between, offers the same
+            reorderings — branching there again explores permutations
+            of commuting deliveries *)
+         let sorted () =
+           let s = Array.copy keys in
+           Array.sort compare s;
+           s
+         in
+         let keep =
+           (not dpor)
+           ||
+           match Hashtbl.find_opt last_kept dst with
+           | None -> true
+           | Some (i0, keys0) ->
+               keys0 <> sorted ()
+               || Hb.touches_between journal ~pid:dst ~lo:i0 ~hi:i
+         in
+         if keep then begin
+           incr points;
+           if dpor then Hashtbl.replace last_kept dst (i, sorted ());
+           let seen = ref [ keys.(k) ] in
+           Array.iteri
+             (fun j key ->
+               if j <> k && not (List.mem key !seen) then begin
+                 seen := key :: !seen;
+                 emit (Deviate (i, Decision.Pick j))
+               end)
+             keys
+         end
+         else incr pruned
+     | _ -> ()
+   done);
   (List.rev !out, !pruned)
 
 (* Search nodes accumulate their moves newest-first (a cons per child
@@ -376,14 +355,13 @@ let bfs_search ~options problem =
   let seen = if options.seen_cache then Some (Seen.create ()) else None in
   let c = fresh_counters () in
   let stats depth = snapshot c ~seen ~depth in
-  let wave_cap = max 1 options.chunk in
   let rec level frontier kids_acc =
     match frontier with
     | [] -> `Done (List.concat (List.rev kids_acc))
     | _ when options.max_runs - c.explored <= 0 -> `Budget
     | _ ->
         let now, rest =
-          split_at (min wave_cap (options.max_runs - c.explored)) frontier
+          split_at (min chunk (options.max_runs - c.explored)) frontier
         in
         let now = Array.of_list now in
         let evals, _ =
@@ -527,7 +505,7 @@ let fuzz ?(options = default_options) problem =
     incr rounds;
     (* one wave: every corpus parent contributes [mutants] deterministic
        mutants, capped by the wave size and the remaining budget *)
-    let wave_cap = max 1 (min options.chunk (budget_left ())) in
+    let wave_cap = max 1 (min chunk (budget_left ())) in
     let batch = ref [] in
     let count = ref 0 in
     let parents = Queue.length corpus in

@@ -59,6 +59,12 @@ type mode =
 val mode_to_string : mode -> string
 val mode_of_string : string -> (mode, string) result
 
+(** Search settings. Crash and pick deviations are always branched on;
+    suspicion deviations only when the problem's
+    [Problem.adversarial_oracle] is set (the explorer then plays the
+    detector), at most 2 points per process, spaced by at least 3 ticks
+    in [Bfs] and by dependence in [Dpor]. Waves hold 1024 runs; the
+    witness and every counter are independent of the wave size. *)
 type options = {
   mode : mode;
   depth : int;  (** maximum move-set size (bounded modes) *)
@@ -66,27 +72,12 @@ type options = {
   domains : int option;  (** ensemble domains; [None] = library default *)
   max_runs : int;  (** total run budget *)
   crash_points : int;  (** crash branch points per victim *)
-  pick_points : int;  (** pick / deliver branch points per node *)
-  suspect_points : int;  (** suspicion branch points per process *)
-  suspect_stride : int;
-      (** minimum ticks between suspicion points (bfs; dpor spaces by
-          dependence instead) *)
+  pick_points : int;  (** pick branch points per node *)
   branch_silences : bool;
-  branch_crashes : bool;
-  branch_picks : bool;
-  branch_deliver : bool;  (** off by default: subsumed by picks + R5 *)
-  branch_suspects : bool option;
-      (** [None] follows [Problem.adversarial_oracle] *)
   seen_cache : bool;
       (** cut interior nodes whose run equals an already-expanded one
           (bounded modes; fuzz always keeps its cache — it is the
           coverage map) *)
-  chunk : int;
-      (** nodes evaluated per {!Ensemble} wave. The witness and all
-          counters are chunk-size-independent — waves partition the
-          frontier in order and each is merged in frontier order, so the
-          first violating node of the BFS prefix wins for every
-          chunking, and counting stops at the witness. *)
   mutants : int;  (** fuzz: mutants generated per corpus parent per round *)
 }
 

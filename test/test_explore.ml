@@ -387,7 +387,7 @@ let kset_grid () =
           ~regime:Explore.Classify.Reliable ~k:2 params))
 
 let kset_certify () =
-  match Explore.Classify.certify_kset ~k:1 ~n:3 () with
+  match Explore.Classify.certify_kset ~k:1 ~n:3 with
   | Error e -> Alcotest.fail e
   | Ok cert ->
       Alcotest.(check bool) "explored some runs" true
