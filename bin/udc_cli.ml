@@ -240,6 +240,11 @@ let depth_arg =
 let scenario_of_name name ~n ~t ~seed =
   match name with
   | "solo" -> Ok (Core.Adversary.solo_performer ~n ~seed)
+  | "confined" when 2 * t < n || t > n - 2 ->
+      Error
+        (Printf.sprintf
+           "-t %d outside [%d, %d]: the confined clique needs n/2 <= t <= n - 2"
+           t ((n + 1) / 2) (n - 2))
   | "confined" -> Ok (Core.Adversary.confined_clique ~n ~t ~seed)
   | "lying" -> Ok (Core.Adversary.lying_detector ~n ~seed)
   | "blind" -> Ok (Core.Adversary.blind_detector ~n ~seed)
@@ -645,7 +650,12 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
                   cert.Explore.Classify.explored;
                 emit_repro cert.Explore.Classify.repro))
   | "kset" ->
-      if k < 1 then fail "--k must be >= 1";
+      (* n processes decide at most n values, so any k >= n is attained on
+         every run *)
+      (match Explore.Classify.check params with
+      | Error e -> fail "%s" e
+      | Ok () ->
+          if k < 1 || k > n - 1 then fail "-k %d outside [1, %d]" k (n - 1));
       let outcome =
         match Explore.Classify.kset ?domains ~backend ~regime ~k params with
         | Ok o -> o

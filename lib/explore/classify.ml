@@ -332,8 +332,14 @@ let kset_epistemics ~k run =
   let ks2 = deciders <> [] && List.length core >= min k (List.length correct) in
   (ks1, ks2)
 
+(* n processes decide at most n values, so k-agreement with k >= n holds
+   on every run: such a cell would score a vacuous "attained" *)
+let check_k what ~k ~n =
+  if k < 1 || k > n - 1 then
+    invalid_arg (Printf.sprintf "%s: k = %d outside [1, %d]" what k (n - 1))
+
 let kset ?domains ~backend ~regime ~k params =
-  if k < 1 then invalid_arg "Classify.kset: k < 1";
+  check_k "Classify.kset" ~k ~n:params.n;
   match (check params, Detector.Backends.of_label_inner backend) with
   | Error e, _ -> Error e
   | Ok (), None -> Error (Printf.sprintf "unknown detector backend %S" backend)
@@ -405,7 +411,7 @@ type kset_certificate = { k : int; repro : Repro.t; explored : int }
    min-rule protocol decides more than [k] values — exactly what an
    oracle below (S,k) permits. *)
 let certify_kset ~k ~n =
-  if k < 1 then invalid_arg "Classify.certify_kset: k < 1";
+  check_k "Classify.certify_kset" ~k ~n;
   let config =
     {
       (Sim.config ~n ~seed:1L) with

@@ -136,7 +136,9 @@ type kset_outcome = {
 }
 
 (** Bit-identical at every domain count, like {!classify}. Raises
-    [Invalid_argument] when [k < 1]. *)
+    [Invalid_argument] when [k] is outside [\[1, n - 1\]]: [n]
+    processes decide at most [n] values, so any [k >= n] is attained
+    vacuously. *)
 val kset :
   ?domains:int ->
   backend:string ->
@@ -159,5 +161,6 @@ type kset_certificate = {
     legal schedule on which the min-rule protocol decides more than [k]
     values — evidence that an oracle below (S,k) admits the violation.
     [Error] when the bounded space contains none. Raises
-    [Invalid_argument] when [k < 1]. *)
+    [Invalid_argument] when [k] is outside [\[1, n - 1\]], as {!kset}
+    does. *)
 val certify_kset : k:int -> n:int -> (kset_certificate, string) result

@@ -16,8 +16,12 @@ let parse label =
   | "kset" -> Ok (module Consensus.Kset.P : Protocol.S)
   | s -> (
       match (suffixed ~prefix:"majority:" s, suffixed ~prefix:"gen:" s) with
-      | Some t, _ -> Ok (Core.Majority_udc.make ~t)
-      | _, Some t -> Ok (Core.Generalized_udc.make ~t)
+      | Some t, _ when t >= 0 -> Ok (Core.Majority_udc.make ~t)
+      | _, Some t when t >= 0 -> Ok (Core.Generalized_udc.make ~t)
+      (* a negative threshold waits for more acknowledgements than there
+         are processes, so the protocol never performs *)
+      | Some _, _ | _, Some _ ->
+          errorf "bad protocol %S (expected majority:T | gen:T, T >= 0)" s
       | None, None ->
           errorf
             "unknown protocol %S (expected nudc | reliable | ack | theta | \

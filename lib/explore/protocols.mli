@@ -6,6 +6,8 @@
     protocol under this syntax so a counterexample is replayable from the
     file alone. *)
 
+(** [Error] on an unknown label, and on [majority:T] or [gen:T] with
+    [T < 0]. *)
 val parse : string -> ((module Protocol.S), string) result
 
 (** [backend_pair label] is the fresh-pair constructor when [label] names

@@ -126,6 +126,33 @@ let expect_contract () =
       ("--max-runs", [ "--max-runs=0" ]);
       ("--crash-budget", [ "--crash-budget=-1" ]);
     ];
+  (* the confined clique needs n/2 <= t <= n - 2: outside it the
+     scenario escaped as an uncaught exception (exit 125) *)
+  rejects_bounds
+    [ "explore"; "--scenario"; "confined"; "--expect"; "violation" ]
+    ~small:[ ("--depth", "1") ]
+    [
+      ("-t", [ "-n"; "4"; "-t"; "1" ]);
+      ("-t", [ "-n"; "4"; "-t"; "3" ]);
+      ("-t", [ "-n"; "4"; "-t"; "9" ]);
+      ("-t", [ "-n"; "3" ]);
+    ];
+  (* a negative threshold waits for more acknowledgements than there are
+     processes: the search reported a vacuous violation (exit 0) *)
+  List.iter
+    (fun bad ->
+      let code, err =
+        run_capture
+          [
+            "explore"; "--protocol"; bad; "--property"; "udc"; "-n"; "4";
+            "--depth"; "1"; "--expect"; "violation";
+          ]
+      in
+      let what = "explore: --protocol " ^ bad in
+      Alcotest.(check int) what 2 code;
+      Alcotest.(check bool) (what ^ ", message names the form") true
+        (contains err "majority:T | gen:T"))
+    [ "majority:-1"; "gen:-1" ];
   check_exit "classify: bad regime" 2
     [ "classify"; "--regime"; "bogus" ];
   check_exit "classify: bad problem" 2
@@ -172,6 +199,7 @@ let malformed_repro () =
           ("crash-budget", "-1");
           ("init", "0.-1@1");
           ("digest", String.make 31 'a');
+          ("protocol", "majority:-1");
         ];
       (* a file from before the structural digest says to regenerate it *)
       List.iter
@@ -236,8 +264,8 @@ let enumerate_bounds () =
 
 (* [udc classify] bounds, for both problems: each input either escaped
    as an uncaught exception (exit 125) or printed an assignment that
-   held vacuously, over no run, no tick, no peer or no correct
-   process. *)
+   held vacuously, over no run, no tick, no peer or no correct process,
+   or a k-set bound k >= n that n processes attain on every run. *)
 let classify_bounds () =
   let small = [ ("--runs", "2"); ("--max-ticks", "60") ] in
   let backend = [ "-b"; "gossip"; "-r"; "reliable" ] in
@@ -261,6 +289,9 @@ let classify_bounds () =
       ("--crashes", [ "--crashes=-1" ]);
       ("--runs", [ "--runs"; "0" ]);
       ("--max-ticks", [ "--max-ticks"; "0" ]);
+      ("-k", [ "-k"; "0" ]);
+      ("-k", [ "-k"; "5" ]);
+      ("-k", [ "-n"; "4"; "--crashes"; "1"; "-k"; "4" ]);
     ]
 
 (* [udc simulate] bounds, on the default flags: each input escaped as
