@@ -745,9 +745,9 @@ let classification ~smoke () =
    10k). The traced end-to-end benchmark (bench/e2e/README.md) puts the
    kernel at about 2us per slot on one core of a 2-vCPU VM, of which
    decision draws are 3.5%; the floor sits 10x under the measured rate
-   (conservative floor, same policy as P9). That shards=1 is
-   bit-identical to [Sim.execute] at domains 1/2/4 is test_scale's
-   [engines_agree] and [udc scale --check-digest]'s gate. *)
+   (conservative floor, same policy as P9). test_scale's
+   [engines_agree] and [udc scale --check-digest] check that shards=1 is
+   bit-identical to [Sim.execute]. *)
 let sharded_engine ~smoke () =
   Util.header "P12: sharded engine throughput";
   let mk_pair =
