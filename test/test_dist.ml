@@ -195,6 +195,113 @@ let channel_link_override () =
   Alcotest.(check bool) "0->2 clean" true
     (Channel.send ch ~now:1 ~src:0 ~dst:2 m = `Kept)
 
+(* ---------- Fairness classes ---------- *)
+
+(* Channel fairness counts consecutive drops per class: two sends share a
+   counter exactly when R5's printed class of the two messages is the
+   same. Under an always-drop decision and a bound of 2, one class's
+   third send is forced through, while two classes sent alternately each
+   drop twice. *)
+let kept_under_always_drop msgs =
+  let always_drop ~now:_ ~src:_ ~dst:_ ~rate:_ = true in
+  let ch =
+    Channel.create ~n:2 ~decide:always_drop ~loss_rate:1.0
+      ~max_consecutive_drops:2 ()
+  in
+  List.mapi
+    (fun i m -> Channel.send ch ~now:i ~src:0 ~dst:1 m = `Kept)
+    msgs
+
+let fairness_same_class () =
+  let fact = Fact.Set.singleton (Fact.Crashed 2) in
+  List.iter
+    (fun (what, a, b) ->
+      Alcotest.(check (list bool))
+        (what ^ ": one counter")
+        [ false; false; true ]
+        (kept_under_always_drop [ a; b; a ]))
+    Message.
+      [
+        ( "req",
+          Coord_request (alpha 0 0, Fact.Set.empty),
+          Coord_request (alpha 0 0, fact) );
+        ( "ack",
+          Coord_ack (alpha 0 0, Fact.Set.empty),
+          Coord_ack (alpha 0 0, fact) );
+        ( "gossip",
+          Gossip (Pid.Set.singleton 1),
+          Gossip (Pid.Set.of_list [ 2; 3 ]) );
+        ("hb", Heartbeat 1, Heartbeat 2);
+        ( "est",
+          Cons_estimate { round = 1; value = 1; ts = 0 },
+          Cons_estimate { round = 1; value = 2; ts = 3 } );
+        ( "prop",
+          Cons_propose { round = 1; value = 1 },
+          Cons_propose { round = 1; value = 2 } );
+        ( "cack",
+          Cons_ack { round = 1; ok = true },
+          Cons_ack { round = 1; ok = false } );
+        ("decide", Cons_decide { value = 1 }, Cons_decide { value = 2 });
+        ( "sping",
+          Swim_ping { origin = 1; seq = 1 },
+          Swim_ping { origin = 1; seq = 2 } );
+        ( "sack",
+          Swim_ack { origin = 1; seq = 1 },
+          Swim_ack { origin = 1; seq = 2 } );
+        ( "spingreq",
+          Swim_ping_req { target = 1; seq = 1 },
+          Swim_ping_req { target = 1; seq = 2 } );
+        ( "counters",
+          Gossip_counters [ (0, 1) ],
+          Gossip_counters [ (0, 2); (1, 1) ] );
+      ]
+
+let fairness_distinct_classes () =
+  let check what msgs =
+    Alcotest.(check (list bool))
+      (what ^ ": separate counters")
+      (List.map (fun _ -> false) (msgs @ msgs))
+      (kept_under_always_drop (msgs @ msgs))
+  in
+  Message.(
+    check "req vs ack"
+      [
+        Coord_request (alpha 0 0, Fact.Set.empty);
+        Coord_ack (alpha 0 0, Fact.Set.empty);
+      ];
+    check "a0.0 vs a0.1"
+      [
+        Coord_request (alpha 0 0, Fact.Set.empty);
+        Coord_request (alpha 0 1, Fact.Set.empty);
+      ];
+    check "est round"
+      [
+        Cons_estimate { round = 1; value = 0; ts = 0 };
+        Cons_estimate { round = 2; value = 0; ts = 0 };
+      ];
+    check "prop round"
+      [
+        Cons_propose { round = 1; value = 0 };
+        Cons_propose { round = 2; value = 0 };
+      ];
+    check "cack round"
+      [ Cons_ack { round = 1; ok = true }; Cons_ack { round = 2; ok = true } ];
+    check "sping origin"
+      [ Swim_ping { origin = 1; seq = 0 }; Swim_ping { origin = 2; seq = 0 } ];
+    check "sack origin"
+      [ Swim_ack { origin = 1; seq = 0 }; Swim_ack { origin = 2; seq = 0 } ];
+    check "spingreq target"
+      [
+        Swim_ping_req { target = 1; seq = 0 };
+        Swim_ping_req { target = 2; seq = 0 };
+      ];
+    check "sping vs spingreq"
+      [
+        Swim_ping { origin = 1; seq = 0 }; Swim_ping_req { target = 1; seq = 0 };
+      ];
+    check "hb vs gossip vs counters"
+      [ Heartbeat 0; Gossip Pid.Set.empty; Gossip_counters [] ])
+
 (* ---------- Run checkers ---------- *)
 
 let mk_run n specs =
@@ -358,8 +465,10 @@ let run_r5_early_receive_then_silence () =
     mk_run 2 [ (0, sends); (1, [ (Event.Recv { src = 0; msg = req }, 1) ]) ]
   in
   (* 9 unanswered sends after the tick-1 receive > 2*2 + 1 *)
-  Alcotest.(check bool) "R5 fails" true
-    (Result.is_error (Run.check_r5 r ~max_consecutive_drops:2))
+  Alcotest.(check (result unit string))
+    "R5 fails"
+    (Error "R5 violated: p0 sent req:a0.0 to p1 9 consecutive times unanswered")
+    (Run.check_r5 r ~max_consecutive_drops:2)
 
 let run_r5_tolerates_bounded_tail () =
   let sends =
@@ -380,6 +489,23 @@ let run_r5_late_receive_answers_all () =
     mk_run 2 [ (0, sends); (1, [ (Event.Recv { src = 0; msg = req }, 11) ]) ]
   in
   (* a receive at tick 11 answers every earlier send of its key *)
+  Alcotest.(check bool) "R5 ok" true
+    (Result.is_ok (Run.check_r5 r ~max_consecutive_drops:0))
+
+(* Piggybacked facts are payload: receiving the same action with another
+   fact set answers the sends of its class. *)
+let run_r5_other_facts_answer () =
+  let sends =
+    List.init 10 (fun i -> (Event.Send { dst = 1; msg = req }, i + 1))
+  in
+  let reshaped =
+    Message.Coord_request
+      (alpha 0 0, Fact.Set.singleton (Fact.Inited (alpha 0 0)))
+  in
+  let r =
+    mk_run 2
+      [ (0, sends); (1, [ (Event.Recv { src = 0; msg = reshaped }, 11) ]) ]
+  in
   Alcotest.(check bool) "R5 ok" true
     (Result.is_ok (Run.check_r5 r ~max_consecutive_drops:0))
 
@@ -579,6 +705,47 @@ let channel_forget_prunes_drops () =
       (Channel.fairness_table_size ch <= 16 * 16)
   done
 
+(* The fairness table against a model keyed by (src, dst, class): random
+   sends under an always-drop decision, and crashes, over 40 pids, enough
+   rows to grow the table several times. Every send's keep or drop and
+   the row count after every crash agree with the model. *)
+let channel_rows_match_model =
+  let op = QCheck.(triple (int_range 0 39) (int_range 0 39) (int_range 0 3)) in
+  QCheck.Test.make ~name:"fairness rows match a model across crashes"
+    ~count:50
+    QCheck.(list_of_size Gen.(int_range 0 2000) op)
+    (fun ops ->
+      let always_drop ~now:_ ~src:_ ~dst:_ ~rate:_ = true in
+      let ch =
+        Channel.create ~n:40 ~decide:always_drop ~loss_rate:1.0
+          ~max_consecutive_drops:2 ()
+      in
+      let msgs =
+        [|
+          Message.Heartbeat 0;
+          Message.Coord_request (alpha 1 0, Fact.Set.empty);
+          Message.Coord_ack (alpha 1 0, Fact.Set.empty);
+        |]
+      in
+      let model = Hashtbl.create 64 in
+      List.for_all
+        (fun (src, dst, k) ->
+          if k = 3 then begin
+            Channel.forget ch ~pid:src;
+            Hashtbl.filter_map_inplace
+              (fun (s, d, _) c -> if s = src || d = src then None else Some c)
+              model;
+            Channel.fairness_table_size ch = Hashtbl.length model
+          end
+          else
+            let drops =
+              Option.value ~default:0 (Hashtbl.find_opt model (src, dst, k))
+            in
+            Hashtbl.replace model (src, dst, k)
+              (if drops >= 2 then 0 else drops + 1);
+            Channel.send ch ~now:0 ~src ~dst msgs.(k) = `Kept = (drops >= 2))
+        ops)
+
 (* The sorted-cursor oldest_in_flight must agree with a linear scan in
    both regimes: nondecreasing sends (binary-searched) and out-of-order
    injections (fallback scan). *)
@@ -650,8 +817,9 @@ let decision_crash_consumes_fault () =
 
 (* The per-link loss window: under an always-drop decision source an ADD
    channel still delivers at least one of every [window] consecutive
-   sends on a link, while the plain channel (huge fairness bound, varied
-   message contents so no fairness class accumulates) drops them all. *)
+   sends on a link, while the plain channel drops them all. The three
+   heartbeats share the one fairness class [hb], so the plain channel
+   drops all 30 only because its fairness bound is 1000. *)
 let channel_add_window () =
   let always_drop ~now:_ ~src:_ ~dst:_ ~rate:_ = true in
   let msgs = [| Message.Heartbeat 1; Message.Heartbeat 2; Message.Heartbeat 3 |] in
@@ -722,7 +890,7 @@ let sim_add_regime () =
        (Run.check_well_formed replayed.Sim.run ~max_consecutive_drops:8))
 
 (* [Action_id.to_string] builds its bytes without [Format]; they must stay
-   those of [pp], since fairness and outbox keys are made of them. [make]
+   those of [pp], since outbox keys are made of them. [make]
    rejects negative tags, so negative numbers reach the printer through
    the owner. *)
 let action_id_to_string_matches_pp =
@@ -738,6 +906,7 @@ let qsuite = List.map QCheck_alcotest.to_alcotest
     prng_float_bounds;
     prng_shuffle_permutes;
     channel_bounded_unfairness;
+    channel_rows_match_model;
     r3_cursor_matches_reference;
     sim_runs_well_formed;
     schedule_representation_invariant;
@@ -762,6 +931,10 @@ let suite =
     Alcotest.test_case "channel: lossless delivery" `Quick
       channel_lossless_delivers;
     Alcotest.test_case "channel: per-link override" `Quick channel_link_override;
+    Alcotest.test_case "channel: equal classes share a counter" `Quick
+      fairness_same_class;
+    Alcotest.test_case "channel: distinct classes never share" `Quick
+      fairness_distinct_classes;
     Alcotest.test_case "run: R3 phantom receive" `Quick
       run_r3_detects_phantom_recv;
     Alcotest.test_case "run: R3 matched" `Quick run_r3_accepts_matched;
@@ -775,6 +948,8 @@ let suite =
       run_r5_tolerates_bounded_tail;
     Alcotest.test_case "run: R5 late receive answers all" `Quick
       run_r5_late_receive_answers_all;
+    Alcotest.test_case "run: R5 other fact set answers" `Quick
+      run_r5_other_facts_answer;
     Alcotest.test_case "run: R5 crashed receiver exempt" `Quick
       run_r5_crashed_receiver_exempt;
     Alcotest.test_case "run: init ownership" `Quick run_init_once;

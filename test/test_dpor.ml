@@ -357,15 +357,17 @@ let cache_soundness_scenarios =
       cache_on_off_verdict Explore.Engine.Dpor problem
       && cache_on_off_verdict Explore.Engine.Bfs problem)
 
-(* A clean problem on four processes with one decision-driven crash:
-   coordinator 0 initiates at tick 1, the CLI's plan for UDC protocols. *)
-let clean_problem ~protocol_label ~max_ticks property =
+(* A clean problem on four processes with decision-driven crashes (one
+   by default): coordinator 0 initiates at tick 1, the CLI's plan for UDC
+   protocols. *)
+let clean_problem ?(seed = 42L) ?(crash_budget = 1) ~protocol_label ~max_ticks
+    property =
   let config =
     {
-      (Sim.config ~n:4 ~seed:42L) with
+      (Sim.config ~n:4 ~seed) with
       Sim.init_plan = Init_plan.one ~owner:0 ~at:1;
       max_ticks;
-      crash_budget = 1;
+      crash_budget;
     }
   in
   let protocol =
@@ -474,6 +476,96 @@ let confined_problem () =
   Explore.Problem.of_scenario
     (Core.Adversary.confined_clique ~n:4 ~t:2 ~seed:42L)
 
+let counts (s : Explore.Engine.stats) =
+  Printf.sprintf "explored=%d states=%d hits=%d pruned=%d"
+    s.Explore.Engine.explored s.Explore.Engine.states
+    s.Explore.Engine.seen_hits s.Explore.Engine.pruned
+
+(* ---------- pinned searches ---------- *)
+
+(* perf P9's heartbeat problem, with its caps opened far past where the
+   default search saturates: both bounded modes exhaust the depth-2 move
+   space, and every count is pinned. *)
+let p9_pinned () =
+  let problem =
+    clean_problem ~seed:11L ~crash_budget:2 ~protocol_label:"heartbeat"
+      ~max_ticks:60 Explore.Property.Dc3
+  in
+  let exhausted mode =
+    let options =
+      {
+        Explore.Engine.default_options with
+        Explore.Engine.mode;
+        depth = 2;
+        max_runs = 120_000;
+        crash_points = 1_000;
+        pick_points = 1_000;
+      }
+    in
+    match Explore.Engine.search ~options problem with
+    | Explore.Engine.Exhausted stats, _ -> counts stats
+    | _ ->
+        Alcotest.failf "P9 %s does not exhaust"
+          (Explore.Engine.mode_to_string mode)
+  in
+  Alcotest.(check string)
+    "bfs" "explored=8423 states=2120618 hits=0 pruned=0"
+    (exhausted Explore.Engine.Bfs);
+  Alcotest.(check string)
+    "dpor" "explored=3510 states=842127 hits=0 pruned=2045"
+    (exhausted Explore.Engine.Dpor)
+
+(* The confined clique's witness sits at the depth bound of a depth-2
+   search, so it is a leaf: its trace and run are pinned, and the trace
+   replays digest-strict, at domains 1 and 2. *)
+let confined_leaf_witness () =
+  let problem = confined_problem () in
+  List.iter
+    (fun (mode, domains, pin) ->
+      let what =
+        Printf.sprintf "%s at domains %d"
+          (Explore.Engine.mode_to_string mode)
+          domains
+      in
+      let options =
+        {
+          Explore.Engine.default_options with
+          Explore.Engine.mode;
+          depth = 2;
+          domains = Some domains;
+        }
+      in
+      match Explore.Engine.search ~options problem with
+      | Explore.Engine.Violation (w, stats), _ ->
+          Alcotest.(check string) (what ^ ": counts") pin (counts stats);
+          Alcotest.(check string)
+            (what ^ ": moves") "silence 3->0; silence 3->1"
+            (Format.asprintf "%a" Explore.Engine.pp_node w.Explore.Engine.node);
+          Alcotest.(check int)
+            (what ^ ": decisions") 905
+            (List.length w.Explore.Engine.trace);
+          Alcotest.(check string)
+            (what ^ ": run digest") "974741f63d7c443bdd739c1d7229bab9"
+            (Run.digest w.Explore.Engine.result.Sim.run);
+          Alcotest.(check string)
+            (what ^ ": trace replays")
+            "974741f63d7c443bdd739c1d7229bab9"
+            (Run.digest
+               (Explore.Problem.replay problem ~trace:w.Explore.Engine.trace)
+                 .Sim.run)
+      | _ -> Alcotest.failf "%s: no witness" what)
+    (List.concat_map
+       (fun domains ->
+         [
+           ( Explore.Engine.Bfs,
+             domains,
+             "explored=955 states=120194 hits=0 pruned=0" );
+           ( Explore.Engine.Dpor,
+             domains,
+             "explored=762 states=106571 hits=0 pruned=505" );
+         ])
+       [ 1; 2 ])
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ hb_partial_order_laws; cache_soundness_scenarios ]
@@ -489,6 +581,9 @@ let suite =
         cache_skips_leaves;
       Alcotest.test_case "dpor witnesses contained in shallow bfs" `Quick
         dpor_subset_of_shallow_bfs;
+      Alcotest.test_case "P9 heartbeat counts pinned" `Slow p9_pinned;
+      Alcotest.test_case "confined leaf witness pinned" `Quick
+        confined_leaf_witness;
     ]
   @ List.map
       (fun ((name, _) as sc) ->

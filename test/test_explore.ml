@@ -66,6 +66,43 @@ let sticky_drops () =
     "other link unaffected" false
     (Decision.drop s ~tick:5 ~src:0 ~dst:1 ~rate:0.0)
 
+(* The plan is read in decision order whatever order it is given in; a
+   repeated index takes its later entry; a negative index is never
+   taken; and an entry whose index a silenced link answers is skipped,
+   not taken by the next decision. *)
+let scripted_plan_semantics () =
+  let crashes plan =
+    let s = Decision.scripted ~plan () in
+    List.init 4 (fun pid -> Decision.crash s ~tick:1 ~pid ~events:0)
+  in
+  Alcotest.(check (list bool))
+    "out of order" [ true; false; true; false ]
+    (crashes [ (2, Decision.Crash true); (0, Decision.Crash true) ]);
+  Alcotest.(check (list bool))
+    "later entry wins" [ true; false; false; false ]
+    (crashes
+       [
+         (1, Decision.Crash true);
+         (0, Decision.Crash false);
+         (1, Decision.Crash false);
+         (0, Decision.Crash true);
+       ]);
+  Alcotest.(check (list bool))
+    "negative index" [ false; false; false; false ]
+    (crashes [ (-1, Decision.Crash true) ]);
+  let s =
+    Decision.scripted ~plan:[ (0, Decision.Drop true) ] ~silence:[ (0, 1) ] ()
+  in
+  Alcotest.(check bool)
+    "silenced link answers index 0" true
+    (Decision.drop s ~tick:1 ~src:0 ~dst:1 ~rate:0.0);
+  Alcotest.(check bool)
+    "index 1 keeps its default" false
+    (Decision.drop s ~tick:1 ~src:1 ~dst:0 ~rate:0.0);
+  Alcotest.(check bool)
+    "and its link stays open" false
+    (Decision.drop s ~tick:2 ~src:1 ~dst:0 ~rate:0.0)
+
 let trace_roundtrip =
   QCheck.Test.make ~name:"trace serialization round-trips" ~count:20
     QCheck.int64
@@ -417,6 +454,8 @@ let suite =
       Alcotest.test_case "scripted plan and silence" `Quick
         scripted_plan_and_silence;
       Alcotest.test_case "sticky drops silence the link" `Quick sticky_drops;
+      Alcotest.test_case "scripted plan order, repeats, negatives" `Quick
+        scripted_plan_semantics;
       Alcotest.test_case "replay divergence raises" `Quick replay_divergence;
       Alcotest.test_case "guided source falls back" `Quick guided_fallback;
       Alcotest.test_case "recording does not perturb the run" `Quick
