@@ -29,6 +29,36 @@ type queue = {
 
 type add = { window : int; bound : int }
 
+(* A fairness row: the consecutive losses on one (src, dst) link in one
+   fairness class ({!Message.fairness}). The rows form a hash table of
+   their own, chained per bucket through [next] down to [nil]: a row is
+   one 8-word block, a lookup compares ints and allocates nothing, and
+   the table holds no message. The ADD regime's per-link rows use
+   [link_kind], a kind no message class has. *)
+type row = {
+  src : int;
+  dst : int;
+  kind : int;
+  x : int;
+  y : int;
+  mutable drops : int;
+  mutable next : row;
+}
+
+let rec nil =
+  { src = 0; dst = 0; kind = 0; x = 0; y = 0; drops = 0; next = nil }
+
+let link_kind = -1
+
+(* A polynomial over the key, then a multiply-xorshift finalizer: the
+   bucket is the low bits, which a bare polynomial (or an FNV chain)
+   leaves correlated for neighbouring pids, so rows of adjacent links
+   would pile into a few buckets. [buckets] has a power-of-two length. *)
+let slot buckets ~src ~dst ~kind ~x ~y =
+  let h = (((((((src * 31) + dst) * 31) + kind) * 31) + x) * 31) + y in
+  let h = h * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 32)) land (Array.length buckets - 1)
+
 type t = {
   decide : now:int -> src:Pid.t -> dst:Pid.t -> rate:float -> bool;
   mutable loss_rate : float;
@@ -37,11 +67,8 @@ type t = {
   add : add option;
   flight : queue array; (* dense: one queue per destination pid *)
   mutable count : int; (* total in flight, all destinations *)
-  (* (src, dst, fairness key) -> consecutive losses *)
-  drops : (Pid.t * Pid.t * string, int ref) Hashtbl.t;
-  (* ADD regime only: (src, dst) -> consecutive losses on the link,
-     regardless of message content. Untouched when [add = None]. *)
-  add_drops : (Pid.t * Pid.t, int ref) Hashtbl.t;
+  mutable buckets : row array; (* fairness rows, see [row] *)
+  mutable rows : int;
 }
 
 let filler_msg = Message.Heartbeat 0
@@ -99,21 +126,46 @@ let create ?(link_loss = []) ?add ~n ~decide ~loss_rate ~max_consecutive_drops
     add;
     flight = Array.init n (fun _ -> fresh_queue ());
     count = 0;
-    drops = Hashtbl.create 64;
-    add_drops = Hashtbl.create 8;
+    buckets = Array.make 64 nil;
+    rows = 0;
   }
 
-(* A row's consecutive-loss counter, created at zero on first sight. The
-   counters are bumped in place: [Hashtbl.replace] would store each
-   send's fresh key into an old bucket, feeding the minor GC's
-   remembered set on every send. *)
-let counter tbl key =
-  match Hashtbl.find tbl key with
-  | c -> c
-  | exception Not_found ->
-      let c = ref 0 in
-      Hashtbl.add tbl key c;
-      c
+let rec find r ~src ~dst ~kind ~x ~y =
+  if
+    r == nil
+    || (r.src = src && r.dst = dst && r.kind = kind && r.x = x && r.y = y)
+  then r
+  else find r.next ~src ~dst ~kind ~x ~y
+
+(* Rehash into twice the buckets, relinking the rows themselves. *)
+let grow t =
+  let buckets = Array.make (2 * Array.length t.buckets) nil in
+  let rec move r =
+    if r != nil then begin
+      let next = r.next in
+      let i = slot buckets ~src:r.src ~dst:r.dst ~kind:r.kind ~x:r.x ~y:r.y in
+      r.next <- buckets.(i);
+      buckets.(i) <- r;
+      move next
+    end
+  in
+  Array.iter move t.buckets;
+  t.buckets <- buckets
+
+(* A row, created at zero on first sight. Its counter is bumped in
+   place, so a send stores nothing into an old block: a fresh value
+   there would feed the minor GC's remembered set on every send. *)
+let row t ~src ~dst ~kind ~x ~y =
+  let i = slot t.buckets ~src ~dst ~kind ~x ~y in
+  let r = find t.buckets.(i) ~src ~dst ~kind ~x ~y in
+  if r != nil then r
+  else begin
+    let r = { src; dst; kind; x; y; drops = 0; next = t.buckets.(i) } in
+    t.buckets.(i) <- r;
+    t.rows <- t.rows + 1;
+    if t.rows > 2 * Array.length t.buckets then grow t;
+    r
+  end
 
 (* The loss decision half of [send]: consult the fairness table and the
    decision source, update the consecutive-loss count, but do not touch
@@ -130,7 +182,8 @@ let gate t ~now ~src ~dst msg =
       Option.value ~default:t.loss_rate
         (Hashtbl.find_opt t.link_loss (src, dst))
   in
-  let drops = counter t.drops (src, dst, Message.fairness_key msg) in
+  let cls = Message.fairness msg in
+  let r = row t ~src ~dst ~kind:cls.kind ~x:cls.x ~y:cls.y in
   (* ADD channels bound the loss on each (src, dst) link as a whole: at
      most [window - 1] consecutive drops regardless of message content,
      so every window of [window] sends delivers at least one message
@@ -138,21 +191,21 @@ let gate t ~now ~src ~dst msg =
      window). The forced keep consumes no decision, so traces are
      bit-identical whenever the force never fires — and [add = None]
      leaves this whole branch dead. *)
-  let add_forced, link_drops =
+  let add_forced, link =
     match t.add with
     | None -> (false, None)
     | Some { window; _ } ->
-        let c = counter t.add_drops (src, dst) in
-        (!c >= window - 1, Some c)
+        let l = row t ~src ~dst ~kind:link_kind ~x:0 ~y:0 in
+        (l.drops >= window - 1, Some l)
   in
-  let forced_keep = !drops >= t.max_consecutive_drops || add_forced in
+  let forced_keep = r.drops >= t.max_consecutive_drops || add_forced in
   let drop = (not forced_keep) && t.decide ~now ~src ~dst ~rate in
   if drop then (
-    incr drops;
-    Option.iter incr link_drops)
+    r.drops <- r.drops + 1;
+    Option.iter (fun l -> l.drops <- l.drops + 1) link)
   else (
-    drops := 0;
-    Option.iter (fun c -> c := 0) link_drops);
+    r.drops <- 0;
+    Option.iter (fun l -> l.drops <- 0) link);
   not drop
 
 (* The enqueue half of [send]: file a message whose loss decision was
@@ -242,26 +295,34 @@ let drop_in_flight_to t ~dst =
   q.len <- 0;
   q.sorted <- true
 
-(* A crashed process never sends again and never accepts another send, so
-   its rows in the fairness table are dead weight — and at large n the
-   table is keyed by (src, dst, fairness key), an O(n² · keys) leak if
-   churn keeps adding processes that later crash. Dropping the dead rows
-   is behaviour-neutral: no future [gate] call can look them up. *)
-let forget t ~pid =
-  let dead =
-    Hashtbl.fold
-      (fun ((src, dst, _) as key) _ acc ->
-        if Pid.equal src pid || Pid.equal dst pid then key :: acc else acc)
-      t.drops []
-  in
-  List.iter (Hashtbl.remove t.drops) dead;
-  let dead_links =
-    Hashtbl.fold
-      (fun ((src, dst) as key) _ acc ->
-        if Pid.equal src pid || Pid.equal dst pid then key :: acc else acc)
-      t.add_drops []
-  in
-  List.iter (Hashtbl.remove t.add_drops) dead_links
+(* The first row of chain [r] that does not touch [pid]; the rows
+   skipped are gone from the table. *)
+let rec live t ~pid r =
+  if r != nil && (r.src = pid || r.dst = pid) then begin
+    t.rows <- t.rows - 1;
+    live t ~pid r.next
+  end
+  else r
 
-let fairness_table_size t = Hashtbl.length t.drops
+let rec prune t ~pid r =
+  if r != nil then begin
+    let next = live t ~pid r.next in
+    if next != r.next then r.next <- next;
+    prune t ~pid next
+  end
+
+(* A crashed process never sends again and never accepts another send, so
+   its fairness rows are dead weight — and at large n the table holds a
+   row per live (src, dst, class), an O(n² · classes) leak if churn keeps
+   adding processes that later crash. Dropping the dead rows is
+   behaviour-neutral: no future [gate] call can look them up. *)
+let forget t ~pid =
+  for i = 0 to Array.length t.buckets - 1 do
+    let head = t.buckets.(i) in
+    let head' = live t ~pid head in
+    if head' != head then t.buckets.(i) <- head';
+    prune t ~pid head'
+  done
+
+let fairness_table_size t = t.rows
 let set_loss_rate t rate = t.loss_rate <- rate

@@ -98,11 +98,12 @@ val drop_in_flight_to : t -> dst:Pid.t -> unit
     destination is [pid]. Behaviour-neutral for a crashed [pid] (it never
     sends or receives again); the simulator calls it on crash so the
     table stays bounded by the live working set instead of leaking
-    O(n² · keys) under churn. *)
+    O(n² · classes) under churn. *)
 val forget : t -> pid:Pid.t -> unit
 
-(** Number of live fairness-table rows (regression hook for the
-    bounded-growth guarantee of {!forget}). *)
+(** Number of live fairness-table rows, one per (src, dst,
+    {!Message.fairness} class) and, under [add], one per (src, dst) link
+    (regression hook for the bounded-growth guarantee of {!forget}). *)
 val fairness_table_size : t -> int
 
 val set_loss_rate : t -> float -> unit

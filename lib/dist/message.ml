@@ -100,25 +100,45 @@ let pp ppf = function
            (fun ppf (p, c) -> Format.fprintf ppf "%a:%d" Pid.pp p c))
         l
 
-(* The fairness class deliberately ignores piggybacked facts: a protocol
-   that retransmits req(alpha) with a growing fact set is still "sending the
-   same message infinitely often" for the purposes of R5, otherwise an
-   adversarial channel could defeat fairness by exploiting ever-changing
-   piggyback payloads. *)
-let fairness_key = function
-  | Coord_request (a, _) -> "req:" ^ Action_id.to_string a
-  | Coord_ack (a, _) -> "ack:" ^ Action_id.to_string a
-  | Gossip _ -> "gossip"
-  | Heartbeat _ -> "hb"
-  | Cons_estimate { round; _ } -> "est:" ^ string_of_int round
-  | Cons_propose { round; _ } -> "prop:" ^ string_of_int round
-  | Cons_ack { round; _ } -> "cack:" ^ string_of_int round
-  | Cons_decide _ -> "decide"
-  (* Like piggybacked facts above, the gossiped counter vector is payload:
-     a gossiper resending its (ever-growing) counters is still "the same
-     message infinitely often" for R5, as are re-probes of the same
-     target. Sequence numbers are deliberately excluded. *)
-  | Swim_ping { origin; _ } -> "sping:" ^ Pid.to_string origin
-  | Swim_ack { origin; _ } -> "sack:" ^ Pid.to_string origin
-  | Swim_ping_req { target; _ } -> "spingreq:" ^ Pid.to_string target
-  | Gossip_counters _ -> "counters"
+type fairness = { kind : int; x : int; y : int }
+
+(* A class is the constructor's [rank] plus the payload fields R5 tells
+   apart, 0 where unused; classes without fields are static constants,
+   so computing them allocates nothing. Piggybacked facts are left out
+   on purpose: a protocol that retransmits req(alpha) with a growing fact
+   set is still "sending the same message infinitely often" for R5,
+   otherwise an adversarial channel could defeat fairness by exploiting
+   ever-changing piggyback payloads. Likewise the gossiped counter vector
+   and every sequence number are payload: a gossiper resending its
+   (ever-growing) counters, or a prober re-probing the same target, sends
+   the same message again. *)
+let fairness = function
+  | Coord_request (a, _) ->
+      { kind = 0; x = Action_id.owner a; y = Action_id.tag a }
+  | Coord_ack (a, _) -> { kind = 1; x = Action_id.owner a; y = Action_id.tag a }
+  | Gossip _ -> { kind = 2; x = 0; y = 0 }
+  | Heartbeat _ -> { kind = 3; x = 0; y = 0 }
+  | Cons_estimate { round; _ } -> { kind = 4; x = round; y = 0 }
+  | Cons_propose { round; _ } -> { kind = 5; x = round; y = 0 }
+  | Cons_ack { round; _ } -> { kind = 6; x = round; y = 0 }
+  | Cons_decide _ -> { kind = 7; x = 0; y = 0 }
+  | Swim_ping { origin; _ } -> { kind = 8; x = origin; y = 0 }
+  | Swim_ack { origin; _ } -> { kind = 9; x = origin; y = 0 }
+  | Swim_ping_req { target; _ } -> { kind = 10; x = target; y = 0 }
+  | Gossip_counters _ -> { kind = 11; x = 0; y = 0 }
+
+let pp_fairness ppf { kind; x; y } =
+  let str = Format.pp_print_string ppf in
+  match kind with
+  | 0 -> Format.fprintf ppf "req:a%d.%d" x y
+  | 1 -> Format.fprintf ppf "ack:a%d.%d" x y
+  | 2 -> str "gossip"
+  | 3 -> str "hb"
+  | 4 -> Format.fprintf ppf "est:%d" x
+  | 5 -> Format.fprintf ppf "prop:%d" x
+  | 6 -> Format.fprintf ppf "cack:%d" x
+  | 7 -> str "decide"
+  | 8 -> Format.fprintf ppf "sping:%a" Pid.pp x
+  | 9 -> Format.fprintf ppf "sack:%a" Pid.pp x
+  | 10 -> Format.fprintf ppf "spingreq:%a" Pid.pp x
+  | _ -> str "counters"

@@ -45,7 +45,17 @@ val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 
-(** [fairness_key m] identifies [m] for channel fairness: R5 is stated per
-    message content, so two sends of the same content fall in the same
-    fairness class. *)
-val fairness_key : t -> string
+(** A fairness class: R5 is stated per message content, and two sends
+    fall in the same class exactly when they carry the same content up
+    to payload: piggybacked facts, sequence numbers, gossiped sets and
+    vectors, and consensus values. A class is the message's kind plus at
+    most two ints and holds no message. *)
+type fairness = private { kind : int; x : int; y : int }
+
+(** [fairness m] is [m]'s class. It allocates only for the kinds with
+    fields (coordination, consensus-round and SWIM messages). *)
+val fairness : t -> fairness
+
+(** The printed class, as R5's error text shows it: [req:a0.1], [hb],
+    [est:2], [sping:p3], ... *)
+val pp_fairness : Format.formatter -> fairness -> unit

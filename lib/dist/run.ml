@@ -340,27 +340,28 @@ let check_r4 t =
     (Ok ()) (Pid.all t.n)
 
 (* R5 (fairness surrogate on a finite prefix): along each channel
-   (p, q correct) and fairness key, count the sends after the last
-   receive on that key — the {e consecutive unanswered} tail (a receive
-   at tick [t] answers every send of its key at tick [<= t], since the
-   channel does not reorder within a key). An infinite fair channel
-   delivers at least one of every [max_consecutive_drops + 1]
-   consecutive sends, so an unbounded unanswered tail is the finite
-   witness of unfairness. The threshold tolerates
+   (p, q correct) and fairness class ({!Message.fairness}, the class
+   the channel counts its drops by), count the sends after the last
+   receive in that class — the {e consecutive unanswered} tail (a
+   receive at tick [t] answers every send of its class at tick [<= t],
+   since the channel does not reorder within a class). An infinite
+   fair channel delivers at least one of every
+   [max_consecutive_drops + 1] consecutive sends, so an unbounded
+   unanswered tail is the finite witness of unfairness. The threshold tolerates
    [2 * max_consecutive_drops + 1]: up to [k] trailing sends may be
    legitimately dropped, and up to [k + 1] more may be kept by the
    channel but still in flight when the prefix ends (horizon
    truncation), so only a strictly longer tail is a genuine violation. *)
 let check_r5 t ~max_consecutive_drops =
   let last_recv = Hashtbl.create 64 in
-  (* (src,dst,fairness_key) -> last receive tick *)
+  (* (src, dst, class) -> last receive tick *)
   List.iter
     (fun q ->
       History.iter
         (fun e ~tick ->
           match e with
           | Event.Recv { src; msg } ->
-              Hashtbl.replace last_recv (src, q, Message.fairness_key msg) tick
+              Hashtbl.replace last_recv (src, q, Message.fairness msg) tick
           | _ -> ())
         t.histories.(q))
     (Pid.all t.n);
@@ -374,12 +375,12 @@ let check_r5 t ~max_consecutive_drops =
             | Some _ -> () (* fairness only constrains correct receivers *)
             | None ->
                 let unanswered = Hashtbl.create 8 in
-                (* fairness_key -> sends since the key's last receive *)
+                (* class -> sends since the class's last receive *)
                 History.iter
                   (fun e ~tick ->
                     match e with
                     | Event.Send { dst; msg } when Pid.equal dst q ->
-                        let k = Message.fairness_key msg in
+                        let k = Message.fairness msg in
                         let answered =
                           match Hashtbl.find_opt last_recv (p, q, k) with
                           | Some rt -> tick <= rt
@@ -402,9 +403,9 @@ let check_r5 t ~max_consecutive_drops =
                       | Ok () ->
                           fail :=
                             errorf
-                              "R5 violated: %a sent %s to %a %d consecutive \
+                              "R5 violated: %a sent %a to %a %d consecutive \
                                times unanswered"
-                              Pid.pp p k Pid.pp q tail)
+                              Pid.pp p Message.pp_fairness k Pid.pp q tail)
                   unanswered)
         (Pid.all t.n))
     (Pid.all t.n);
