@@ -102,13 +102,19 @@ type entry = { tick : int; query : query; taken : t }
 
 exception Divergence of string
 
+(* A scripted source reads its plan with a cursor: decisions are made in
+   index order, so the plan is sorted by index once and [planned] pops
+   entries up to the current index. The silenced links are few (the
+   explorer's depth bounds them), so a list beats a table. *)
+type scripted = {
+  mutable plan : (int * t) list; (* ascending, unique indices *)
+  sticky : bool;
+  mutable silenced : (Pid.t * Pid.t) list;
+}
+
 type mode =
   | Random of { prng : Prng.t; chan : Prng.t }
-  | Scripted of {
-      plan : (int, t) Hashtbl.t;
-      sticky : bool;
-      silenced : (Pid.t * Pid.t, unit) Hashtbl.t;
-    }
+  | Scripted of scripted
   | Replay of { mutable rest : t list }
   | Guided of { mutable rest : t list; mutable diverged : bool }
 
@@ -124,14 +130,21 @@ let random ?(record = false) ~seed () =
   let chan = Prng.split prng in
   { mode = Random { prng; chan }; record; made = 0; entries = [] }
 
-let scripted ?(plan = []) ?(silence = []) ?(sticky_drops = true) () =
-  let tbl = Hashtbl.create (List.length plan * 2) in
-  List.iter (fun (i, d) -> Hashtbl.replace tbl i d) plan;
-  let silenced = Hashtbl.create 8 in
-  List.iter (fun link -> Hashtbl.replace silenced link ()) silence;
+let scripted ?(record = true) ?(plan = []) ?(silence = [])
+    ?(sticky_drops = true) () =
+  (* a stable sort keeps a repeated index's entries in plan order, and
+     the later one wins, as a table's replace would have it *)
+  let rec later = function
+    | (i, _) :: ((j, _) :: _ as rest) when i = j -> later rest
+    | e :: rest -> e :: later rest
+    | [] -> []
+  in
+  let plan =
+    later (List.stable_sort (fun (i, _) (j, _) -> Int.compare i j) plan)
+  in
   {
-    mode = Scripted { plan = tbl; sticky = sticky_drops; silenced };
-    record = true;
+    mode = Scripted { plan; sticky = sticky_drops; silenced = silence };
+    record;
     made = 0;
     entries = [];
   }
@@ -151,14 +164,26 @@ let count s = s.made
 let trace s = List.rev_map (fun e -> e.taken) s.entries
 let journal s = Array.of_list (List.rev s.entries)
 
+(* Every query tests [s.record] before it builds the entry, so a
+   non-recording source only counts. *)
 let commit s ~tick query taken =
-  if s.record then s.entries <- { tick; query; taken } :: s.entries;
+  s.entries <- { tick; query; taken } :: s.entries;
   s.made <- s.made + 1
 
-let planned s =
-  match s.mode with
-  | Scripted { plan; _ } -> Hashtbl.find_opt plan s.made
+(* The plan entry at the current index, if any. Entries below it were
+   never asked for (a negative index, or one a silenced link answered)
+   and are dropped. *)
+let rec planned sc ~made =
+  match sc.plan with
+  | (i, d) :: rest when i <= made ->
+      sc.plan <- rest;
+      if i = made then Some d else planned sc ~made
   | _ -> None
+
+let rec silenced ~src ~dst = function
+  | (s, d) :: rest ->
+      (Pid.equal s src && Pid.equal d dst) || silenced ~src ~dst rest
+  | [] -> false
 
 (* Pop the next recorded decision for a replaying source. [Replay] raises
    on a kind mismatch or an exhausted trace; [Guided] switches permanently
@@ -206,9 +231,9 @@ let order s ~tick a =
   let identity () = Array.iteri (fun i _ -> a.(i) <- i) a in
   (match s.mode with
   | Random { prng; _ } -> Prng.shuffle prng a
-  | Scripted _ -> (
+  | Scripted sc -> (
       identity ();
-      match planned s with
+      match planned sc ~made:s.made with
       | Some (Order p) when Array.length p = n -> Array.blit p 0 a 0 n
       | _ -> ())
   | Replay _ | Guided _ -> (
@@ -228,8 +253,8 @@ let deliver s ~tick ~dst ~backlog ~p =
   let taken =
     match s.mode with
     | Random { prng; _ } -> Prng.bool prng p
-    | Scripted _ -> (
-        match planned s with Some (Deliver b) -> b | _ -> true)
+    | Scripted sc -> (
+        match planned sc ~made:s.made with Some (Deliver b) -> b | _ -> true)
     | Replay _ | Guided _ -> (
         let accept = function Deliver b -> Some b | _ -> None in
         match replayed s ~kind:"deliver" ~accept with
@@ -245,8 +270,8 @@ let pick s ~tick ~dst ~keys ~arity =
   let taken =
     match s.mode with
     | Random { prng; _ } -> Prng.int prng arity
-    | Scripted _ -> (
-        match planned s with Some (Pick k) -> clamp k | _ -> 0)
+    | Scripted sc -> (
+        match planned sc ~made:s.made with Some (Pick k) -> clamp k | _ -> 0)
     | Replay _ | Guided _ -> (
         let accept = function
           | Pick k when k >= 0 && k < arity -> Some k
@@ -265,13 +290,13 @@ let drop s ~tick ~src ~dst ~rate =
   let taken =
     match s.mode with
     | Random { chan; _ } -> Prng.bool chan rate
-    | Scripted { sticky; silenced; _ } -> (
-        let link = (src, dst) in
-        if Hashtbl.mem silenced link then true
+    | Scripted sc -> (
+        if silenced ~src ~dst sc.silenced then true
         else
-          match planned s with
+          match planned sc ~made:s.made with
           | Some (Drop b) ->
-              if b && sticky then Hashtbl.replace silenced link ();
+              if b && sc.sticky then
+                sc.silenced <- (src, dst) :: sc.silenced;
               b
           | _ -> false)
     | Replay _ | Guided _ -> (
@@ -288,15 +313,16 @@ let crash s ~tick ~pid ~events =
   let taken =
     match s.mode with
     | Random _ -> false
-    | Scripted _ -> (
-        match planned s with Some (Crash b) -> b | _ -> false)
+    | Scripted sc -> (
+        match planned sc ~made:s.made with Some (Crash b) -> b | _ -> false)
     | Replay _ | Guided _ -> (
         let accept = function Crash b -> Some b | _ -> None in
         match replayed s ~kind:"crash" ~accept with
         | Some (Some b) -> b
         | Some None | None -> false)
   in
-  commit s ~tick (Q_crash { pid; events }) (Crash taken);
+  if s.record then commit s ~tick (Q_crash { pid; events }) (Crash taken)
+  else s.made <- s.made + 1;
   taken
 
 let suspect s ~tick ~pid ~arity =
@@ -304,8 +330,10 @@ let suspect s ~tick ~pid ~arity =
   let taken =
     match s.mode with
     | Random _ -> 0
-    | Scripted _ -> (
-        match planned s with Some (Suspect k) -> clamp k | _ -> 0)
+    | Scripted sc -> (
+        match planned sc ~made:s.made with
+        | Some (Suspect k) -> clamp k
+        | _ -> 0)
     | Replay _ | Guided _ -> (
         let accept = function
           | Suspect k when k >= 0 && k < arity -> Some k
@@ -315,5 +343,6 @@ let suspect s ~tick ~pid ~arity =
         | Some (Some k) -> k
         | Some None | None -> 0)
   in
-  commit s ~tick (Q_suspect { pid; arity }) (Suspect taken);
+  if s.record then commit s ~tick (Q_suspect { pid; arity }) (Suspect taken)
+  else s.made <- s.made + 1;
   taken

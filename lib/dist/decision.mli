@@ -74,12 +74,17 @@ val random : ?record:bool -> seed:int64 -> unit -> source
 (** Deterministic default schedule — identity slot order, deliver before
     stepping, oldest message first, no drops, no crashes, no suspicions —
     except at the listed decision indices (0-based, in query order), where
-    the planned decision is taken instead. [silence] lists links whose
-    every drop decision is [true] from the start (a lossy-link adversary).
-    With [sticky_drops] (default true), a planned [Drop true] additionally
-    forces every {e later} drop decision on the same link to [true]: one
-    deviation silences a link mid-run. Always records. *)
+    the planned decision is taken instead. The plan may come in any
+    order; of two entries with one index the later wins, and a negative
+    index is never taken. [silence] lists links whose every drop decision
+    is [true] from the start (a lossy-link adversary); a plan entry whose
+    index a silenced link answers is not taken. With [sticky_drops]
+    (default true), a planned [Drop true] additionally forces every
+    {e later} drop decision on the same link to [true]: one deviation
+    silences a link mid-run. [record] (default true) keeps the journal;
+    a non-recording source makes the same decisions and counts them. *)
 val scripted :
+  ?record:bool ->
   ?plan:(int * t) list ->
   ?silence:(Pid.t * Pid.t) list ->
   ?sticky_drops:bool ->

@@ -278,37 +278,44 @@ let extend s = function
   | Deviate (i, d) -> { s with rev_devs = (i, d) :: s.rev_devs }
 
 (* Everything the sequential merge needs from one run, computed in the
-   parallel phase, plus the journal length (each journal entry is one
+   parallel phase, plus the number of decisions the run made (each is one
    visited decision-prefix state). A violating node carries its verdict
-   and recorded trace, so the witness needs no re-execution. An interior
-   node carries its run (the seen-cache key), its candidate extensions
-   and the dpor prune count. A leaf — a node at the depth bound, which is
-   never extended — carries nothing else: it has no subtree for the seen
-   cache to cut, so neither its journal nor its run outlives [eval]. *)
+   and recorded trace, so the merge never re-executes. An interior node
+   carries its run (the seen-cache key), its candidate extensions and the
+   dpor prune count. A leaf — a node at the depth bound, which is never
+   extended — carries nothing else: it has no subtree for the seen cache
+   to cut, and nothing reads its journal, so it runs without one. Only a
+   violating leaf runs again, recording, for its witness trace; the same
+   plan, silences and config make the same run. *)
 type verdict =
   | Violating of { desc : string; trace : Decision.t list; result : Sim.result }
   | Leaf
   | Interior of { run : Run.t; moves : move list; pruned : int }
 
-type eval_out = { jlen : int; verdict : verdict }
+type eval_out = { decisions : int; verdict : verdict }
 
 let eval problem opts snode =
   let node = seal snode in
-  let result, source =
-    Problem.run problem ~plan:node.devs ~silence:node.silences
+  let leaf = depth_of node >= opts.depth in
+  let run ~record =
+    Problem.run problem ~record ~plan:node.devs ~silence:node.silences
   in
+  let result, source = run ~record:(not leaf) in
   let verdict =
     match Problem.violation problem result with
     | Some desc ->
+        let result, source =
+          if leaf then run ~record:true else (result, source)
+        in
         Violating { desc; trace = Decision.trace source; result }
-    | None when depth_of node >= opts.depth -> Leaf
+    | None when leaf -> Leaf
     | None ->
         let moves, pruned =
           children problem opts node (Decision.journal source)
         in
         Interior { run = result.Sim.run; moves; pruned }
   in
-  { jlen = Decision.count source; verdict }
+  { decisions = Decision.count source; verdict }
 
 let violating e = match e.verdict with Violating _ -> true | _ -> false
 
@@ -375,7 +382,7 @@ let bfs_search ~options problem =
         while !hit = None && !i < Array.length evals do
           let e = evals.(!i) in
           c.explored <- c.explored + 1;
-          c.states <- c.states + e.jlen;
+          c.states <- c.states + e.decisions;
           (match e.verdict with
           | Violating { desc; trace; result } ->
               hit := Some (now.(!i), desc, trace, result)
@@ -455,7 +462,7 @@ type mutant = {
   m_violation : string option;
   m_result : Sim.result;
   m_effective : Decision.t list;
-  m_jlen : int;
+  m_decisions : int;
 }
 
 let fuzz ?(options = default_options) problem =
@@ -473,7 +480,7 @@ let fuzz ?(options = default_options) problem =
       m_violation = Problem.violation problem result;
       m_result = result;
       m_effective = Decision.trace source;
-      m_jlen = Decision.count source;
+      m_decisions = Decision.count source;
     }
   in
   (* the corpus holds effective traces; a queue so parents rotate through
@@ -532,7 +539,7 @@ let fuzz ?(options = default_options) problem =
     while !witness = None && !i < Array.length evals do
       let m = evals.(!i) in
       c.explored <- c.explored + 1;
-      c.states <- c.states + m.m_jlen;
+      c.states <- c.states + m.m_decisions;
       (match m.m_violation with
       | Some desc ->
           witness :=

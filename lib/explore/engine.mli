@@ -21,8 +21,9 @@
     and consults interior nodes only: a leaf — a node at the depth bound
     — has no children, so a cut there would prune nothing, and search
     finishes each level before the next, so a leaf's run could only ever
-    be matched by another leaf. A leaf that does not violate keeps
-    neither its journal nor its run past its own evaluation.
+    be matched by another leaf. A leaf runs without a journal and keeps
+    no run past its own evaluation; only a violating leaf runs again,
+    recording, for its witness trace.
 
     [Fuzz] abandons the depth bound: deterministic seeded mutations of
     recorded traces, executed tolerantly through {!Problem.run_guided},
@@ -87,8 +88,9 @@ type stats = {
   explored : int;  (** runs executed and merged *)
   depth_reached : int;  (** move-set depth (bounded) or rounds (fuzz) *)
   states : int;
-      (** decision-prefix states visited: total journal entries over
-          merged runs *)
+      (** decision-prefix states visited: total decisions made over
+          merged runs ({!Decision.count}, which a leaf's non-recording
+          source counts too) *)
   distinct : int;
       (** distinct runs in the seen cache: interior nodes only in the
           bounded modes, every non-violating run in fuzz *)

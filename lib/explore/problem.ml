@@ -60,8 +60,8 @@ let materialize ?max_ticks t source =
       ( { config with Sim.oracle = pair.Detector.Backends.oracle },
         pair.Detector.Backends.protocol )
 
-let run ?max_ticks t ~plan ~silence =
-  let source = Decision.scripted ~plan ~silence () in
+let run ?max_ticks ?record t ~plan ~silence =
+  let source = Decision.scripted ?record ~plan ~silence () in
   let config, protocol = materialize ?max_ticks t source in
   (Sim.execute ~decisions:source config protocol, source)
 

@@ -40,9 +40,13 @@ val of_scenario : ?max_ticks:int -> Core.Adversary.scenario -> t
 
 (** Execute under the scripted schedule given by [plan] (index-keyed
     deviations) and [silence] (links lossy from the start). Returns the
-    recording source for its trace and journal. *)
+    source for its trace and journal. With [record] (default true) the
+    source keeps them; without, it is the same run and the source's
+    {!Decision.count} still counts its decisions, but its trace and
+    journal are empty. *)
 val run :
   ?max_ticks:int ->
+  ?record:bool ->
   t ->
   plan:(int * Decision.t) list ->
   silence:(Pid.t * Pid.t) list ->

@@ -175,6 +175,69 @@ let record_matches_plain_execute () =
     (Run.digest plain.Sim.run)
     (Run.digest recorded.Sim.run)
 
+(* ---------- leaves run without a journal ---------- *)
+
+(* perf P9's heartbeat problem *)
+let heartbeat_problem () =
+  let config =
+    {
+      (Sim.config ~n:4 ~seed:11L) with
+      Sim.init_plan = Init_plan.one ~owner:0 ~at:1;
+      max_ticks = 60;
+      crash_budget = 2;
+    }
+  in
+  let protocol =
+    match Explore.Protocols.instantiate "heartbeat" ~n:4 with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  Explore.Problem.make ~name:"p9-heartbeat" ~config ~protocol
+    ~protocol_label:"heartbeat" Explore.Property.Dc3
+
+(* A non-recording run is the run a recording source makes: same run
+   digest, same decision count, same verdict. Only its trace and journal
+   are empty. *)
+let unrecorded_run_matches =
+  let decision =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun b -> Decision.Deliver b) bool;
+          map (fun k -> Decision.Pick k) (int_range 0 3);
+          map (fun b -> Decision.Drop b) bool;
+          map (fun b -> Decision.Crash b) bool;
+          return (Decision.Order [| 3; 2; 1; 0 |]);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 4) (pair (int_range (-2) 300) decision))
+        (list_size (int_range 0 2) (pair (int_range 0 3) (int_range 0 3))))
+  in
+  let print (plan, silence) =
+    Format.asprintf "plan [%a] silence [%a]"
+      (Format.pp_print_list (fun ppf (i, d) ->
+           Format.fprintf ppf "%a@@%d;" Decision.pp d i))
+      plan
+      (Format.pp_print_list (fun ppf (s, d) ->
+           Format.fprintf ppf "%d->%d;" s d))
+      silence
+  in
+  QCheck.Test.make ~name:"Problem.run ~record:false is the recorded run"
+    ~count:50 (QCheck.make ~print gen) (fun (plan, silence) ->
+      let problem = heartbeat_problem () in
+      let recorded, rs = Explore.Problem.run problem ~plan ~silence in
+      let bare, bs = Explore.Problem.run problem ~record:false ~plan ~silence in
+      Run.digest recorded.Sim.run = Run.digest bare.Sim.run
+      && Decision.count rs = Decision.count bs
+      && Decision.count rs = List.length (Decision.trace rs)
+      && Explore.Problem.violation problem recorded
+         = Explore.Problem.violation problem bare
+      && Decision.trace bs = []
+      && Decision.journal bs = [||])
+
 (* ---------- scenario rediscovery + shrinking ---------- *)
 
 let scenarios =
@@ -448,7 +511,8 @@ let kset_certify () =
           | Error e -> Alcotest.failf "reloaded replay failed: %s" e))
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest [ trace_roundtrip; record_replay_digest ]
+  List.map QCheck_alcotest.to_alcotest
+    [ trace_roundtrip; record_replay_digest; unrecorded_run_matches ]
   @ [
       Alcotest.test_case "scripted source defaults" `Quick scripted_defaults;
       Alcotest.test_case "scripted plan and silence" `Quick
