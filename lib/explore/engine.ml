@@ -466,6 +466,9 @@ type mutant = {
 }
 
 let fuzz ?(options = default_options) problem =
+  (* without a mutant per parent a wave is empty, and every round would
+     re-queue the same parents forever *)
+  if options.mutants < 1 then invalid_arg "Engine.fuzz: mutants must be >= 1";
   let seen = Seen.create () in
   let c = fresh_counters () in
   let rounds = ref 0 in

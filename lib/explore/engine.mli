@@ -119,7 +119,8 @@ val search : ?options:options -> Problem.t -> outcome * stats
 
 (** Coverage-guided fuzzing (ignores [options.mode]). Never returns
     [Exhausted]: the mutation space has no bound, so the hunt ends in a
-    [Violation] or a [Budget]. *)
+    [Violation] or a [Budget].
+    @raise Invalid_argument if [options.mutants < 1]. *)
 val fuzz : ?options:options -> Problem.t -> outcome * stats
 
 (** [split_at k l] = [(first k elements, the rest)]. Tail-recursive —

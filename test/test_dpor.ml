@@ -432,6 +432,29 @@ let cache_skips_leaves () =
     (line (exhaust ~depth:2 problem false))
     (line (exhaust ~depth:2 problem true))
 
+(* Fuzz needs a mutant per corpus parent: with none, every wave would
+   be empty and the hunt would re-queue its parents forever. *)
+let fuzz_needs_mutants () =
+  let problem =
+    clean_problem ~protocol_label:"heartbeat" ~max_ticks:60
+      Explore.Property.Dc3
+  in
+  List.iter
+    (fun mutants ->
+      let options =
+        {
+          Explore.Engine.default_options with
+          Explore.Engine.mode = Explore.Engine.Fuzz;
+          max_runs = 50;
+          mutants;
+        }
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "mutants = %d" mutants)
+        (Invalid_argument "Engine.fuzz: mutants must be >= 1")
+        (fun () -> ignore (Explore.Engine.search ~options problem)))
+    [ 0; -1 ]
+
 (* ---------- cross-domain determinism, all three modes ---------- *)
 
 let fingerprint_outcome (outcome, (stats : Explore.Engine.stats)) =
@@ -584,6 +607,8 @@ let suite =
       Alcotest.test_case "P9 heartbeat counts pinned" `Slow p9_pinned;
       Alcotest.test_case "confined leaf witness pinned" `Quick
         confined_leaf_witness;
+      Alcotest.test_case "fuzz rejects fewer than one mutant" `Quick
+        fuzz_needs_mutants;
     ]
   @ List.map
       (fun ((name, _) as sc) ->
