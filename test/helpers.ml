@@ -118,3 +118,26 @@ let random_enum_setup seed =
     }
   in
   (label, proto, cfg)
+
+(* ---------- explorer problems ---------- *)
+
+(* A clean problem on four processes with decision-driven crashes (one
+   by default): coordinator 0 initiates at tick 1, the CLI's plan for UDC
+   protocols. *)
+let clean_problem ?(seed = 42L) ?(crash_budget = 1) ~protocol_label ~max_ticks
+    property =
+  let config =
+    {
+      (Sim.config ~n:4 ~seed) with
+      Sim.init_plan = Init_plan.one ~owner:0 ~at:1;
+      max_ticks;
+      crash_budget;
+    }
+  in
+  let protocol =
+    match Explore.Protocols.instantiate protocol_label ~n:4 with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  Explore.Problem.make ~name:protocol_label ~config ~protocol ~protocol_label
+    property

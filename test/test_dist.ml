@@ -297,7 +297,8 @@ let fairness_distinct_classes () =
       ];
     check "sping vs spingreq"
       [
-        Swim_ping { origin = 1; seq = 0 }; Swim_ping_req { target = 1; seq = 0 };
+        Swim_ping { origin = 1; seq = 0 };
+        Swim_ping_req { target = 1; seq = 0 };
       ];
     check "hb vs gossip vs counters"
       [ Heartbeat 0; Gossip Pid.Set.empty; Gossip_counters [] ])

@@ -357,27 +357,6 @@ let cache_soundness_scenarios =
       cache_on_off_verdict Explore.Engine.Dpor problem
       && cache_on_off_verdict Explore.Engine.Bfs problem)
 
-(* A clean problem on four processes with decision-driven crashes (one
-   by default): coordinator 0 initiates at tick 1, the CLI's plan for UDC
-   protocols. *)
-let clean_problem ?(seed = 42L) ?(crash_budget = 1) ~protocol_label ~max_ticks
-    property =
-  let config =
-    {
-      (Sim.config ~n:4 ~seed) with
-      Sim.init_plan = Init_plan.one ~owner:0 ~at:1;
-      max_ticks;
-      crash_budget;
-    }
-  in
-  let protocol =
-    match Explore.Protocols.instantiate protocol_label ~n:4 with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
-  Explore.Problem.make ~name:protocol_label ~config ~protocol ~protocol_label
-    property
-
 (* stats of a dpor search that must exhaust its space *)
 let exhaust ~depth problem seen_cache =
   let options =
@@ -399,7 +378,7 @@ let cache_soundness_exhaust () =
      cache cuts interior nodes: the verdict must stay Exhausted and each
      cut must remove its subtree from the node count *)
   let problem =
-    clean_problem ~protocol_label:"heartbeat" ~max_ticks:60
+    Helpers.clean_problem ~protocol_label:"heartbeat" ~max_ticks:60
       Explore.Property.Dc3
   in
   let on = exhaust ~depth:3 problem true
@@ -418,7 +397,7 @@ let cache_skips_leaves () =
      cache neither records nor consults: cache on and off search the
      same nodes, and only the on side counts distinct interior runs *)
   let problem =
-    clean_problem ~protocol_label:"reliable" ~max_ticks:120
+    Helpers.clean_problem ~protocol_label:"reliable" ~max_ticks:120
       Explore.Property.Udc
   in
   let line (s : Explore.Engine.stats) =
@@ -436,7 +415,7 @@ let cache_skips_leaves () =
    be empty and the hunt would re-queue its parents forever. *)
 let fuzz_needs_mutants () =
   let problem =
-    clean_problem ~protocol_label:"heartbeat" ~max_ticks:60
+    Helpers.clean_problem ~protocol_label:"heartbeat" ~max_ticks:60
       Explore.Property.Dc3
   in
   List.iter
@@ -511,7 +490,7 @@ let counts (s : Explore.Engine.stats) =
    space, and every count is pinned. *)
 let p9_pinned () =
   let problem =
-    clean_problem ~seed:11L ~crash_budget:2 ~protocol_label:"heartbeat"
+    Helpers.clean_problem ~seed:11L ~crash_budget:2 ~protocol_label:"heartbeat"
       ~max_ticks:60 Explore.Property.Dc3
   in
   let exhausted mode =

@@ -177,24 +177,6 @@ let record_matches_plain_execute () =
 
 (* ---------- leaves run without a journal ---------- *)
 
-(* perf P9's heartbeat problem *)
-let heartbeat_problem () =
-  let config =
-    {
-      (Sim.config ~n:4 ~seed:11L) with
-      Sim.init_plan = Init_plan.one ~owner:0 ~at:1;
-      max_ticks = 60;
-      crash_budget = 2;
-    }
-  in
-  let protocol =
-    match Explore.Protocols.instantiate "heartbeat" ~n:4 with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  Explore.Problem.make ~name:"p9-heartbeat" ~config ~protocol
-    ~protocol_label:"heartbeat" Explore.Property.Dc3
-
 (* A non-recording run is the run a recording source makes: same run
    digest, same decision count, same verdict. Only its trace and journal
    are empty. *)
@@ -227,7 +209,11 @@ let unrecorded_run_matches =
   in
   QCheck.Test.make ~name:"Problem.run ~record:false is the recorded run"
     ~count:50 (QCheck.make ~print gen) (fun (plan, silence) ->
-      let problem = heartbeat_problem () in
+      (* perf P9's heartbeat problem *)
+      let problem =
+        Helpers.clean_problem ~seed:11L ~crash_budget:2
+          ~protocol_label:"heartbeat" ~max_ticks:60 Explore.Property.Dc3
+      in
       let recorded, rs = Explore.Problem.run problem ~plan ~silence in
       let bare, bs = Explore.Problem.run problem ~record:false ~plan ~silence in
       Run.digest recorded.Sim.run = Run.digest bare.Sim.run
