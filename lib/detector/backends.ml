@@ -590,6 +590,7 @@ let gossip_ring_core (cfg : gossip_config) ~degree : (module CORE) =
           (* a stray heartbeat (i < 0) is still detector traffic *)
           if i >= 0 then begin
             t.last_heard.(i) <- now;
+            t.next_check <- min t.next_check (now + cfg.fail_timeout + 1);
             if Pid.Set.mem src t.suspected then
               t.suspected <- Pid.Set.remove src t.suspected
           end;
@@ -686,6 +687,7 @@ let phi_ring_core (cfg : phi_config) ~degree : (module CORE) =
             in
             t.deadline.(i) <-
               now + phi_deadline ~mean ~std ~threshold:cfg.threshold;
+            t.next_check <- min t.next_check t.deadline.(i);
             if Pid.Set.mem src t.suspected then
               t.suspected <- Pid.Set.remove src t.suspected
           end;

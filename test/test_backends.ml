@@ -358,6 +358,24 @@ let gossip_model ~n () =
           Pid.Set.empty (Pid.all n));
   }
 
+(* The gossip ring's definition: suspect a watched [q] when no heartbeat
+   from it arrived for more than [fail_timeout] ticks (tick 0 before
+   any). *)
+let heard_model ~peers () =
+  let cfg = Detector.Backends.gossip_defaults in
+  let heard = Hashtbl.create 8 in
+  {
+    message = (fun _ ~now ~src:_ -> Message.Heartbeat now);
+    observe = (fun ~now ~src _ -> Hashtbl.replace heard src now);
+    expected =
+      (fun ~now ->
+        List.fold_left
+          (fun acc q ->
+            let last = Option.value ~default:0 (Hashtbl.find_opt heard q) in
+            if now - last > cfg.fail_timeout then Pid.Set.add q acc else acc)
+          Pid.Set.empty peers);
+  }
+
 (* Drive monitor 0 of [pair] through a random arrival schedule. Each
    segment is (ticks, live mask): in every tick the monitor either
    receives from a live peer (bit [q - 1] of the mask, probability 1/3)
@@ -429,6 +447,21 @@ let gossip_published =
   published_matches ~name:"gossip publishes its stale counters"
     ~on_recv:true (fun ~n -> (Detector.Backends.gossip ~n (), gossip_model ~n ()))
 
+(* The ring cores rescan only on a step, so they are checked after
+   steps. Monitor 0 watches pids 1 and 2; heartbeats from other pids
+   are strays. *)
+let watched n = Detector.Backends.ring_watched ~n ~degree:2 0
+
+let phi_ring_published =
+  published_matches ~name:"phi-ring publishes its threshold crossings"
+    ~on_recv:false (fun ~n ->
+      (Detector.Backends.phi_ring ~n (), phi_model ~peers:(watched n) ()))
+
+let gossip_ring_published =
+  published_matches ~name:"gossip-ring publishes its silent peers"
+    ~on_recv:false (fun ~n ->
+      (Detector.Backends.gossip_ring ~n (), heard_model ~peers:(watched n) ()))
+
 (* ---------- sampled-knowledge overclaim audit determinism ---------- *)
 
 let overclaim_domain_invariance =
@@ -474,4 +507,6 @@ let suite =
         overclaim_domain_invariance;
         phi_published;
         gossip_published;
+        phi_ring_published;
+        gossip_ring_published;
       ]

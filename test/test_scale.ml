@@ -251,13 +251,13 @@ let sharded_pinned_digests () =
     [
       ("gossip shards=2", "69ccc89063b8d00c8900020bb2f70c96");
       ("swim shards=2", "9476d8617f9c43bd5f03f23cdb0a2583");
-      ("phi shards=2", "109eb706dea9888ef971d1e19bdf6e83");
+      ("phi shards=2", "c13faaf1e12defae7c211e23f6c522f0");
       ("gossip shards=3", "6c2a00ff9f2e59650050cba1983284b8");
       ("swim shards=3", "16472af6dff1048da76bea2af6c58d50");
-      ("phi shards=3", "048a4441eec06204cbbf7d9e4c443332");
+      ("phi shards=3", "c1fbcbfc87b00e482d8e722a2d176eb4");
       ("gossip shards=4", "33bfeafe3b497e292bb0c392b9fbcf4d");
       ("swim shards=4", "9de02c18fd261513e9d8da9b72e610dc");
-      ("phi shards=4", "cb6fe9c6ec02f86963954448fedc499e");
+      ("phi shards=4", "b56b52e137c5924a9b07628150ddc058");
       ("gossip ADD 3/7 shards=3", "d558b18f943ce4a980b2041c98f00728");
       ("swim committee 3 shards=3", "ac7a857d94624ae7fc47094dd9db1946");
     ]
@@ -408,6 +408,12 @@ let ring_detects backend () =
      the lossless second half must retract every suspicion. The cores
      change [suspected] in place; only the adapter's publication carries
      a retraction into the history. Both engines. *)
+  let engines =
+    [
+      ("sim", fun cfg proto -> Sim.execute cfg proto);
+      ("shards=2", fun cfg proto -> Scale.Shard.execute ~shards:2 cfg proto);
+    ]
+  in
   let cfg = Sim.config ~n ~seed:11L in
   let cfg =
     {
@@ -443,10 +449,48 @@ let ring_detects backend () =
           (Pid.Set.is_empty
              (List.fold_left (fun _ (_, s) -> s) Pid.Set.empty timeline))
       done)
-    [
-      ("sim", fun cfg proto -> Sim.execute cfg proto);
-      ("shards=2", fun cfg proto -> Scale.Shard.execute ~shards:2 cfg proto);
-    ]
+    engines;
+  (* The same blackout, then a crash after recovery: a monitor that
+     suspected both its peers and retracted both must still arm its scan
+     for the victim. *)
+  let cfg =
+    {
+      cfg with
+      Sim.max_ticks = 400;
+      fault_plan = Fault_plan.crash_at [ (victim, 200) ];
+    }
+  in
+  List.iter
+    (fun (engine, execute) ->
+      let pair = ring_pair backend ~n ~degree:2 in
+      let run =
+        (execute { cfg with Sim.oracle = pair.Detector.Backends.oracle }
+           pair.Detector.Backends.protocol)
+          .Sim.run
+      in
+      let final p =
+        List.fold_left
+          (fun _ (_, s) -> s)
+          Pid.Set.empty
+          (Detector.Spec.event_timeline run p)
+      in
+      List.iter
+        (fun p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s crash after recovery: %d suspects %d"
+               backend engine p victim)
+            true
+            (Pid.Set.mem victim (final p)))
+        monitors;
+      for p = 0 to n - 1 do
+        if p <> victim then
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s %s crash after recovery: %d's final set" backend
+               engine p)
+            (if List.mem p monitors then [ victim ] else [])
+            (Pid.Set.elements (final p))
+      done)
+    engines
 
 let phi_deadline_monotone =
   QCheck.Test.make ~name:"phi_deadline inverts phi" ~count:200
