@@ -79,9 +79,10 @@ type pair = { oracle : Oracle.t; protocol : Pid.t -> Protocol.t }
 (* A detector core is the time/message logic of one backend; the
    [adapt] wrapper below turns it into a {!Protocol.S_timed} that
    publishes [suspicions] into the shared cells and alternates with an
-   inner application protocol. The full-mesh cores are pure values. The
-   ring cores update their argument in place and return it: a core state
-   is single-use, like the pair that owns it. *)
+   inner application protocol. Every core updates its argument in place
+   and returns it, so a quiet step allocates no state and republishes
+   the same physical suspicion set: a core state is single-use, like the
+   pair that owns it. *)
 module type CORE = sig
   type t
 
@@ -117,107 +118,137 @@ end
 
 let peers_of ~n ~me = List.filter (fun q -> not (Pid.equal q me)) (Pid.all n)
 
+(* Smallest integer elapsed time at which the φ of the fitted
+   distribution crosses the threshold — the arrival-time inversion that
+   replaces a per-tick φ evaluation with a precomputed deadline. φ is
+   monotone in [elapsed], so exponential search then bisection. *)
+let phi_deadline ~mean ~std ~threshold =
+  let over e = phi ~elapsed:(float_of_int e) ~mean ~std > threshold in
+  let rec widen hi = if over hi || hi > 1_000_000 then hi else widen (2 * hi) in
+  let hi = widen (max 1 (int_of_float mean)) in
+  let rec bisect lo hi =
+    (* invariant: not (over lo), over hi *)
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if over mid then bisect lo mid else bisect mid hi
+  in
+  if over 1 then 1 else bisect 1 hi
+
+(* Ticks after its anchor at which a peer with inter-arrival window [w]
+   is suspected: φ fitted to the window's mean and deviation (floored at
+   [min_std]), or to the bootstrap mean before the first sample. *)
+let suspect_after (cfg : phi_config) w =
+  let mean, std =
+    match (Phi_window.mean w, Phi_window.variance w) with
+    | Some m, Some v -> (m, Float.max cfg.min_std (sqrt v))
+    | _ -> (cfg.bootstrap, cfg.min_std)
+  in
+  phi_deadline ~mean ~std ~threshold:cfg.threshold
+
+(* The full-mesh φ and gossip cores keep one suspicion deadline per pid
+   ([max_int] for the own pid, never suspected). Between arrivals from a
+   peer, its φ and its counter's staleness only grow with the clock, so
+   it is suspected exactly while [now >= deadline]. An arrival sets its
+   peer's deadline, possibly earlier than before, and lowers
+   [next_check] to it: [next_check] stays at or below the earliest
+   deadline of an unsuspected peer, and the O(n) rescan runs only when
+   the clock reaches it. *)
+let rescan_deadlines deadline ~now ~suspected =
+  let found = ref Pid.Set.empty and next = ref max_int in
+  Array.iteri
+    (fun q d ->
+      if now >= d then found := Pid.Set.add q !found
+      else if d < !next then next := d)
+    deadline;
+  ((if Pid.Set.equal !found suspected then suspected else !found), !next)
+
 (* ------------------------------------------------------------------ *)
 (* φ-accrual: heartbeats round-robin; per-peer windowed inter-arrival
    statistics; suspect when the accrued φ exceeds the threshold.       *)
 
 let phi_core (cfg : phi_config) : (module CORE) =
   (module struct
-    type peer = { last : int option; window : Phi_window.t }
-
     type t = {
       me : Pid.t;
-      n : int;
-      peers : peer Pid.Map.t;
-      hb_ring : Pid.t list;
-      last_hb_round : int;
-      hb_seq : int;
-      suspected : Pid.Set.t;
+      peers : Pid.t list;
+      last : int array; (* last arrival; -1 before the first *)
+      windows : Phi_window.t array;
+      deadline : int array; (* suspect from this tick on *)
+      mutable hb_ring : Pid.t list;
+      mutable last_hb_round : int;
+      mutable hb_seq : int;
+      mutable suspected : Pid.Set.t;
+      mutable next_check : int;
     }
 
     let name = "phi"
+    let empty = Phi_window.create ~capacity:cfg.window
+
+    (* Before the first arrival a peer is scored against the bootstrap
+       mean from the run's start, so a peer that crashes before ever
+       sending is still eventually suspected (completeness needs no
+       history). *)
+    let bootstrap = suspect_after cfg empty
 
     let create ~n ~me =
       {
         me;
-        n;
-        peers =
-          List.fold_left
-            (fun m q ->
-              Pid.Map.add q
-                { last = None; window = Phi_window.create ~capacity:cfg.window }
-                m)
-            Pid.Map.empty (peers_of ~n ~me);
+        peers = peers_of ~n ~me;
+        last = Array.make n (-1);
+        windows = Array.make n empty;
+        deadline = Array.init n (fun q -> if q = me then max_int else bootstrap);
         hb_ring = [];
         last_hb_round = -1;
         hb_seq = 0;
         suspected = Pid.Set.empty;
+        next_check = bootstrap;
       }
 
-    (* Before the first arrival the peer is scored against the bootstrap
-       mean from the run's start, so a peer that crashes before ever
-       sending is still eventually suspected (completeness needs no
-       history). *)
-    let phi_of now q peer =
-      let anchor = Option.value ~default:0 peer.last in
-      let elapsed = float_of_int (now - anchor) in
-      let mean, std =
-        match (Phi_window.mean peer.window, Phi_window.variance peer.window) with
-        | Some m, Some v -> (m, Float.max cfg.min_std (sqrt v))
-        | _ -> (cfg.bootstrap, cfg.min_std)
+    let rescan t ~now =
+      let suspected, next =
+        rescan_deadlines t.deadline ~now ~suspected:t.suspected
       in
-      ignore q;
-      phi ~elapsed ~mean ~std
-
-    let refresh t ~now =
-      let suspected =
-        Pid.Map.fold
-          (fun q peer acc ->
-            if phi_of now q peer > cfg.threshold then Pid.Set.add q acc
-            else acc)
-          t.peers Pid.Set.empty
-      in
-      { t with suspected }
+      t.suspected <- suspected;
+      t.next_check <- next
 
     let on_message t ~now ~src = function
       | Message.Heartbeat _ ->
-          let peer =
-            match Pid.Map.find_opt src t.peers with
-            | Some p -> p
-            | None -> { last = None; window = Phi_window.create ~capacity:cfg.window }
-          in
-          let window =
-            match peer.last with
-            | None -> peer.window (* first arrival only anchors the clock *)
-            | Some l ->
-                Phi_window.observe peer.window (float_of_int (now - l))
-          in
-          let t =
-            {
-              t with
-              peers = Pid.Map.add src { last = Some now; window } t.peers;
-            }
-          in
-          Some (refresh t ~now)
+          if src <> t.me then begin
+            (* the first arrival only anchors the clock; later ones feed
+               the inter-arrival window *)
+            if t.last.(src) >= 0 then
+              t.windows.(src) <-
+                Phi_window.observe t.windows.(src)
+                  (float_of_int (now - t.last.(src)));
+            t.last.(src) <- now;
+            t.deadline.(src) <- now + suspect_after cfg t.windows.(src);
+            t.next_check <- min t.next_check t.deadline.(src);
+            if Pid.Set.mem src t.suspected then
+              t.suspected <- Pid.Set.remove src t.suspected;
+            if now >= t.next_check then rescan t ~now
+          end;
+          Some t
       | _ -> None
 
-    let tick t ~now = refresh t ~now
+    let tick t ~now =
+      if now >= t.next_check then rescan t ~now;
+      t
 
+    (* The round is detected here, not in [tick]: the adapter does not
+       ask for detector traffic on every step. *)
     let next_send t ~now =
       let round = now / cfg.hb_period in
-      if round > t.last_hb_round then
-        let t = { t with last_hb_round = round; hb_seq = t.hb_seq + 1 } in
-        match peers_of ~n:t.n ~me:t.me with
-        | [] -> None
-        | dst :: ring ->
-            Some
-              ( { t with hb_ring = ring },
-                (dst, Message.Heartbeat t.hb_seq) )
-      else
-        match t.hb_ring with
-        | [] -> None
-        | dst :: ring ->
-            Some ({ t with hb_ring = ring }, (dst, Message.Heartbeat t.hb_seq))
+      if round > t.last_hb_round then begin
+        t.last_hb_round <- round;
+        t.hb_seq <- t.hb_seq + 1;
+        t.hb_ring <- t.peers
+      end;
+      match t.hb_ring with
+      | [] -> None
+      | dst :: ring ->
+          t.hb_ring <- ring;
+          Some (t, (dst, Message.Heartbeat t.hb_seq))
 
     let suspicions t = t.suspected
   end)
@@ -236,31 +267,48 @@ let swim_core (cfg : swim_config) : (module CORE) =
     type t = {
       me : Pid.t;
       n : int;
-      ring : Pid.t list; (* probe-target rotation *)
-      last_probe_round : int;
-      next_seq : int;
-      outstanding : probe option;
-      sent : (int * Pid.t) list; (* recent seq -> target, newest first *)
-      suspected : int Pid.Map.t; (* target -> suspicion start tick *)
-      confirmed : Pid.Set.t;
-      out : Outbox.t;
+      peers : Pid.t list;
+      mutable ring : Pid.t list; (* probe-target rotation *)
+      mutable last_probe_round : int;
+      mutable next_seq : int;
+      mutable outstanding : probe option;
+      sent : Pid.t array;
+          (* target of probe [seq] at [seq mod keep], for the last [keep] *)
+      mutable suspected : int Pid.Map.t; (* target -> suspicion start tick *)
+      mutable confirmed : Pid.Set.t;
+      mutable published : Pid.Set.t; (* suspected ∪ confirmed *)
+      mutable out : Outbox.t;
     }
 
     let name = "swim"
+
+    (* probes remembered for a late ack *)
+    let keep = 4 * (cfg.suspect_timeout / cfg.probe_period)
 
     let create ~n ~me =
       {
         me;
         n;
+        peers = peers_of ~n ~me;
         ring = [];
         last_probe_round = -1;
         next_seq = 0;
         outstanding = None;
-        sent = [];
+        sent = Array.make (max keep 0) 0;
         suspected = Pid.Map.empty;
         confirmed = Pid.Set.empty;
+        published = Pid.Set.empty;
         out = Outbox.empty;
       }
+
+    (* Rebuild the published set only when [suspected] or [confirmed]
+       changed since [s] and [c] were read: the stdlib's [add] and
+       [remove] return their argument when nothing changes. *)
+    let republish t s c =
+      if t.suspected != s || t.confirmed != c then
+        t.published <-
+          Pid.Map.fold (fun q _ acc -> Pid.Set.add q acc) t.suspected
+            t.confirmed
 
     (* the [cfg.proxies] pids after [target] in ring order, skipping self
        and the target *)
@@ -274,111 +322,93 @@ let swim_core (cfg : swim_config) : (module CORE) =
       in
       go 1 []
 
+    let push t ~dst msg = t.out <- Outbox.push t.out ~dst msg
+
     let on_message t ~now:_ ~src = function
       | Message.Swim_ping { origin; seq } ->
-          Some { t with out = Outbox.push t.out ~dst:src (Message.Swim_ack { origin; seq }) }
+          push t ~dst:src (Message.Swim_ack { origin; seq });
+          Some t
       | Message.Swim_ack { origin; seq } when not (Pid.equal origin t.me) ->
           (* proxy leg: route the ack back to the prober *)
-          ignore seq;
-          Some
-            {
-              t with
-              out = Outbox.push t.out ~dst:origin (Message.Swim_ack { origin; seq });
-            }
-      | Message.Swim_ack { origin = _; seq } -> (
+          push t ~dst:origin (Message.Swim_ack { origin; seq });
+          Some t
+      | Message.Swim_ack { origin = _; seq } ->
           (* an ack for ANY recent probe is proof of life for its target:
              a late ack (landing after the suspect timeout already fired)
              must still retract, or a single slow round-trip pins a false
              suspicion until the ring happens to re-probe the target *)
-          match List.assoc_opt seq t.sent with
-          | Some target ->
-              Some
-                {
-                  t with
-                  outstanding =
-                    (match t.outstanding with
-                    | Some o when o.seq = seq -> None
-                    | other -> other);
-                  suspected = Pid.Map.remove target t.suspected;
-                  confirmed = Pid.Set.remove target t.confirmed;
-                }
-          | None -> Some t (* ack for a probe older than the memory *))
+          if seq >= 0 && seq < t.next_seq && seq >= t.next_seq - keep then begin
+            let target = t.sent.(seq mod keep) in
+            (match t.outstanding with
+            | Some o when o.seq = seq -> t.outstanding <- None
+            | _ -> ());
+            let s = t.suspected and c = t.confirmed in
+            t.suspected <- Pid.Map.remove target s;
+            t.confirmed <- Pid.Set.remove target c;
+            republish t s c
+          end;
+          (* else an ack for a probe older than the memory *)
+          Some t
       | Message.Swim_ping_req { target; seq } ->
-          Some
-            {
-              t with
-              out =
-                Outbox.push t.out ~dst:target
-                  (Message.Swim_ping { origin = src; seq });
-            }
+          push t ~dst:target (Message.Swim_ping { origin = src; seq });
+          Some t
       | _ -> None
 
     let tick t ~now =
-      let t =
-        match t.outstanding with
-        | Some o when now - o.sent_at >= cfg.suspect_timeout ->
-            {
-              t with
-              outstanding = None;
-              suspected = Pid.Map.add o.target now t.suspected;
-            }
-        | Some o when (not o.indirect) && now - o.sent_at >= cfg.rtt_timeout ->
-            let out =
-              List.fold_left
-                (fun out proxy ->
-                  Outbox.push out ~dst:proxy
-                    (Message.Swim_ping_req { target = o.target; seq = o.seq }))
-                t.out (proxy_list t o.target)
-            in
-            { t with out; outstanding = Some { o with indirect = true } }
-        | _ -> t
-      in
-      let ripe, still =
-        Pid.Map.partition (fun _ since -> now - since >= cfg.confirm_timeout)
+      let s = t.suspected and c = t.confirmed in
+      (match t.outstanding with
+      | Some o when now - o.sent_at >= cfg.suspect_timeout ->
+          t.outstanding <- None;
+          t.suspected <- Pid.Map.add o.target now t.suspected
+      | Some o when (not o.indirect) && now - o.sent_at >= cfg.rtt_timeout ->
+          List.iter
+            (fun proxy ->
+              push t ~dst:proxy
+                (Message.Swim_ping_req { target = o.target; seq = o.seq }))
+            (proxy_list t o.target);
+          t.outstanding <- Some { o with indirect = true }
+      | _ -> ());
+      if
+        Pid.Map.exists
+          (fun _ since -> now - since >= cfg.confirm_timeout)
           t.suspected
-      in
-      let t =
-        {
-          t with
-          suspected = still;
-          confirmed =
-            Pid.Map.fold (fun q _ acc -> Pid.Set.add q acc) ripe t.confirmed;
-        }
-      in
-      let round = now / cfg.probe_period in
-      if round > t.last_probe_round && t.outstanding = None then
-        let t = { t with last_probe_round = round } in
-        let ring =
-          match t.ring with [] -> peers_of ~n:t.n ~me:t.me | r -> r
+      then begin
+        let ripe, still =
+          Pid.Map.partition
+            (fun _ since -> now - since >= cfg.confirm_timeout)
+            t.suspected
         in
-        match ring with
-        | [] -> t
-        | target :: ring ->
-            let seq = t.next_seq in
-            let keep = 4 * (cfg.suspect_timeout / cfg.probe_period) in
-            {
-              t with
-              ring;
-              next_seq = seq + 1;
-              outstanding =
+        t.suspected <- still;
+        t.confirmed <-
+          Pid.Map.fold (fun q _ acc -> Pid.Set.add q acc) ripe t.confirmed
+      end;
+      republish t s c;
+      let round = now / cfg.probe_period in
+      if round > t.last_probe_round then begin
+        (* an outstanding probe consumes the round's probe budget *)
+        t.last_probe_round <- round;
+        if t.outstanding = None then
+          match (match t.ring with [] -> t.peers | r -> r) with
+          | [] -> ()
+          | target :: ring ->
+              let seq = t.next_seq in
+              t.ring <- ring;
+              t.next_seq <- seq + 1;
+              t.outstanding <-
                 Some { target; seq; sent_at = now; indirect = false };
-              sent = List.filteri (fun i _ -> i < keep) ((seq, target) :: t.sent);
-              out =
-                Outbox.push t.out ~dst:target
-                  (Message.Swim_ping { origin = t.me; seq });
-            }
-      else if round > t.last_probe_round then
-        (* the slot's probe budget is consumed by the outstanding probe *)
-        { t with last_probe_round = round }
-      else t
+              if keep > 0 then t.sent.(seq mod keep) <- target;
+              push t ~dst:target (Message.Swim_ping { origin = t.me; seq })
+      end;
+      t
 
     let next_send t ~now =
       match Outbox.next t.out ~now with
-      | Some (out, send) -> Some ({ t with out }, send)
+      | Some (out, send) ->
+          t.out <- out;
+          Some (t, send)
       | None -> None
 
-    let suspicions t =
-      Pid.Map.fold (fun q _ acc -> Pid.Set.add q acc) t.suspected t.confirmed
+    let suspicions t = t.published
   end)
 
 (* ------------------------------------------------------------------ *)
@@ -392,12 +422,15 @@ let gossip_core (cfg : gossip_config) : (module CORE) =
     type t = {
       me : Pid.t;
       n : int;
-      counters : int Pid.Map.t;
-      last_advance : int Pid.Map.t;
-      ring : Pid.t list; (* gossip-target rotation *)
-      last_round : int;
-      pending : Pid.t list; (* this round's targets not yet sent *)
-      suspected : Pid.Set.t;
+      peers : Pid.t list;
+      counters : int array;
+      mutable wire : (Pid.t * int) list; (* [counters] as sent; [] when stale *)
+      deadline : int array; (* last advance + fail_timeout + 1 *)
+      mutable ring : Pid.t list; (* gossip-target rotation *)
+      mutable last_round : int;
+      mutable pending : Pid.t list; (* this round's targets not yet sent *)
+      mutable suspected : Pid.Set.t;
+      mutable next_check : int;
     }
 
     let name = "gossip"
@@ -406,93 +439,81 @@ let gossip_core (cfg : gossip_config) : (module CORE) =
       {
         me;
         n;
-        counters =
-          List.fold_left
-            (fun m q -> Pid.Map.add q 0 m)
-            Pid.Map.empty (Pid.all n);
-        last_advance =
-          List.fold_left
-            (fun m q -> Pid.Map.add q 0 m)
-            Pid.Map.empty (Pid.all n);
+        peers = peers_of ~n ~me;
+        counters = Array.make n 0;
+        wire = [];
+        deadline =
+          Array.init n (fun q ->
+              if q = me then max_int else cfg.fail_timeout + 1);
         ring = [];
         last_round = -1;
         pending = [];
         suspected = Pid.Set.empty;
+        next_check = cfg.fail_timeout + 1;
       }
 
-    let refresh t ~now =
-      let suspected =
-        List.fold_left
-          (fun acc q ->
-            if Pid.equal q t.me then acc
-            else
-              match Pid.Map.find_opt q t.last_advance with
-              | Some l when now - l <= cfg.fail_timeout -> acc
-              | _ -> Pid.Set.add q acc)
-          Pid.Set.empty (Pid.all t.n)
+    let rescan t ~now =
+      let suspected, next =
+        rescan_deadlines t.deadline ~now ~suspected:t.suspected
       in
-      { t with suspected }
+      t.suspected <- suspected;
+      t.next_check <- next
 
     let on_message t ~now ~src:_ = function
       | Message.Gossip_counters l ->
-          let t =
-            List.fold_left
-              (fun t (q, c) ->
-                let cur = Option.value ~default:0 (Pid.Map.find_opt q t.counters) in
-                if c > cur then
-                  {
-                    t with
-                    counters = Pid.Map.add q c t.counters;
-                    last_advance = Pid.Map.add q now t.last_advance;
-                  }
-                else t)
-              t l
-          in
-          Some (refresh t ~now)
+          List.iter
+            (fun (q, c) ->
+              if c > t.counters.(q) then begin
+                t.counters.(q) <- c;
+                t.wire <- [];
+                if q <> t.me then begin
+                  t.deadline.(q) <- now + cfg.fail_timeout + 1;
+                  t.next_check <- min t.next_check t.deadline.(q);
+                  if Pid.Set.mem q t.suspected then
+                    t.suspected <- Pid.Set.remove q t.suspected
+                end
+              end)
+            l;
+          if now >= t.next_check then rescan t ~now;
+          Some t
       | _ -> None
 
     let tick t ~now =
       let round = now / cfg.gossip_period in
-      let t =
-        if round > t.last_round then
-          let counters =
-            Pid.Map.add t.me
-              (1 + Option.value ~default:0 (Pid.Map.find_opt t.me t.counters))
-              t.counters
-          in
-          let ring = match t.ring with [] -> peers_of ~n:t.n ~me:t.me | r -> r in
-          let rec split k acc ring =
-            if k = 0 then (List.rev acc, ring)
-            else
-              match ring with
-              | [] -> (
-                  match peers_of ~n:t.n ~me:t.me with
-                  | [] -> (List.rev acc, [])
-                  | refreshed -> split k acc refreshed)
-              | q :: rest -> split (k - 1) (q :: acc) rest
-          in
-          let targets, ring = split (min cfg.fanout (t.n - 1)) [] ring in
-          {
-            t with
-            counters;
-            last_advance = Pid.Map.add t.me now t.last_advance;
-            last_round = round;
-            ring;
-            (* a process too slow to drain last round's targets sheds them
-               rather than queueing ever more gossip *)
-            pending = targets;
-          }
-        else t
-      in
-      refresh t ~now
+      if round > t.last_round then begin
+        t.counters.(t.me) <- t.counters.(t.me) + 1;
+        t.wire <- [];
+        let rec split k acc ring =
+          if k = 0 then (List.rev acc, ring)
+          else
+            match ring with
+            | [] -> (
+                match t.peers with
+                | [] -> (List.rev acc, [])
+                | refreshed -> split k acc refreshed)
+            | q :: rest -> split (k - 1) (q :: acc) rest
+        in
+        let targets, ring =
+          split (min cfg.fanout (t.n - 1)) []
+            (match t.ring with [] -> t.peers | r -> r)
+        in
+        t.last_round <- round;
+        t.ring <- ring;
+        (* a process too slow to drain last round's targets sheds them
+           rather than queueing ever more gossip *)
+        t.pending <- targets
+      end;
+      if now >= t.next_check then rescan t ~now;
+      t
 
     let next_send t ~now:_ =
       match t.pending with
       | [] -> None
       | dst :: pending ->
-          Some
-            ( { t with pending },
-              (dst, Message.Gossip_counters (Pid.Map.bindings t.counters)) )
+          t.pending <- pending;
+          if t.wire = [] then
+            t.wire <- List.init t.n (fun q -> (q, t.counters.(q)));
+          Some (t, (dst, Message.Gossip_counters t.wire))
 
     let suspicions t = t.suspected
   end)
@@ -516,23 +537,6 @@ let ring_watched ~n ~degree me =
 
 let ring_watchers ~n ~degree me =
   List.init (min degree (n - 1)) (fun i -> ((me - i - 1) mod n + n) mod n)
-
-(* Smallest integer elapsed time at which the φ of the fitted
-   distribution crosses the threshold — the arrival-time inversion that
-   replaces a per-tick φ evaluation with a precomputed deadline. φ is
-   monotone in [elapsed], so exponential search then bisection. *)
-let phi_deadline ~mean ~std ~threshold =
-  let over e = phi ~elapsed:(float_of_int e) ~mean ~std > threshold in
-  let rec widen hi = if over hi || hi > 1_000_000 then hi else widen (2 * hi) in
-  let hi = widen (max 1 (int_of_float mean)) in
-  let rec bisect lo hi =
-    (* invariant: not (over lo), over hi *)
-    if hi - lo <= 1 then hi
-    else
-      let mid = (lo + hi) / 2 in
-      if over mid then bisect lo mid else bisect mid hi
-  in
-  if over 1 then 1 else bisect 1 hi
 
 (* Index of [src] among a ring core's watched peers, [-1] for a stray. *)
 let watched_index watched src =
@@ -635,8 +639,8 @@ let phi_ring_core (cfg : phi_config) ~degree : (module CORE) =
 
     let name = "phi-ring"
 
-    let bootstrap_deadline =
-      phi_deadline ~mean:cfg.bootstrap ~std:cfg.min_std ~threshold:cfg.threshold
+    let empty = Phi_window.create ~capacity:cfg.window
+    let bootstrap_deadline = suspect_after cfg empty
 
     let create ~n ~me =
       let d = min degree (n - 1) in
@@ -645,7 +649,7 @@ let phi_ring_core (cfg : phi_config) ~degree : (module CORE) =
         watched = Array.of_list (ring_watched ~n ~degree me);
         watchers = ring_watchers ~n ~degree me;
         last = Array.make d 0;
-        windows = Array.make d (Phi_window.create ~capacity:cfg.window);
+        windows = Array.make d empty;
         deadline = Array.make d bootstrap_deadline;
         seq = 0;
         last_round = -1;
@@ -677,16 +681,7 @@ let phi_ring_core (cfg : phi_config) ~degree : (module CORE) =
                 Phi_window.observe t.windows.(i)
                   (float_of_int (now - t.last.(i)));
             t.last.(i) <- now;
-            let mean, std =
-              match
-                ( Phi_window.mean t.windows.(i),
-                  Phi_window.variance t.windows.(i) )
-              with
-              | Some m, Some v -> (m, Float.max cfg.min_std (sqrt v))
-              | _ -> (cfg.bootstrap, cfg.min_std)
-            in
-            t.deadline.(i) <-
-              now + phi_deadline ~mean ~std ~threshold:cfg.threshold;
+            t.deadline.(i) <- now + suspect_after cfg t.windows.(i);
             t.next_check <- min t.next_check t.deadline.(i);
             if Pid.Set.mem src t.suspected then
               t.suspected <- Pid.Set.remove src t.suspected
