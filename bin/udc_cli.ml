@@ -604,6 +604,21 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
     | Ok r -> r
     | Error e -> fail "%s" e
   in
+  (* an expectation no outcome can match is a usage error, found before
+     any run *)
+  (match (problem, expect) with
+  | "detector", Some e
+    when e <> "none"
+         && List.exists
+              (fun c -> Detector.Spec.cls_of_string c = None)
+              (String.split_on_char '+' e) ->
+      fail
+        "unknown --expect %S for --problem detector (none, or class names \
+         joined by '+', e.g. eventually-perfect+strong)"
+        e
+  | "kset", Some e when e <> "attained" && e <> "violated" ->
+      fail "unknown --expect %S for --problem kset (attained | violated)" e
+  | _ -> ());
   let params = { Explore.Classify.n; crashes; runs; max_ticks; gst } in
   let emit_repro repro =
     (match Explore.Repro.replay repro with
@@ -652,7 +667,7 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
   | "kset" ->
       (* n processes decide at most n values, so any k >= n is attained on
          every run *)
-      (match Explore.Classify.check params with
+      (match Explore.Classify.check ~regime params with
       | Error e -> fail "%s" e
       | Ok () ->
           if k < 1 || k > n - 1 then fail "-k %d outside [1, %d]" k (n - 1));
@@ -663,7 +678,6 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
       in
       Format.printf "%a@." Explore.Classify.pp_kset_outcome outcome;
       (match expect with
-      | None -> ()
       | Some "attained" ->
           if outcome.Explore.Classify.attained <> runs then
             mismatch "expected k-set attained on all %d runs, got %d" runs
@@ -672,9 +686,7 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
           if outcome.Explore.Classify.attained = runs then
             mismatch "expected a k-set violation, all %d runs attained it"
               runs
-      | Some e ->
-          fail "unknown --expect %S for --problem kset (attained | violated)"
-            e);
+      | _ -> ());
       if certify then (
         Format.printf
           "certify: searching for a suspicion pattern deciding > %d values@."
@@ -735,7 +747,9 @@ let gst_arg =
     value
     & opt int Explore.Classify.default_params.Explore.Classify.gst
     & info [ "gst" ]
-        ~doc:"Eventually-timely regime: tick at which losses stop.")
+        ~doc:
+          "Eventually-timely regime: tick at which losses stop, in [2, \
+           max-ticks - 1]. Other regimes ignore it.")
 
 let certify_arg =
   Arg.(
@@ -754,9 +768,10 @@ let classify_expect_arg =
           "Exit nonzero unless the measurement matches. With --problem \
            detector: the assignment string (e.g. \
            'eventually-perfect+strong'). With --problem kset: attained (all \
-           runs reached k-set safety) | violated (some run did not). Exit \
-           codes as in udc explore: 0 = match, 1 = mismatch, 2 = usage or \
-           configuration error.")
+           runs reached k-set safety) | violated (some run did not). Any \
+           other value, or an unknown class name, exits 2 before any run. \
+           Exit codes as in udc explore: 0 = match, 1 = mismatch, 2 = usage \
+           or configuration error.")
 
 let classify_cmd =
   Cmd.v

@@ -24,7 +24,7 @@ type params = { n : int; crashes : int; runs : int; max_ticks : int; gst : int }
 
 let default_params = { n = 5; crashes = 2; runs = 30; max_ticks = 320; gst = 160 }
 
-let check p =
+let check ~regime p =
   match
     List.find_opt
       (fun (_, v, least) -> v < least)
@@ -33,6 +33,12 @@ let check p =
   | Some (flag, v, least) -> Error (Printf.sprintf "%s %d < %d" flag v least)
   | None when p.crashes < 0 || p.crashes > p.n - 1 ->
       Error (Printf.sprintf "--crashes %d outside [0, %d]" p.crashes (p.n - 1))
+  (* losses from tick 1 on or never: no cutover inside the run *)
+  | None when regime = Eventually_timely && (p.gst <= 1 || p.gst >= p.max_ticks)
+    ->
+      Error
+        (Printf.sprintf "--gst %d outside [2, %d] for eventually-timely" p.gst
+           (p.max_ticks - 1))
   | None -> Ok ()
 
 let classes =
@@ -122,7 +128,7 @@ let maximal sat_all =
     sat_all
 
 let classify ?domains ~backend ~regime params =
-  match (check params, Protocols.backend_pair backend) with
+  match (check ~regime params, Protocols.backend_pair backend) with
   | Error e, _ -> Error e
   | Ok (), None -> Error (Printf.sprintf "unknown detector backend %S" backend)
   | Ok (), Some mk ->
@@ -340,7 +346,7 @@ let check_k what ~k ~n =
 
 let kset ?domains ~backend ~regime ~k params =
   check_k "Classify.kset" ~k ~n:params.n;
-  match (check params, Detector.Backends.of_label_inner backend) with
+  match (check ~regime params, Detector.Backends.of_label_inner backend) with
   | Error e, _ -> Error e
   | Ok (), None -> Error (Printf.sprintf "unknown detector backend %S" backend)
   | Ok (), Some mk ->

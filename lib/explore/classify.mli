@@ -38,13 +38,16 @@ type params = {
 
 val default_params : params
 
-(** [check p] rejects [n < 2] (no peer to monitor), [crashes] outside
-    [\[0, n - 1\]] (some process must stay correct), [runs < 1] and
-    [max_ticks < 1]: each would score no run, or hold every class
-    vacuously. The message names the [udc classify] flag: [-n],
-    [--crashes], [--runs] or [--max-ticks]. {!classify} and {!kset} run
-    it before any work and return its [Error]. *)
-val check : params -> (unit, string) result
+(** [check ~regime p] rejects [n < 2] (no peer to monitor), [crashes]
+    outside [\[0, n - 1\]] (some process must stay correct), [runs < 1]
+    and [max_ticks < 1]: each would score no run, or hold every class
+    vacuously. Under [Eventually_timely] it also rejects [gst] outside
+    [\[2, max_ticks - 1\]]: losses would never stop, or no message would
+    ever be lost. Other regimes ignore [gst]. The message names the [udc
+    classify] flag: [-n], [--crashes], [--runs], [--max-ticks] or
+    [--gst]. {!classify} and {!kset} run it before any work and return
+    its [Error]. *)
+val check : regime:regime -> params -> (unit, string) result
 
 (** The classes a backend is scored against. *)
 val classes : Detector.Spec.cls list

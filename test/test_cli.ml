@@ -29,6 +29,18 @@ let run_capture args =
 
 let run args = fst (run_capture args)
 
+(* standard output of one run *)
+let run_stdout args =
+  let out = Filename.temp_file "udc_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      ignore
+        (Unix.system
+           (Printf.sprintf "%s %s >%s 2>/dev/null" (Filename.quote cli)
+              (String.concat " " args) (Filename.quote out)));
+      In_channel.with_open_text out In_channel.input_all)
+
 let check_exit what expected args =
   Alcotest.(check int) what expected (run args)
 
@@ -225,7 +237,29 @@ let classify_expect () =
   (* crash-free reliable cell: consensus on the min, so k=1 is attained *)
   check_exit "kset --expect attained" 0 (cell [ "--expect"; "attained" ]);
   check_exit "kset --expect violated" 1 (cell [ "--expect"; "violated" ]);
-  check_exit "kset --expect bogus" 2 (cell [ "--expect"; "bogus" ])
+  check_exit "kset --expect bogus" 2 (cell [ "--expect"; "bogus" ]);
+  (* an expectation no outcome can match is rejected before any run, so
+     no outcome is printed; a class that does not exist used to run the
+     whole ensemble and exit 1 as a mismatch *)
+  Alcotest.(check string) "kset --expect bogus runs nothing" ""
+    (run_stdout (cell [ "--expect"; "bogus" ]));
+  let detector extra =
+    [
+      "classify"; "--backend"; "gossip"; "--regime"; "reliable"; "-n"; "3";
+      "--crashes"; "0"; "--runs"; "2"; "--max-ticks"; "120";
+    ]
+    @ extra
+  in
+  check_exit "detector --expect perfect" 0 (detector [ "--expect"; "perfect" ]);
+  check_exit "detector --expect none" 1 (detector [ "--expect"; "none" ]);
+  List.iter
+    (fun bad ->
+      let args = detector [ "--expect"; bad ] in
+      check_exit ("detector --expect " ^ bad) 2 args;
+      Alcotest.(check string)
+        ("detector --expect " ^ bad ^ " runs nothing")
+        "" (run_stdout args))
+    [ "perfekt"; "perfect+strnog"; "strong-0" ]
 
 (* [udc scale] bounds: each input either escaped as an uncaught
    exception (exit 125) or scored runs that ran no tick or monitored no
@@ -292,7 +326,27 @@ let classify_bounds () =
       ("-k", [ "-k"; "0" ]);
       ("-k", [ "-k"; "5" ]);
       ("-k", [ "-n"; "4"; "--crashes"; "1"; "-k"; "4" ]);
+    ];
+  (* an eventually-timely GST outside the run: with G >= the horizon
+     losses never stop, with G <= 1 no message is ever lost; either way
+     the cell printed an eventually-timely assignment with exit 0 *)
+  let gst_cases =
+    [
+      ("--gst", [ "--gst"; "60" ]);
+      ("--gst", [ "--gst"; "500" ]);
+      ("--gst", [ "--gst"; "1" ]);
+      ("--gst", [ "--gst=-50" ]);
     ]
+  in
+  let timely = [ "-b"; "gossip"; "-r"; "eventually-timely" ] in
+  rejects_bounds ("classify" :: timely) ~small gst_cases;
+  rejects_bounds
+    ([ "classify"; "--problem"; "kset" ] @ timely)
+    ~small gst_cases;
+  (* other regimes ignore --gst *)
+  check_exit "lossy ignores --gst" 0
+    ([ "classify"; "-b"; "gossip"; "-r"; "lossy"; "--gst"; "500" ]
+    @ List.concat_map (fun (f, v) -> [ f; v ]) small)
 
 (* [udc simulate] bounds, on the default flags: each input escaped as
    an uncaught exception (exit 125), or ran a protocol waiting for more
