@@ -197,7 +197,8 @@ let phi_core (cfg : phi_config) : (module CORE) =
         peers = peers_of ~n ~me;
         last = Array.make n (-1);
         windows = Array.make n empty;
-        deadline = Array.init n (fun q -> if q = me then max_int else bootstrap);
+        deadline =
+          Array.init n (fun q -> if q = me then max_int else bootstrap);
         hb_ring = [];
         last_hb_round = -1;
         hb_seq = 0;
@@ -222,8 +223,9 @@ let phi_core (cfg : phi_config) : (module CORE) =
                 Phi_window.observe t.windows.(src)
                   (float_of_int (now - t.last.(src)));
             t.last.(src) <- now;
-            t.deadline.(src) <- now + suspect_after cfg t.windows.(src);
-            t.next_check <- min t.next_check t.deadline.(src);
+            let d = now + suspect_after cfg t.windows.(src) in
+            t.deadline.(src) <- d;
+            if d < t.next_check then t.next_check <- d;
             if Pid.Set.mem src t.suspected then
               t.suspected <- Pid.Set.remove src t.suspected;
             if now >= t.next_check then rescan t ~now
@@ -467,8 +469,9 @@ let gossip_core (cfg : gossip_config) : (module CORE) =
                 t.counters.(q) <- c;
                 t.wire <- [];
                 if q <> t.me then begin
-                  t.deadline.(q) <- now + cfg.fail_timeout + 1;
-                  t.next_check <- min t.next_check t.deadline.(q);
+                  let d = now + cfg.fail_timeout + 1 in
+                  t.deadline.(q) <- d;
+                  if d < t.next_check then t.next_check <- d;
                   if Pid.Set.mem q t.suspected then
                     t.suspected <- Pid.Set.remove q t.suspected
                 end
@@ -594,7 +597,8 @@ let gossip_ring_core (cfg : gossip_config) ~degree : (module CORE) =
           (* a stray heartbeat (i < 0) is still detector traffic *)
           if i >= 0 then begin
             t.last_heard.(i) <- now;
-            t.next_check <- min t.next_check (now + cfg.fail_timeout + 1);
+            let d = now + cfg.fail_timeout + 1 in
+            if d < t.next_check then t.next_check <- d;
             if Pid.Set.mem src t.suspected then
               t.suspected <- Pid.Set.remove src t.suspected
           end;
@@ -681,8 +685,9 @@ let phi_ring_core (cfg : phi_config) ~degree : (module CORE) =
                 Phi_window.observe t.windows.(i)
                   (float_of_int (now - t.last.(i)));
             t.last.(i) <- now;
-            t.deadline.(i) <- now + suspect_after cfg t.windows.(i);
-            t.next_check <- min t.next_check t.deadline.(i);
+            let d = now + suspect_after cfg t.windows.(i) in
+            t.deadline.(i) <- d;
+            if d < t.next_check then t.next_check <- d;
             if Pid.Set.mem src t.suspected then
               t.suspected <- Pid.Set.remove src t.suspected
           end;
