@@ -249,7 +249,9 @@ let test_cells_pinned () =
           "1268096c85da2fc53e5cac50aadc40f1";
         ] );
     ];
-  let large = { C.default_params with C.n = 7; crashes = 3; runs = 4; max_ticks = 400 } in
+  let large =
+    { C.default_params with C.n = 7; crashes = 3; runs = 4; max_ticks = 400 }
+  in
   List.iter
     (fun (backend, expected) ->
       check
@@ -426,13 +428,15 @@ let published_matches ~name ~on_recv make =
             | Some r -> published := Report.suspects r
             | None -> ());
             let expected = model.expected ~now in
+            let show s =
+              String.concat "," (List.map string_of_int (Pid.Set.elements s))
+            in
             if (on_recv || not recv) && not (Pid.Set.equal !published expected)
             then
               QCheck.Test.fail_reportf
                 "tick %d after a %s: published {%s}, expected {%s}" now
                 (if recv then "receive" else "step")
-                (String.concat "," (List.map string_of_int (Pid.Set.elements !published)))
-                (String.concat "," (List.map string_of_int (Pid.Set.elements expected)))
+                (show !published) (show expected)
           done)
         segments;
       true)
@@ -445,7 +449,8 @@ let phi_published =
 
 let gossip_published =
   published_matches ~name:"gossip publishes its stale counters"
-    ~on_recv:true (fun ~n -> (Detector.Backends.gossip ~n (), gossip_model ~n ()))
+    ~on_recv:true (fun ~n ->
+      (Detector.Backends.gossip ~n (), gossip_model ~n ()))
 
 (* The ring cores rescan only on a step, so they are checked after
    steps. Monitor 0 watches pids 1 and 2; heartbeats from other pids
