@@ -531,9 +531,11 @@ let gossip_core (cfg : gossip_config) : (module CORE) =
    work are O(degree). Every transition updates the state in place and
    returns it, so a quiet tick allocates no state and stores nothing, and
    the adapter below publishes a suspicion set only when one changes.
-   Suspicion scans are deadline-driven: arrivals compute the next tick at
-   which any watched peer could become overdue, and the O(degree) rescan
-   runs only when the clock reaches it. *)
+   Suspicion scans are deadline-driven, as in the full-mesh cores, but a
+   ring core rescans only on a step: an arrival sets its peer's deadline
+   and lowers [next_check] to it, so the scan re-arms even after every
+   watched peer was suspected and then retracted, and the O(degree)
+   rescan runs only when the clock reaches [next_check]. *)
 
 let ring_watched ~n ~degree me =
   List.init (min degree (n - 1)) (fun i -> (me + i + 1) mod n)

@@ -23,11 +23,16 @@
     Because of the shared cells, a pair is {b single-use}: build a fresh
     one per execution (the same per-run discipline axiomatic oracles with
     mutable state already follow). Backend protocol states are single-use
-    too: every transition updates the adapter's record in place and
-    returns it (the {!Protocol.S_timed} contract), and the cell
-    publication is a side effect, so backends are meant for the simulator
-    and explorer, not for exhaustive enumeration. The full-mesh detector
-    cores inside the adapter are pure values. *)
+    too: every transition updates the adapter's record, and the detector
+    core inside it, in place and returns it (the {!Protocol.S_timed}
+    contract), and the cell publication is a side effect, so backends are
+    meant for the simulator and explorer, not for exhaustive enumeration.
+
+    φ and gossip decide suspicion by deadline: a peer is suspected from
+    the tick its φ crosses the threshold, or its counter has been stale
+    for longer than [fail_timeout]. A core rescans its peers only when
+    the clock reaches the earliest deadline of an unsuspected peer, and
+    each arrival lowers that check to its peer's new deadline. *)
 
 (** Windowed inter-arrival statistics for the φ-accrual detector.
     Immutable; keeps the newest [capacity] samples. *)
@@ -115,7 +120,10 @@ val of_label_inner :
 
     Ring detector states are single-use imperative values: every
     transition updates the state in place. Like the pairs themselves,
-    build a fresh pair per execution. *)
+    build a fresh pair per execution. The φ and gossip ring cores scan
+    by deadline as the full-mesh ones do, but only on a step: an arrival
+    retracts its peer's suspicion and re-arms the scan for the peer's
+    new deadline without rescanning. *)
 
 (** [ring_watched ~n ~degree p] is the list of processes [p] monitors —
     the [min degree (n-1)] successors of [p] on the ring. The estimator
@@ -128,8 +136,8 @@ val ring_watchers : n:int -> degree:int -> Pid.t -> Pid.t list
 
 (** [phi_deadline ~mean ~std ~threshold] is the smallest integer elapsed
     time at which {!phi} crosses [threshold] — the arrival-time inversion
-    that lets the ring φ detector precompute a suspicion deadline instead
-    of evaluating φ every tick. *)
+    that lets the φ detectors precompute a suspicion deadline instead of
+    evaluating φ every tick. *)
 val phi_deadline : mean:float -> std:float -> threshold:float -> int
 
 (** [committee] runs an application protocol on pids [0..c-1] (re-created
