@@ -370,16 +370,9 @@ let swim_core (cfg : swim_config) : (module CORE) =
             (proxy_list t o.target);
           t.outstanding <- Some { o with indirect = true }
       | _ -> ());
-      if
-        Pid.Map.exists
-          (fun _ since -> now - since >= cfg.confirm_timeout)
-          t.suspected
-      then begin
-        let ripe, still =
-          Pid.Map.partition
-            (fun _ since -> now - since >= cfg.confirm_timeout)
-            t.suspected
-        in
+      let due _ since = now - since >= cfg.confirm_timeout in
+      if Pid.Map.exists due t.suspected then begin
+        let ripe, still = Pid.Map.partition due t.suspected in
         t.suspected <- still;
         t.confirmed <-
           Pid.Map.fold (fun q _ acc -> Pid.Set.add q acc) ripe t.confirmed
