@@ -132,14 +132,16 @@ let arena_reuse_no_leak () =
     && History.timed_events a1 = [ (Event.Do (alpha 1 0), 3) ]
     && History.is_crashed a0)
 
-(* Run digests of five fixed simulations. The runs were first pinned
+(* Run digests of fixed simulations. The first five runs were pinned
    under the legacy cons-list representation, before the flattening, and
    re-pinned once when the digest became structural, with every run's
    printed form unchanged. [Run.digest] depends on structure alone, so
-   these pin exactly the runs: any change to what the simulator or an
-   oracle records shows up here, and nothing about how it is stored. *)
+   these pin exactly the runs: any change to what the simulator, an
+   oracle or a protocol records shows up here, and nothing about how it
+   is stored. *)
 let pinned_digests () =
-  let digest ~n ~t ~loss ~oracle seed =
+  let ack = (module Core.Ack_udc.P : Protocol.S) in
+  let digest ~proto ~n ~t ~loss ~oracle seed =
     let prng = Prng.create seed in
     let cfg = Sim.config ~n ~seed in
     let cfg =
@@ -152,23 +154,46 @@ let pinned_digests () =
         max_ticks = 4000;
       }
     in
-    Run.digest (Sim.execute_uniform cfg (module Core.Ack_udc.P)).Sim.run
+    Run.digest (Sim.execute_uniform cfg proto).Sim.run
   in
   Alcotest.(check string)
     "perfect oracle, seed 31" "c2ffa8ead06a39c3c6f6834355bcac46"
-    (digest ~n:6 ~t:2 ~loss:0.3 ~oracle:(Detector.Oracles.perfect ()) 31L);
+    (digest ~proto:ack ~n:6 ~t:2 ~loss:0.3
+       ~oracle:(Detector.Oracles.perfect ()) 31L);
   Alcotest.(check string)
     "perfect oracle, seed 104760" "876f719b378f13234c9dcdb568ed030e"
-    (digest ~n:6 ~t:2 ~loss:0.3 ~oracle:(Detector.Oracles.perfect ())
-       104760L);
+    (digest ~proto:ack ~n:6 ~t:2 ~loss:0.3
+       ~oracle:(Detector.Oracles.perfect ()) 104760L);
   Alcotest.(check string)
     "no oracle, seed 42" "b9e133331b0ab79cc5fcb59facdf4059"
-    (digest ~n:3 ~t:0 ~loss:0.0 ~oracle:Oracle.none 42L);
+    (digest ~proto:ack ~n:3 ~t:0 ~loss:0.0 ~oracle:Oracle.none 42L);
   Alcotest.(check string)
     "eventually-perfect oracle, seed 7" "b3225042a95c44fce1b8df6dfea3ca7b"
-    (digest ~n:4 ~t:1 ~loss:0.6
+    (digest ~proto:ack ~n:4 ~t:1 ~loss:0.6
        ~oracle:(Detector.Oracles.eventually_perfect ~stabilize_at:40 ~seed:7L ())
        7L);
+  (* The other acknowledgement-based protocols, each with the detector
+     its discharge rule reads. *)
+  Alcotest.(check string)
+    "quiet ack protocol, perfect oracle, seed 13"
+    "12f10fbc3b7f3bda19aa8303ffdd40cf"
+    (digest ~proto:(module Core.Ack_udc.Quiet) ~n:6 ~t:2 ~loss:0.3
+       ~oracle:(Detector.Oracles.perfect ()) 13L);
+  Alcotest.(check string)
+    "theta protocol, rotating oracle, seed 39"
+    "76b0d09319561642b7eeb69dff3036f5"
+    (digest ~proto:(module Core.Theta_udc.P) ~n:5 ~t:2 ~loss:0.3
+       ~oracle:(Detector.Theta.rotating ()) 39L);
+  Alcotest.(check string)
+    "majority protocol t=2, no oracle, seed 39"
+    "bdc2df369650e13bdbca761d9838cf1f"
+    (digest ~proto:(Core.Majority_udc.make ~t:2) ~n:5 ~t:2 ~loss:0.3
+       ~oracle:Oracle.none 39L);
+  Alcotest.(check string)
+    "generalized protocol t=3, exact oracle, seed 39"
+    "b2b1b6bd9da44d5e14e42bfc8bfea535"
+    (digest ~proto:(Core.Generalized_udc.make ~t:3) ~n:6 ~t:3 ~loss:0.3
+       ~oracle:(Detector.Oracles.gen_exact ()) 39L);
   let cfg = Sim.config ~n:5 ~seed:11L in
   let cfg =
     {
