@@ -1,128 +1,30 @@
-module Make_variant (Cfg : sig
-  val stop_after_perform : bool
-end) : Protocol.S = struct
-  type state = {
-    me : Pid.t;
-    n : int;
-    entered : Action_id.Set.t;
-    performed : Action_id.Set.t;
-    acked : Pid.Set.t Action_id.Map.t; (* per action, who acknowledged *)
-    suspected_ever : Pid.Set.t; (* "says or has said" *)
-    out : Outbox.t;
-  }
+(* Every peer has acknowledged or has been suspected at some time ("says
+   or has said"). *)
+module Rule = struct
+  let name = "ack-udc"
 
-  let name = if Cfg.stop_after_perform then "ack-udc-quiet" else "ack-udc"
+  type det = Pid.Set.t (* everyone ever suspected *)
 
-  let create ~n ~me =
-    {
-      me;
-      n;
-      entered = Action_id.Set.empty;
-      performed = Action_id.Set.empty;
-      acked = Action_id.Map.empty;
-      suspected_ever = Pid.Set.empty;
-      out = Outbox.empty;
-    }
+  let initial = Pid.Set.empty
 
-  let req_key alpha dst =
-    Printf.sprintf "req:%s:%s" (Action_id.to_string alpha) (Pid.to_string dst)
-
-  let acked_for t alpha =
-    Option.value ~default:Pid.Set.empty (Action_id.Map.find_opt alpha t.acked)
-
-  let enter t alpha =
-    if Action_id.Set.mem alpha t.entered then t
-    else
-      let out =
-        List.fold_left
-          (fun out dst ->
-            if Pid.equal dst t.me then out
-            else
-              Outbox.set_recurring out ~key:(req_key alpha dst) ~dst
-                (Message.Coord_request (alpha, Fact.Set.empty)))
-          t.out (Pid.all t.n)
-      in
-      { t with entered = Action_id.Set.add alpha t.entered; out }
-
-  let on_init t alpha = enter t alpha
-
-  let on_recv t ~src msg =
-    match msg with
-    | Message.Coord_request (alpha, _) ->
-        (* acknowledge every alpha-message, then enter UDC(alpha) *)
-        let t =
-          {
-            t with
-            out =
-              Outbox.push t.out ~dst:src
-                (Message.Coord_ack (alpha, Fact.Set.empty));
-          }
-        in
-        enter t alpha
-    | Message.Coord_ack (alpha, _) ->
-        let acked = Pid.Set.add src (acked_for t alpha) in
-        {
-          t with
-          acked = Action_id.Map.add alpha acked t.acked;
-          out = Outbox.cancel t.out ~key:(req_key alpha src);
-        }
-    | _ -> t
-
-  let on_suspect t r =
+  let on_suspect ~n det r =
     match r with
     | Report.Std _ | Report.Correct_set _ ->
-        {
-          t with
-          suspected_ever =
-            Pid.Set.union t.suspected_ever (Report.suspects_in ~n:t.n r);
-        }
-    | Report.Gen _ -> t
+        Pid.Set.union det (Report.suspects_in ~n r)
+    | Report.Gen _ -> det
 
-  let ready t alpha =
-    Action_id.Set.mem alpha t.entered
-    && (not (Action_id.Set.mem alpha t.performed))
-    && List.for_all
-         (fun q ->
-           Pid.equal q t.me
-           || Pid.Set.mem q (acked_for t alpha)
-           || Pid.Set.mem q t.suspected_ever)
-         (Pid.all t.n)
-
-  let step t ~now =
-    match List.find_opt (ready t) (Action_id.Set.elements t.entered) with
-    | Some alpha ->
-        let t = { t with performed = Action_id.Set.add alpha t.performed } in
-        let t =
-          if Cfg.stop_after_perform then
-            (* footnote 11: with strong accuracy, retransmission may stop
-               here - everyone unaccounted-for has really crashed *)
-            {
-              t with
-              out =
-                List.fold_left
-                  (fun out dst -> Outbox.cancel out ~key:(req_key alpha dst))
-                  t.out (Pid.all t.n);
-            }
-          else t
-        in
-        (t, Protocol.Perform alpha)
-    | None -> (
-        match Outbox.next t.out ~now with
-        | Some (out, (dst, msg)) -> ({ t with out }, Protocol.Send_to (dst, msg))
-        | None -> (t, Protocol.No_op))
-
-  let quiescent t =
-    Outbox.is_empty t.out && Action_id.Set.for_all
-      (fun alpha -> Action_id.Set.mem alpha t.performed || not (ready t alpha))
-      t.entered
-
-  let performed t = t.performed
+  let ready ~n ~me det ~acked = Ack_quorum.covered ~n ~me ~acked det
+  let stop_after_perform = false
 end
 
-module P = Make_variant (struct
-  let stop_after_perform = false
-end)
+module P = Ack_quorum.Make (Rule)
 
-module Quiet = Make_variant (struct
+module Quiet = Ack_quorum.Make (struct
+  include Rule
+
+  let name = "ack-udc-quiet"
+
+  (* footnote 11: with strong accuracy, retransmission may stop once
+     alpha is performed - everyone unaccounted-for has really crashed *)
   let stop_after_perform = true
 end)

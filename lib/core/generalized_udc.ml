@@ -1,110 +1,27 @@
 let make ~t:bound =
-  let module P : Protocol.S = struct
-    type state = {
-      me : Pid.t;
-      n : int;
-      entered : Action_id.Set.t;
-      performed : Action_id.Set.t;
-      acked : Pid.Set.t Action_id.Map.t;
-      reports : (Pid.Set.t * int) list; (* all generalized reports, ever *)
-      out : Outbox.t;
-    }
-
+  (module Ack_quorum.Make (struct
     let name = Printf.sprintf "generalized-udc(t=%d)" bound
 
-    let create ~n ~me =
-      {
-        me;
-        n;
-        entered = Action_id.Set.empty;
-        performed = Action_id.Set.empty;
-        acked = Action_id.Map.empty;
-        reports = [];
-        out = Outbox.empty;
-      }
+    type det = (Pid.Set.t * int) list (* all generalized reports, ever *)
 
-    let req_key alpha dst =
-      Printf.sprintf "req:%s:%s" (Action_id.to_string alpha) (Pid.to_string dst)
+    let initial = []
 
-    let acked_for t alpha =
-      Option.value ~default:Pid.Set.empty (Action_id.Map.find_opt alpha t.acked)
-
-    let enter t alpha =
-      if Action_id.Set.mem alpha t.entered then t
-      else
-        let out =
-          List.fold_left
-            (fun out dst ->
-              if Pid.equal dst t.me then out
-              else
-                Outbox.set_recurring out ~key:(req_key alpha dst) ~dst
-                  (Message.Coord_request (alpha, Fact.Set.empty)))
-            t.out (Pid.all t.n)
-        in
-        { t with entered = Action_id.Set.add alpha t.entered; out }
-
-    let on_init t alpha = enter t alpha
-
-    let on_recv t ~src msg =
-      match msg with
-      | Message.Coord_request (alpha, _) ->
-          let t =
-            {
-              t with
-              out =
-                Outbox.push t.out ~dst:src
-                  (Message.Coord_ack (alpha, Fact.Set.empty));
-            }
-          in
-          enter t alpha
-      | Message.Coord_ack (alpha, _) ->
-          let acked = Pid.Set.add src (acked_for t alpha) in
-          {
-            t with
-            acked = Action_id.Map.add alpha acked t.acked;
-            out = Outbox.cancel t.out ~key:(req_key alpha src);
-          }
-      | _ -> t
-
-    let on_suspect t r =
+    let on_suspect ~n det r =
       match r with
-      | Report.Gen (s, k) -> { t with reports = (s, k) :: t.reports }
+      | Report.Gen (s, k) -> (s, k) :: det
       | Report.Std _ | Report.Correct_set _ ->
           (* a (g-)standard report "S faulty" is the generalized (S, |S|) *)
-          let s = Report.suspects_in ~n:t.n r in
-          { t with reports = (s, Pid.Set.cardinal s) :: t.reports }
+          let s = Report.suspects_in ~n r in
+          (s, Pid.Set.cardinal s) :: det
 
     (* Conditions (a)-(d) of the Proposition 4.1 protocol. *)
-    let usable t alpha (s, k) =
-      k <= Pid.Set.cardinal s
-      && t.n - Pid.Set.cardinal s > min bound (t.n - 1) - k
-      && Pid.Set.for_all
-           (fun q -> Pid.equal q t.me || Pid.Set.mem q (acked_for t alpha))
-           (Pid.Set.complement t.n s)
+    let ready ~n ~me det ~acked =
+      List.exists
+        (fun (s, k) ->
+          k <= Pid.Set.cardinal s
+          && n - Pid.Set.cardinal s > min bound (n - 1) - k
+          && Ack_quorum.covered ~n ~me ~acked s)
+        det
 
-    let ready t alpha =
-      Action_id.Set.mem alpha t.entered
-      && (not (Action_id.Set.mem alpha t.performed))
-      && List.exists (usable t alpha) t.reports
-
-    let step t ~now =
-      match List.find_opt (ready t) (Action_id.Set.elements t.entered) with
-      | Some alpha ->
-          ( { t with performed = Action_id.Set.add alpha t.performed },
-            Protocol.Perform alpha )
-      | None -> (
-          match Outbox.next t.out ~now with
-          | Some (out, (dst, msg)) ->
-              ({ t with out }, Protocol.Send_to (dst, msg))
-          | None -> (t, Protocol.No_op))
-
-    let quiescent t =
-      Outbox.is_empty t.out
-      && Action_id.Set.for_all
-           (fun alpha ->
-             Action_id.Set.mem alpha t.performed || not (ready t alpha))
-           t.entered
-
-    let performed t = t.performed
-  end in
-  (module P : Protocol.S)
+    let stop_after_perform = false
+  end) : Protocol.S)
