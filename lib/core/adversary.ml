@@ -178,10 +178,3 @@ let verify scenario =
 
 let verify_all scenarios =
   Ensemble.map (fun s -> (s, verify s)) scenarios
-
-let search ~seeds mk =
-  Ensemble.find_map
-    (fun seed ->
-      let s = mk ~seed in
-      match verify s with Ok () -> Some (seed, s) | Error _ -> None)
-    seeds

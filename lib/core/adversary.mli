@@ -64,9 +64,3 @@ val verify : scenario -> (unit, string) result
 (** Verify each scenario on the {!Ensemble} domain pool; results are in
     scenario order, identical to mapping {!verify} sequentially. *)
 val verify_all : scenario list -> (scenario * (unit, string) result) list
-
-(** [search ~seeds mk] hunts for the earliest seed whose scenario exhibits
-    the expected violation — a deterministic parallel witness search: the
-    pair returned is the one the sequential scan would find. *)
-val search :
-  seeds:int64 list -> (seed:int64 -> scenario) -> (int64 * scenario) option

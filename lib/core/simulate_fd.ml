@@ -78,8 +78,3 @@ let f'_run ?(schedule = `Round_robin) env ~run:ri =
     Report.gen s k
   in
   transform env ~run:ri ~report
-
-let f'_system ?schedule env =
-  let sys = Epistemic.Checker.system env in
-  List.init (Epistemic.System.run_count sys) (fun ri ->
-      f'_run ?schedule env ~run:ri)

@@ -26,7 +26,6 @@ val f_run : Epistemic.Checker.env -> run:int -> Run.t
 val f_system : Epistemic.Checker.env -> Run.t list
 
 val f'_run : ?schedule:schedule -> Epistemic.Checker.env -> run:int -> Run.t
-val f'_system : ?schedule:schedule -> Epistemic.Checker.env -> Run.t list
 
 (** [subset_of_index ~n l] is [S_l] in the fixed order of subsets of
     [Proc]: pid [i] belongs to [S_l] iff bit [i] of [l] is set. *)

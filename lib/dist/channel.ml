@@ -1,8 +1,7 @@
 (* In-flight storage is struct-of-arrays per destination: parallel
    [src]/[msg]/[sent] buffers in send order, grown geometrically. The
    simulator's scheduling slot reads the backlog and individual entries
-   without materializing a list; [deliverable] stays as the list view for
-   cold callers. Removal semantics are bit-compatible with the original
+   without materializing a list. Removal semantics are bit-compatible with the original
    newest-first cons representation: [deliver] removes the {e newest}
    matching instance, and [oldest_in_flight] breaks sent-tick ties toward
    the {e newest} entry, exactly as the old fold over the newest-first
@@ -226,10 +225,6 @@ let nth_in_flight t ~dst i =
   let q = t.flight.(dst) in
   if i < 0 || i >= q.len then invalid_arg "Channel.nth_in_flight";
   (q.src.(i), q.msg.(i), q.sent.(i))
-
-let deliverable t ~dst =
-  let q = t.flight.(dst) in
-  List.init q.len (fun i -> (q.src.(i), q.msg.(i), q.sent.(i)))
 
 let oldest_in_flight t ~dst =
   let q = t.flight.(dst) in

@@ -62,16 +62,12 @@ val gate : t -> now:int -> src:Pid.t -> dst:Pid.t -> Message.t -> bool
     linear scan. *)
 val inject : t -> src:Pid.t -> dst:Pid.t -> sent:int -> Message.t -> unit
 
-(** Messages currently in flight to [dst], with sender and send tick, in
-    send order. *)
-val deliverable : t -> dst:Pid.t -> (Pid.t * Message.t * int) list
-
 (** Number of messages in flight to [dst] — O(1), no allocation (the
     simulator's per-slot backlog probe). *)
 val backlog : t -> dst:Pid.t -> int
 
-(** [nth_in_flight t ~dst i] is the [i]-th element of
-    [deliverable t ~dst] without materializing the list. O(1). Raises
+(** [nth_in_flight t ~dst i] is the [i]-th message in flight to [dst],
+    in send order, with its sender and send tick. O(1). Raises
     [Invalid_argument] out of bounds. *)
 val nth_in_flight : t -> dst:Pid.t -> int -> Pid.t * Message.t * int
 

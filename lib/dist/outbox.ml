@@ -43,10 +43,6 @@ let cancel t ~key =
     recurring_back = List.filter keep t.recurring_back;
   }
 
-let has_recurring t ~key =
-  List.exists (fun r -> r.key = key) t.recurring_front
-  || List.exists (fun r -> r.key = key) t.recurring_back
-
 let next t ~now =
   match t.oneshot_front with
   | x :: rest -> Some ({ t with oneshot_front = rest }, x)
@@ -77,5 +73,3 @@ let next t ~now =
 let is_empty t =
   t.oneshot_front = [] && t.oneshot_back = []
   && t.recurring_front = [] && t.recurring_back = []
-
-let drained t = t.oneshot_front = [] && t.oneshot_back = []

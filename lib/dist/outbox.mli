@@ -21,8 +21,6 @@ val set_recurring : t -> key:string -> dst:Pid.t -> Message.t -> t
 (** Remove the recurring send under [key], if present. *)
 val cancel : t -> key:string -> t
 
-val has_recurring : t -> key:string -> bool
-
 (** Next message to put on the wire, with the outbox state after sending.
     [None] when there is nothing to send. One-shots always go; a recurring
     entry is resent only when at least [resend_period] ticks have elapsed
@@ -33,6 +31,3 @@ val next : t -> now:int -> (t * (Pid.t * Message.t)) option
 val resend_period : int
 
 val is_empty : t -> bool
-
-(** True when no one-shot sends are pending (recurring may remain). *)
-val drained : t -> bool

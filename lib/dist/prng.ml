@@ -8,7 +8,6 @@ let mix64 z =
   Int64.(logxor z (shift_right_logical z 31))
 
 let create seed = { state = seed }
-let copy t = { state = t.state }
 
 let next_int64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -50,8 +49,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t l =
-  match l with
-  | [] -> invalid_arg "Prng.pick: empty list"
-  | _ -> List.nth l (int t (List.length l))

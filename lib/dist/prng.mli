@@ -19,8 +19,6 @@ val split : t -> t
     streams are decorrelated from the root and from one another. *)
 val shard_seed : int64 -> int -> int64
 
-val copy : t -> t
-
 (** [next_int64 t] advances the state and returns 64 uniform bits. *)
 val next_int64 : t -> int64
 
@@ -35,6 +33,3 @@ val bool : t -> float -> bool
 
 (** [shuffle t a] permutes [a] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
-
-(** [pick t l] is a uniformly chosen element of [l]. Requires [l <> []]. *)
-val pick : t -> 'a list -> 'a

@@ -56,10 +56,6 @@ let do_tick t p alpha =
 
 let did t p alpha = Option.is_some (do_tick t p alpha)
 
-let change_ticks t p =
-  let h = t.histories.(p) in
-  List.init (History.length h) (fun i -> snd (History.get h i))
-
 let equal a b =
   a.n = b.n && a.horizon = b.horizon
   && Array.for_all2 History.equal_timed a.histories b.histories

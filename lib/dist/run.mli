@@ -41,10 +41,6 @@ val did : t -> Pid.t -> Action_id.t -> bool
 (** Tick of [do_p(alpha)], if it occurred. *)
 val do_tick : t -> Pid.t -> Action_id.t -> int option
 
-(** The ticks at which [p]'s history grows, ascending. Between consecutive
-    change points [p]'s local state, hence its knowledge, is constant. *)
-val change_ticks : t -> Pid.t -> int list
-
 (** Exact equality: same arity, horizon, and timed event sequences
     (ticks included). This is the bit-identical comparison used by the
     determinism tests of the parallel ensemble engine. *)

@@ -214,7 +214,4 @@ let suspects_at changes m =
 
 let final_suspects t p = suspects_at t.suspicions.(p) (horizon t)
 
-let ever_suspects t p q =
-  Array.exists (fun (_, s) -> Pid.Set.mem q s) t.suspicions.(p)
-
 let counts t = t.counts

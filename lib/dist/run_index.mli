@@ -100,9 +100,6 @@ val suspects_at : (int * Pid.Set.t) array -> int -> Pid.Set.t
     horizon. *)
 val final_suspects : t -> Pid.t -> Pid.Set.t
 
-(** Whether [q] ever appears in watcher [p]'s raw timeline. *)
-val ever_suspects : t -> Pid.t -> Pid.t -> bool
-
 type counts = {
   sends : int;
   recvs : int;

@@ -25,7 +25,6 @@ type t = {
   shards : (int, Run.t list) Hashtbl.t array;
   mask : int;
   mutable distinct : int;
-  mutable hits : int;
   prefixes : (int, unit) Hashtbl.t;
 }
 
@@ -36,7 +35,6 @@ let create ?(shards = 16) () =
     shards = Array.init n (fun _ -> Hashtbl.create 64);
     mask = n - 1;
     distinct = 0;
-    hits = 0;
     prefixes = Hashtbl.create 1024;
   }
 
@@ -55,9 +53,7 @@ let check_add t r =
   let fp = fingerprint r in
   let tbl = t.shards.(fp land t.mask) in
   match Hashtbl.find_opt tbl fp with
-  | Some bucket when List.exists (Run.equal r) bucket ->
-      t.hits <- t.hits + 1;
-      true
+  | Some bucket when List.exists (Run.equal r) bucket -> true
   | Some bucket ->
       Hashtbl.replace tbl fp (r :: bucket);
       t.distinct <- t.distinct + 1;
@@ -68,7 +64,6 @@ let check_add t r =
       false
 
 let distinct t = t.distinct
-let hits t = t.hits
 
 let mark_prefixes t (trace : Decision.t list) =
   let fresh = ref 0 in
@@ -82,5 +77,3 @@ let mark_prefixes t (trace : Decision.t list) =
       end)
     trace;
   !fresh
-
-let marked t = Hashtbl.length t.prefixes

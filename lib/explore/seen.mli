@@ -40,13 +40,7 @@ val check_add : t -> Run.t -> bool
 (** Distinct runs recorded. *)
 val distinct : t -> int
 
-(** Structural-equality hits so far (re-converged nodes). *)
-val hits : t -> int
-
 (** [mark_prefixes t trace] marks every decision-prefix fingerprint of
     [trace] and returns how many were unseen — the fuzz mutant's
     coverage score. *)
 val mark_prefixes : t -> Decision.t list -> int
-
-(** Decision-prefix fingerprints marked so far. *)
-val marked : t -> int
