@@ -108,7 +108,6 @@ exception Divergence of string
    explorer's depth bounds them), so a list beats a table. *)
 type scripted = {
   mutable plan : (int * t) list; (* ascending, unique indices *)
-  sticky : bool;
   mutable silenced : (Pid.t * Pid.t) list;
 }
 
@@ -130,8 +129,7 @@ let random ?(record = false) ~seed () =
   let chan = Prng.split prng in
   { mode = Random { prng; chan }; record; made = 0; entries = [] }
 
-let scripted ?(record = true) ?(plan = []) ?(silence = [])
-    ?(sticky_drops = true) () =
+let scripted ?(record = true) ?(plan = []) ?(silence = []) () =
   (* a stable sort keeps a repeated index's entries in plan order, and
      the later one wins, as a table's replace would have it *)
   let rec later = function
@@ -143,7 +141,7 @@ let scripted ?(record = true) ?(plan = []) ?(silence = [])
     later (List.stable_sort (fun (i, _) (j, _) -> Int.compare i j) plan)
   in
   {
-    mode = Scripted { plan; sticky = sticky_drops; silenced = silence };
+    mode = Scripted { plan; silenced = silence };
     record;
     made = 0;
     entries = [];
@@ -295,8 +293,7 @@ let drop s ~tick ~src ~dst ~rate =
         else
           match planned sc ~made:s.made with
           | Some (Drop b) ->
-              if b && sc.sticky then
-                sc.silenced <- (src, dst) :: sc.silenced;
+              if b then sc.silenced <- (src, dst) :: sc.silenced;
               b
           | _ -> false)
     | Replay _ | Guided _ -> (

@@ -78,16 +78,15 @@ val random : ?record:bool -> seed:int64 -> unit -> source
     order; of two entries with one index the later wins, and a negative
     index is never taken. [silence] lists links whose every drop decision
     is [true] from the start (a lossy-link adversary); a plan entry whose
-    index a silenced link answers is not taken. With [sticky_drops]
-    (default true), a planned [Drop true] additionally forces every
-    {e later} drop decision on the same link to [true]: one deviation
-    silences a link mid-run. [record] (default true) keeps the journal;
-    a non-recording source makes the same decisions and counts them. *)
+    index a silenced link answers is not taken. A planned [Drop true]
+    also forces every {e later} drop decision on the same link to
+    [true]: one deviation silences a link mid-run. [record] (default
+    true) keeps the journal; a non-recording source makes the same
+    decisions and counts them. *)
 val scripted :
   ?record:bool ->
   ?plan:(int * t) list ->
   ?silence:(Pid.t * Pid.t) list ->
-  ?sticky_drops:bool ->
   unit ->
   source
 

@@ -53,9 +53,7 @@ let scripted_plan_and_silence () =
     (Decision.drop s ~tick:2 ~src:2 ~dst:0 ~rate:1.0)
 
 let sticky_drops () =
-  let s =
-    Decision.scripted ~plan:[ (0, Decision.Drop true) ] ~sticky_drops:true ()
-  in
+  let s = Decision.scripted ~plan:[ (0, Decision.Drop true) ] () in
   Alcotest.(check bool)
     "planned drop" true
     (Decision.drop s ~tick:1 ~src:1 ~dst:0 ~rate:0.0);
