@@ -127,41 +127,22 @@ let check p =
       Error (Printf.sprintf "--faults %d outside [0, %d]" p.faults p.n)
   | None -> Ok ()
 
-(* The regime dressing mirrors [Explore.Classify.config] (loss 0.3 for
-   fair-lossy; 0.45 with a global stabilisation tick for
-   eventually-timely), with the crash plan drawn per run seed. *)
+(* The classification grid's regime, crash plan and horizon, with the
+   stabilisation tick at mid-run; a committee's owner initiates at tick 1. *)
 let config p ~seed =
-  let prng = Prng.create seed in
-  let cfg = Sim.config ~n:p.n ~seed in
-  let cfg =
+  let params =
     {
-      cfg with
-      Sim.fault_plan =
-        Fault_plan.random prng ~n:p.n ~t:p.faults
-          ~max_tick:(max 1 (p.ticks / 4));
-      goal = Sim.Run_to_max;
+      Explore.Classify.default_params with
+      n = p.n;
+      crashes = p.faults;
       max_ticks = p.ticks;
-      init_plan =
-        (if p.committee > 0 then Init_plan.one ~owner:0 ~at:1
-         else Init_plan.empty);
+      gst = max 1 (p.ticks / 2);
     }
   in
-  match p.regime with
-  | Explore.Classify.Reliable -> cfg
-  | Explore.Classify.Fair_lossy -> { cfg with Sim.loss_rate = 0.3 }
-  | Explore.Classify.Eventually_timely ->
-      {
-        cfg with
-        Sim.loss_rate = 0.45;
-        loss_schedule = [ (max 1 (p.ticks / 2), 0.0) ];
-        max_consecutive_drops = 12;
-      }
-  | Explore.Classify.Add ->
-      {
-        cfg with
-        Sim.loss_rate = 0.45;
-        add = Some { Channel.window = 4; bound = 8 };
-      }
+  let cfg = Explore.Classify.config ~regime:p.regime ~params ~seed in
+  if p.committee > 0 then
+    { cfg with Sim.init_plan = Init_plan.one ~owner:0 ~at:1 }
+  else cfg
 
 type run_audit = {
   a_completeness : bool;

@@ -66,10 +66,12 @@ val params :
     check. *)
 val check : params -> (unit, string) result
 
-(** The per-seed simulator configuration (regime dressing mirrors
-    [Explore.Classify.config]); exposed so tests and benches reuse the
-    exact estimation workload. The oracle field is filled in per run
-    with the fresh backend pair's oracle. *)
+(** The per-seed simulator configuration: [Explore.Classify.config]
+    with [faults] crashes, [ticks] ticks and the eventually-timely
+    stabilisation tick at [max 1 (ticks / 2)], plus the committee's
+    initiation; exposed so tests and benches reuse the exact estimation
+    workload. The oracle field is filled in per run with the fresh
+    backend pair's oracle. *)
 val config : params -> seed:int64 -> Sim.config
 
 type report = {
