@@ -8,11 +8,13 @@ let digest events =
 
 type guard = Epistemic.Checker.env -> Pid.t -> run:int -> tick:int -> bool
 
-(* The communication shell: identical flood/ack machinery to Ack_udc, but
-   the perform rule is a table lookup on the digest of the local history
-   accumulated so far. The state mirrors its own history (every callback
-   and every emitted action appends the corresponding event), so the
-   digest seen here is exactly the digest of the enumerator's history. *)
+(* The communication shell: it floods alpha-requests and acknowledges
+   each one as the Ack_quorum protocols do, but never cancels a request
+   on an acknowledgement, and the perform rule is a table lookup on the
+   digest of the local history accumulated so far. The state mirrors its
+   own history (every callback and every emitted action appends the
+   corresponding event), so the digest seen here is exactly the digest of
+   the enumerator's history. *)
 let shell ~alpha ~table =
   let module P : Protocol.S = struct
     type state = {
