@@ -98,7 +98,8 @@ module Make (R : RULE) : Protocol.S = struct
           Protocol.Perform alpha )
     | None -> (
         match Outbox.next t.out ~now with
-        | Some (out, (dst, msg)) -> ({ t with out }, Protocol.Send_to (dst, msg))
+        | Some (out, (dst, msg)) ->
+            ({ t with out }, Protocol.Send_to (dst, msg))
         | None -> (t, Protocol.No_op))
 
   let quiescent t =

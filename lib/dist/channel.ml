@@ -1,11 +1,11 @@
 (* In-flight storage is struct-of-arrays per destination: parallel
    [src]/[msg]/[sent] buffers in send order, grown geometrically. The
    simulator's scheduling slot reads the backlog and individual entries
-   without materializing a list. Removal semantics are bit-compatible with the original
-   newest-first cons representation: [deliver] removes the {e newest}
-   matching instance, and [oldest_in_flight] breaks sent-tick ties toward
-   the {e newest} entry, exactly as the old fold over the newest-first
-   list did.
+   without materializing a list. Removal semantics are bit-compatible
+   with the original newest-first cons representation: [deliver] removes
+   the {e newest} matching instance, and [oldest_in_flight] breaks
+   sent-tick ties toward the {e newest} entry, exactly as the old fold
+   over the newest-first list did.
 
    Because the simulator's clock never goes backwards, the [sent] column
    of a queue is nondecreasing in practice; [sorted] tracks whether that
