@@ -194,6 +194,27 @@ let pinned_digests () =
     "b2b1b6bd9da44d5e14e42bfc8bfea535"
     (digest ~proto:(Core.Generalized_udc.make ~t:3) ~n:6 ~t:3 ~loss:0.3
        ~oracle:(Detector.Oracles.gen_exact ()) 39L);
+  (* The gossip conversions of Propositions 2.1 and 2.2 over nUDC: the
+     cumulative one under an accumulated impermanent-weak oracle, and
+     the current-suspicion one under an eventually-weak oracle. *)
+  Alcotest.(check string)
+    "cumulative gossip, accumulated impermanent-weak oracle, seed 17"
+    "bfab0f2e32474f71b06ed6d0bbe44216"
+    (digest
+       ~proto:(module Detector.Convert.With_gossip (Core.Nudc.P))
+       ~n:6 ~t:2 ~loss:0.25
+       ~oracle:
+         (Detector.Oracles.accumulate (Detector.Oracles.impermanent_weak ()))
+       17L);
+  Alcotest.(check string)
+    "current gossip, eventually-weak oracle, seed 17"
+    "dabdccc9431007fdc053d1d164e7efda"
+    (digest
+       ~proto:(module Detector.Convert.With_gossip_current (Core.Nudc.P))
+       ~n:6 ~t:2 ~loss:0.25
+       ~oracle:
+         (Detector.Oracles.eventually_weak ~stabilize_at:80 ~seed:17L ())
+       17L);
   let cfg = Sim.config ~n:5 ~seed:11L in
   let cfg =
     {

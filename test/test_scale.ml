@@ -215,7 +215,9 @@ let engines_agree =
 
 (* Sharded digests pinned while Sim and Shard still carried two copies of
    the scheduling slot: a refactor of the kernel must not move them.
-   n=13 splits unevenly at every shard count. *)
+   n=13 splits unevenly at every shard count. The committee runs also
+   pin how the pair builder wires an application protocol under each
+   ring core. *)
 let sharded_pinned_digests () =
   let digest ?(committee = 0) ?add backend ~shards =
     let cfg = scale_config ~n:13 ~seed:2026L ~ticks:100 in
@@ -244,6 +246,9 @@ let sharded_pinned_digests () =
         ( "gossip ADD 3/7 shards=3",
           digest ~add:{ Channel.window = 3; bound = 7 } "gossip" ~shards:3 );
         ("swim committee 3 shards=3", digest ~committee:3 "swim" ~shards:3);
+        ( "gossip committee 3 shards=3",
+          digest ~committee:3 "gossip" ~shards:3 );
+        ("phi committee 3 shards=3", digest ~committee:3 "phi" ~shards:3);
       ]
   in
   Alcotest.(check (list (pair string string)))
@@ -260,6 +265,8 @@ let sharded_pinned_digests () =
       ("phi shards=4", "b56b52e137c5924a9b07628150ddc058");
       ("gossip ADD 3/7 shards=3", "d558b18f943ce4a980b2041c98f00728");
       ("swim committee 3 shards=3", "ac7a857d94624ae7fc47094dd9db1946");
+      ("gossip committee 3 shards=3", "397a9e863cbcdef6ffd42e175318c01c");
+      ("phi committee 3 shards=3", "7d3e26652c76edb10859ca041ea5a558");
     ]
     cells
 
