@@ -146,21 +146,24 @@ let suspect_after (cfg : phi_config) w =
   in
   phi_deadline ~mean ~std ~threshold:cfg.threshold
 
-(* The full-mesh φ and gossip cores keep one suspicion deadline per pid
-   ([max_int] for the own pid, never suspected). Between arrivals from a
-   peer, its φ and its counter's staleness only grow with the clock, so
-   it is suspected exactly while [now >= deadline]. An arrival sets its
+(* The φ and gossip cores, full-mesh and ring, keep one suspicion
+   deadline per monitored peer (the full-mesh cores index by pid and
+   keep [max_int] for the own pid, never suspected). Between arrivals
+   from a peer, its φ and its staleness only grow with the clock, so it
+   is suspected exactly while [now >= deadline]. An arrival sets its
    peer's deadline, possibly earlier than before, and lowers
    [next_check] to it: [next_check] stays at or below the earliest
-   deadline of an unsuspected peer, and the O(n) rescan runs only when
-   the clock reaches it. *)
-let rescan_deadlines deadline ~now ~suspected =
+   deadline of an unsuspected peer, and the rescan runs only when the
+   clock reaches it. [rescan_deadlines ~pid] returns the peers due at
+   [now], slot [i] standing for pid [pid i] ([suspected] itself when
+   unchanged), and the next check. *)
+let rescan_deadlines ~pid deadline ~now ~suspected =
   let found = ref Pid.Set.empty and next = ref max_int in
-  Array.iteri
-    (fun q d ->
-      if now >= d then found := Pid.Set.add q !found
-      else if d < !next then next := d)
-    deadline;
+  for i = 0 to Array.length deadline - 1 do
+    let d = deadline.(i) in
+    if now >= d then found := Pid.Set.add (pid i) !found
+    else if d < !next then next := d
+  done;
   ((if Pid.Set.equal !found suspected then suspected else !found), !next)
 
 (* ------------------------------------------------------------------ *)
@@ -208,7 +211,7 @@ let phi_core (cfg : phi_config) : (module CORE) =
 
     let rescan t ~now =
       let suspected, next =
-        rescan_deadlines t.deadline ~now ~suspected:t.suspected
+        rescan_deadlines ~pid:Fun.id t.deadline ~now ~suspected:t.suspected
       in
       t.suspected <- suspected;
       t.next_check <- next
@@ -449,7 +452,7 @@ let gossip_core (cfg : gossip_config) : (module CORE) =
 
     let rescan t ~now =
       let suspected, next =
-        rescan_deadlines t.deadline ~now ~suspected:t.suspected
+        rescan_deadlines ~pid:Fun.id t.deadline ~now ~suspected:t.suspected
       in
       t.suspected <- suspected;
       t.next_check <- next
@@ -517,18 +520,12 @@ let gossip_core (cfg : gossip_config) : (module CORE) =
 (* ------------------------------------------------------------------ *)
 (* Ring-topology cores for the sharded large-n mode. The full-mesh cores
    above keep O(n) state per process and touch every peer per round —
-   unusable at n = 10^6 under the one-event-per-tick discipline. The ring
-   cores monitor only [degree] successors: process p watches
-   p+1 .. p+degree (mod n) and pushes its liveness signal to
-   p-1 .. p-degree (mod n), the processes watching it. State and per-tick
-   work are O(degree). Every transition updates the state in place and
-   returns it, so a quiet tick allocates no state and stores nothing, and
-   the adapter below publishes a suspicion set only when one changes.
-   Suspicion scans are deadline-driven, as in the full-mesh cores, but a
-   ring core rescans only on a step: an arrival sets its peer's deadline
-   and lowers [next_check] to it, so the scan re-arms even after every
-   watched peer was suspected and then retracted, and the O(degree)
-   rescan runs only when the clock reaches [next_check]. *)
+   unusable at n = 10^6 under the one-event-per-tick discipline. A ring
+   core watches only its [degree] successors p+1 .. p+degree (mod n) and
+   pushes its liveness signal to p-1 .. p-degree (mod n), the processes
+   watching it, so state and per-tick work are O(degree). Every
+   transition updates the state in place and returns it, so a quiet tick
+   allocates no state and stores nothing. *)
 
 let ring_watched ~n ~degree me =
   List.init (min degree (n - 1)) (fun i -> (me + i + 1) mod n)
@@ -543,13 +540,69 @@ let watched_index watched src =
   in
   find (Array.length watched - 1)
 
-let gossip_ring_core (cfg : gossip_config) ~degree : (module CORE) =
+(* What tells the push-heartbeat ring cores apart: the name, the push
+   period, the deadline every watched peer starts with, and the
+   deadline an arrival from watched peer [i] sets, computed over the
+   rule's own per-core arrival state. *)
+module type HEARTBEAT_RULE = sig
+  type arrivals
+
+  val name : string
+  val period : int
+  val first_deadline : int
+  val arrivals : degree:int -> arrivals
+  val arrive : arrivals -> int -> now:int -> int
+end
+
+(* Gossip over the ring: a watched peer is suspected once no heartbeat
+   from it arrived for more than [fail_timeout] ticks (tick 0 before
+   any). The rule keeps no arrival state. *)
+let gossip_ring_rule (cfg : gossip_config) : (module HEARTBEAT_RULE) =
+  (module struct
+    type arrivals = unit
+
+    let name = "gossip-ring"
+    let period = cfg.gossip_period
+    let first_deadline = cfg.fail_timeout + 1
+    let arrivals ~degree:_ = ()
+    let arrive () _ ~now = now + cfg.fail_timeout + 1
+  end)
+
+(* φ over the ring: as in [phi_core], the first arrival only anchors the
+   clock (from the bootstrap anchor at tick 0) and later ones feed the
+   watched peer's inter-arrival window. *)
+let phi_ring_rule (cfg : phi_config) : (module HEARTBEAT_RULE) =
+  (module struct
+    type arrivals = { last : int array; windows : Phi_window.t array }
+
+    let name = "phi-ring"
+    let period = cfg.hb_period
+    let empty = Phi_window.create ~capacity:cfg.window
+    let first_deadline = suspect_after cfg empty
+
+    let arrivals ~degree =
+      { last = Array.make degree 0; windows = Array.make degree empty }
+
+    let arrive a i ~now =
+      if a.last.(i) > 0 then
+        a.windows.(i) <-
+          Phi_window.observe a.windows.(i) (float_of_int (now - a.last.(i)));
+      a.last.(i) <- now;
+      now + suspect_after cfg a.windows.(i)
+  end)
+
+(* One core for both heartbeat rules: every [R.period] ticks push a
+   heartbeat to each watcher, and suspect a watched peer from its
+   deadline on. The core rescans only on a step; an arrival sets its
+   peer's deadline and lowers [next_check] to it, so the scan re-arms
+   even after every watched peer was suspected and then retracted. *)
+let heartbeat_ring_core (module R : HEARTBEAT_RULE) ~degree : (module CORE) =
   (module struct
     type t = {
-      me : Pid.t;
       watched : int array;
       watchers : Pid.t list; (* push targets, constant — shared as [pending] *)
-      last_heard : int array;
+      arrivals : R.arrivals;
+      deadline : int array; (* per watched peer: suspect from this tick on *)
       mutable seq : int;
       mutable last_round : int;
       mutable pending : Pid.t list;
@@ -558,129 +611,38 @@ let gossip_ring_core (cfg : gossip_config) ~degree : (module CORE) =
           (* earliest tick a watched peer can become overdue *)
     }
 
-    let name = "gossip-ring"
+    let name = R.name
 
     let create ~n ~me =
+      let watched = Array.of_list (ring_watched ~n ~degree me) in
+      let d = Array.length watched in
       {
-        me;
-        watched = Array.of_list (ring_watched ~n ~degree me);
+        watched;
         watchers = ring_watchers ~n ~degree me;
-        last_heard = Array.make (min degree (n - 1)) 0;
+        arrivals = R.arrivals ~degree:d;
+        deadline = Array.make d R.first_deadline;
         seq = 0;
         last_round = -1;
         pending = [];
         suspected = Pid.Set.empty;
-        next_check = cfg.fail_timeout + 1;
+        next_check = R.first_deadline;
       }
 
     let rescan t ~now =
-      let suspected = ref Pid.Set.empty in
-      let next = ref max_int in
-      Array.iteri
-        (fun i q ->
-          if now - t.last_heard.(i) > cfg.fail_timeout then
-            suspected := Pid.Set.add q !suspected
-          else next := min !next (t.last_heard.(i) + cfg.fail_timeout + 1))
-        t.watched;
-      if not (Pid.Set.equal !suspected t.suspected) then
-        t.suspected <- !suspected;
-      t.next_check <- !next
+      let suspected, next =
+        rescan_deadlines
+          ~pid:(fun i -> t.watched.(i))
+          t.deadline ~now ~suspected:t.suspected
+      in
+      if suspected != t.suspected then t.suspected <- suspected;
+      t.next_check <- next
 
     let on_message t ~now ~src = function
       | Message.Heartbeat _ ->
           let i = watched_index t.watched src in
           (* a stray heartbeat (i < 0) is still detector traffic *)
           if i >= 0 then begin
-            t.last_heard.(i) <- now;
-            let d = now + cfg.fail_timeout + 1 in
-            if d < t.next_check then t.next_check <- d;
-            if Pid.Set.mem src t.suspected then
-              t.suspected <- Pid.Set.remove src t.suspected
-          end;
-          Some t
-      | _ -> None
-
-    let tick t ~now =
-      let round = now / cfg.gossip_period in
-      if round > t.last_round then begin
-        t.seq <- t.seq + 1;
-        t.last_round <- round;
-        t.pending <- t.watchers
-      end;
-      if now >= t.next_check then rescan t ~now;
-      t
-
-    let next_send t ~now:_ =
-      match t.pending with
-      | [] -> None
-      | dst :: pending ->
-          t.pending <- pending;
-          Some (t, (dst, Message.Heartbeat t.seq))
-
-    let suspicions t = t.suspected
-  end)
-
-let phi_ring_core (cfg : phi_config) ~degree : (module CORE) =
-  (module struct
-    type t = {
-      me : Pid.t;
-      watched : int array;
-      watchers : Pid.t list;
-      last : int array; (* last arrival; 0 = bootstrap anchor, as phi_core *)
-      windows : Phi_window.t array;
-      deadline : int array; (* per watched peer: suspect at this tick *)
-      mutable seq : int;
-      mutable last_round : int;
-      mutable pending : Pid.t list;
-      mutable suspected : Pid.Set.t;
-      mutable next_check : int;
-    }
-
-    let name = "phi-ring"
-
-    let empty = Phi_window.create ~capacity:cfg.window
-    let bootstrap_deadline = suspect_after cfg empty
-
-    let create ~n ~me =
-      let d = min degree (n - 1) in
-      {
-        me;
-        watched = Array.of_list (ring_watched ~n ~degree me);
-        watchers = ring_watchers ~n ~degree me;
-        last = Array.make d 0;
-        windows = Array.make d empty;
-        deadline = Array.make d bootstrap_deadline;
-        seq = 0;
-        last_round = -1;
-        pending = [];
-        suspected = Pid.Set.empty;
-        next_check = bootstrap_deadline;
-      }
-
-    let rescan t ~now =
-      let suspected = ref Pid.Set.empty in
-      let next = ref max_int in
-      Array.iteri
-        (fun i q ->
-          if now >= t.deadline.(i) then suspected := Pid.Set.add q !suspected
-          else next := min !next t.deadline.(i))
-        t.watched;
-      if not (Pid.Set.equal !suspected t.suspected) then
-        t.suspected <- !suspected;
-      t.next_check <- !next
-
-    let on_message t ~now ~src = function
-      | Message.Heartbeat _ ->
-          let i = watched_index t.watched src in
-          if i >= 0 then begin
-            (* as in phi_core: the first arrival only anchors the clock;
-               later ones feed the inter-arrival window *)
-            if t.last.(i) > 0 then
-              t.windows.(i) <-
-                Phi_window.observe t.windows.(i)
-                  (float_of_int (now - t.last.(i)));
-            t.last.(i) <- now;
-            let d = now + suspect_after cfg t.windows.(i) in
+            let d = R.arrive t.arrivals i ~now in
             t.deadline.(i) <- d;
             if d < t.next_check then t.next_check <- d;
             if Pid.Set.mem src t.suspected then
@@ -690,7 +652,7 @@ let phi_ring_core (cfg : phi_config) ~degree : (module CORE) =
       | _ -> None
 
     let tick t ~now =
-      let round = now / cfg.hb_period in
+      let round = now / R.period in
       if round > t.last_round then begin
         t.seq <- t.seq + 1;
         t.last_round <- round;
@@ -902,29 +864,9 @@ let cell_oracle ~name (cells : Pid.Set.t array) =
   in
   { Oracle.name; poll }
 
-let make_pair (module D : CORE) ?inner ~n () =
-  let inner =
-    match inner with Some p -> p | None -> (module Idle : Protocol.S)
-  in
-  let cells = Array.make n Pid.Set.empty in
-  let module M = (val adapt (module D) inner ~cells) in
-  {
-    oracle = cell_oracle ~name:D.name cells;
-    protocol = (fun p -> Protocol.make_timed (module M) ~n ~me:p);
-  }
-
-let phi_accrual ?(cfg = phi_defaults) ?inner ~n () =
-  make_pair (phi_core cfg) ?inner ~n ()
-
-let swim ?(cfg = swim_defaults) ?inner ~n () =
-  make_pair (swim_core cfg) ?inner ~n ()
-
-let gossip ?(cfg = gossip_defaults) ?inner ~n () =
-  make_pair (gossip_core cfg) ?inner ~n ()
-
-(* Committee wrapper for the sharded mode: the application protocol runs
-   only on pids 0..c-1 and believes the system has [c] members, while the
-   detector layer above it still spans the full ring. *)
+(* The application protocol [inner] runs on pids [0..members-1] and
+   believes the system has [members] processes; every other pid runs the
+   idle protocol. The detector layer under both spans all [n]. *)
 let clamp_committee c (module P : Protocol.S) : (module Protocol.S) =
   (module struct
     include P
@@ -932,48 +874,49 @@ let clamp_committee c (module P : Protocol.S) : (module Protocol.S) =
     let create ~n:_ ~me = P.create ~n:c ~me
   end)
 
-let make_ring_pair (module D : CORE) ?committee ~n () =
+let make_pair (module D : CORE) ~members ~inner ~n =
   let cells = Array.make n Pid.Set.empty in
-  let module Base = (val adapt (module D) (module Idle) ~cells) in
-  let base p = Protocol.make_timed (module Base) ~n ~me:p in
-  let protocol =
-    match committee with
-    | None -> base
-    | Some (c, inner) ->
-        let module Com = (val adapt (module D) (clamp_committee c inner) ~cells)
-        in
-        fun p ->
-          if p < c then Protocol.make_timed (module Com) ~n ~me:p else base p
+  let over inner =
+    let module M = (val adapt (module D) inner ~cells) in
+    fun p -> Protocol.make_timed (module M) ~n ~me:p
   in
-  { oracle = cell_oracle ~name:D.name cells; protocol }
+  let idle = over (module Idle) in
+  let member = over (clamp_committee members inner) in
+  {
+    oracle = cell_oracle ~name:D.name cells;
+    protocol = (fun p -> if p < members then member p else idle p);
+  }
 
-let gossip_ring ?(cfg = gossip_defaults) ?(degree = 2) ?committee ~n () =
-  make_ring_pair (gossip_ring_core cfg ~degree) ?committee ~n ()
+(* Every backend once: its label, its full-mesh core and its ring core. *)
+let backends =
+  [
+    ( "phi",
+      phi_core phi_defaults,
+      heartbeat_ring_core (phi_ring_rule phi_defaults) );
+    ("swim", swim_core swim_defaults, swim_ring_core swim_defaults);
+    ( "gossip",
+      gossip_core gossip_defaults,
+      heartbeat_ring_core (gossip_ring_rule gossip_defaults) );
+  ]
 
-let phi_ring ?(cfg = phi_defaults) ?(degree = 2) ?committee ~n () =
-  make_ring_pair (phi_ring_core cfg ~degree) ?committee ~n ()
+let labels = List.map (fun (label, _, _) -> label) backends
+let find label = List.find_opt (fun (l, _, _) -> l = label) backends
 
-let swim_ring ?(cfg = swim_defaults) ?(degree = 2) ?committee ~n () =
-  make_ring_pair (swim_ring_core cfg ~degree) ?committee ~n ()
+let of_label label =
+  Option.map
+    (fun (_, core, _) ~n -> make_pair core ~members:0 ~inner:(module Idle) ~n)
+    (find label)
 
-let labels = [ "phi"; "swim"; "gossip" ]
+(* a full-mesh inner protocol is a committee of all [n] *)
+let of_label_inner label =
+  Option.map
+    (fun (_, core, _) ~inner ~n -> make_pair core ~members:n ~inner ~n)
+    (find label)
 
-let of_label = function
-  | "phi" -> Some (fun ~n -> phi_accrual ~n ())
-  | "swim" -> Some (fun ~n -> swim ~n ())
-  | "gossip" -> Some (fun ~n -> gossip ~n ())
-  | _ -> None
-
-let of_label_inner = function
-  | "phi" -> Some (fun ~inner ~n -> phi_accrual ~inner ~n ())
-  | "swim" -> Some (fun ~inner ~n -> swim ~inner ~n ())
-  | "gossip" -> Some (fun ~inner ~n -> gossip ~inner ~n ())
-  | _ -> None
-
-let of_ring_label = function
-  | "phi" -> Some (fun ~degree ?committee ~n () -> phi_ring ~degree ?committee ~n ())
-  | "swim" ->
-      Some (fun ~degree ?committee ~n () -> swim_ring ~degree ?committee ~n ())
-  | "gossip" ->
-      Some (fun ~degree ?committee ~n () -> gossip_ring ~degree ?committee ~n ())
-  | _ -> None
+let of_ring_label label =
+  Option.map
+    (fun (_, _, ring) ~degree
+         ?(committee = (0, (module Idle : Protocol.S))) ~n () ->
+      let members, inner = committee in
+      make_pair (ring ~degree) ~members ~inner ~n)
+    (find label)

@@ -32,7 +32,13 @@
     the tick its φ crosses the threshold, or its counter has been stale
     for longer than [fail_timeout]. A core rescans its peers only when
     the clock reaches the earliest deadline of an unsuspected peer, and
-    each arrival lowers that check to its peer's new deadline. *)
+    each arrival lowers that check to its peer's new deadline.
+
+    {2 The label table}
+
+    Each backend is one row of a table — its label, its full-mesh core
+    and its ring core — that {!labels}, {!of_label}, {!of_label_inner}
+    and {!of_ring_label} read. One pair builder serves every row. *)
 
 (** Windowed inter-arrival statistics for the φ-accrual detector.
     Immutable; keeps the newest [capacity] samples. *)
@@ -84,25 +90,20 @@ val gossip_defaults : gossip_config
 
 type pair = { oracle : Oracle.t; protocol : Pid.t -> Protocol.t }
 
-(** [inner] composes an application protocol alongside the detector
-    component (fair alternation, the {!Convert.With_gossip} idiom); it
-    defaults to an idle protocol. The inner protocol receives the
-    backend's suspicions through its ordinary [on_suspect], because the
-    backend's oracle reports land in the history and the simulator
-    forwards them — the adapter at work. *)
-val phi_accrual : ?cfg:phi_config -> ?inner:(module Protocol.S) -> n:int -> unit -> pair
-
-val swim : ?cfg:swim_config -> ?inner:(module Protocol.S) -> n:int -> unit -> pair
-val gossip : ?cfg:gossip_config -> ?inner:(module Protocol.S) -> n:int -> unit -> pair
-
-(** CLI/repro labels: ["phi"], ["swim"], ["gossip"]. *)
+(** The CLI and repro labels: ["phi"], ["swim"], ["gossip"]. *)
 val labels : string list
 
+(** [of_label l] builds the full-mesh backend [l] with the idle protocol
+    on every pid. *)
 val of_label : string -> (n:int -> pair) option
 
-(** Like {!of_label}, but composes an application protocol under the
-    detector (the [?inner] of the named constructor) — how the k-set
-    experiment rides a decision protocol on each backend. *)
+(** Like {!of_label}, but runs [inner] alongside the detector component
+    on every pid (fair alternation, the {!Convert.With_gossip} idiom):
+    a committee of all [n], in the terms of {!of_ring_label}. This is
+    how the k-set experiment rides a decision protocol on each backend.
+    The inner protocol receives the backend's suspicions through its
+    ordinary [on_suspect], because the backend's oracle reports land in
+    the history and the simulator forwards them — the adapter at work. *)
 val of_label_inner :
   string -> (inner:(module Protocol.S) -> n:int -> pair) option
 
@@ -118,12 +119,15 @@ val of_label_inner :
     that allocates no state and stores nothing — the property the
     sharded simulator's throughput target rests on.
 
-    Ring detector states are single-use imperative values: every
-    transition updates the state in place. Like the pairs themselves,
-    build a fresh pair per execution. The φ and gossip ring cores scan
-    by deadline as the full-mesh ones do, but only on a step: an arrival
-    retracts its peer's suspicion and re-arms the scan for the peer's
-    new deadline without rescanning. *)
+    The φ and gossip rings are one push-heartbeat core under two rules.
+    A rule gives the push period, the deadline a watched peer starts
+    with, and the deadline an arrival sets; φ's rule keeps each watched
+    peer's last arrival and inter-arrival window, gossip's keeps
+    nothing, so a gossip ring core is one record and its deadline array.
+    The core scans by deadline as the full-mesh cores do, but only on a
+    step: an arrival retracts its peer's suspicion and re-arms the scan
+    for the peer's new deadline without rescanning. SWIM's ring core
+    pings its watched peers directly, with no proxies. *)
 
 (** [ring_watched ~n ~degree p] is the list of processes [p] monitors —
     the [min degree (n-1)] successors of [p] on the ring. The estimator
@@ -140,36 +144,11 @@ val ring_watchers : n:int -> degree:int -> Pid.t -> Pid.t list
     evaluating φ every tick. *)
 val phi_deadline : mean:float -> std:float -> threshold:float -> int
 
-(** [committee] runs an application protocol on pids [0..c-1] (re-created
-    with [n = c], so a small protocol instance rides on a huge monitored
-    system); all other pids run the idle protocol. Defaults to no
-    committee (everyone idle under the detector). [degree] defaults
-    to 2. *)
-val gossip_ring :
-  ?cfg:gossip_config ->
-  ?degree:int ->
-  ?committee:int * (module Protocol.S) ->
-  n:int ->
-  unit ->
-  pair
-
-val phi_ring :
-  ?cfg:phi_config ->
-  ?degree:int ->
-  ?committee:int * (module Protocol.S) ->
-  n:int ->
-  unit ->
-  pair
-
-val swim_ring :
-  ?cfg:swim_config ->
-  ?degree:int ->
-  ?committee:int * (module Protocol.S) ->
-  n:int ->
-  unit ->
-  pair
-
-(** Ring variant of {!of_label}; same labels, ring cores. *)
+(** [of_ring_label l ~degree ?committee ~n ()] builds the ring backend
+    [l] with every process watching [degree] successors. [committee]
+    [(c, inner)] runs [inner] on pids [0..c-1], re-created with [n = c],
+    so a small protocol instance rides on a huge monitored system; all
+    other pids run the idle protocol. Without it, every pid is idle. *)
 val of_ring_label :
   string ->
   (degree:int -> ?committee:int * (module Protocol.S) -> n:int -> unit -> pair)

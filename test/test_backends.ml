@@ -441,31 +441,36 @@ let published_matches ~name ~on_recv make =
         segments;
       true)
 
+let full_mesh label = Option.get (Detector.Backends.of_label label)
+
 let phi_published =
   published_matches ~name:"phi publishes its threshold crossings"
     ~on_recv:true (fun ~n ->
-      ( Detector.Backends.phi_accrual ~n (),
+      ( full_mesh "phi" ~n,
         phi_model ~peers:(List.filter (fun q -> q <> 0) (Pid.all n)) () ))
 
 let gossip_published =
   published_matches ~name:"gossip publishes its stale counters"
-    ~on_recv:true (fun ~n ->
-      (Detector.Backends.gossip ~n (), gossip_model ~n ()))
+    ~on_recv:true (fun ~n -> (full_mesh "gossip" ~n, gossip_model ~n ()))
 
 (* The ring cores rescan only on a step, so they are checked after
    steps. Monitor 0 watches pids 1 and 2; heartbeats from other pids
    are strays. *)
 let watched n = Detector.Backends.ring_watched ~n ~degree:2 0
 
+let ring label ~n =
+  let mk = Option.get (Detector.Backends.of_ring_label label) in
+  mk ~degree:2 ~n ()
+
 let phi_ring_published =
   published_matches ~name:"phi-ring publishes its threshold crossings"
     ~on_recv:false (fun ~n ->
-      (Detector.Backends.phi_ring ~n (), phi_model ~peers:(watched n) ()))
+      (ring "phi" ~n, phi_model ~peers:(watched n) ()))
 
 let gossip_ring_published =
   published_matches ~name:"gossip-ring publishes its silent peers"
     ~on_recv:false (fun ~n ->
-      (Detector.Backends.gossip_ring ~n (), heard_model ~peers:(watched n) ()))
+      (ring "gossip" ~n, heard_model ~peers:(watched n) ()))
 
 (* ---------- sampled-knowledge overclaim audit determinism ---------- *)
 
