@@ -28,7 +28,8 @@ let perfect ?(lag = 0) () =
    resampled only occasionally. Churning a fresh random set on every poll
    would flood histories with suspect events (each report change costs the
    process a scheduling slot) without making the detector any "stronger". *)
-let strong ?(false_rate = 0.15) ~seed () =
+let strong ~seed () =
+  let false_rate = 0.15 in
   let prng = Prng.create seed in
   let sticky = Hashtbl.create 8 in
   (* pid -> current false-suspicion set *)
@@ -80,24 +81,25 @@ let weak () =
   in
   { Oracle.name = "weak"; poll }
 
-let in_report_window ~window now = now / window mod 2 = 1
+(* reports in odd windows of 6 ticks, retracts in even ones *)
+let in_report_window now = now / 6 mod 2 = 1
 
-let impermanent_strong ?(window = 6) () =
+let impermanent_strong () =
   let poll _p (view : Oracle.view) =
     if Pid.Set.is_empty view.crashed then None
-    else if in_report_window ~window view.now then
+    else if in_report_window view.now then
       Some (Report.std view.crashed)
     else Some (Report.std Pid.Set.empty)
   in
   { Oracle.name = "impermanent-strong"; poll }
 
-let impermanent_weak ?(window = 6) () =
+let impermanent_weak () =
   let poll p (view : Oracle.view) =
     let s =
       Pid.Set.filter (fun q -> witness view q = Some p) view.crashed
     in
     if Pid.Set.is_empty s then None
-    else if in_report_window ~window view.now then Some (Report.std s)
+    else if in_report_window view.now then Some (Report.std s)
     else Some (Report.std Pid.Set.empty)
   in
   { Oracle.name = "impermanent-weak"; poll }
@@ -130,7 +132,8 @@ let eventually_perfect ~stabilize_at ?(chaos_rate = 0.2) ~seed () =
   in
   { Oracle.name = "eventually-perfect"; poll }
 
-let eventually_weak ~stabilize_at ?(chaos_rate = 0.2) ~seed () =
+let eventually_weak ~stabilize_at ~seed () =
+  let chaos_rate = 0.2 in
   let prng = Prng.create seed in
   let sticky = Hashtbl.create 8 in
   let poll p (view : Oracle.view) =
@@ -164,36 +167,25 @@ let eventually_weak ~stabilize_at ?(chaos_rate = 0.2) ~seed () =
   in
   { Oracle.name = "eventually-weak"; poll }
 
-let gen_exact ?(period = 1) () =
-  let polls = Hashtbl.create 8 in
-  let poll p (view : Oracle.view) =
-    let c = Option.value ~default:0 (Hashtbl.find_opt polls p) in
-    Hashtbl.replace polls p (c + 1);
-    if c mod period <> 0 then None
-    else
-      let s = view.planned_faulty in
-      let k = Pid.Set.cardinal (Pid.Set.inter view.crashed s) in
-      Some (Report.gen s k)
+let gen_exact () =
+  let poll _p (view : Oracle.view) =
+    let s = view.planned_faulty in
+    let k = Pid.Set.cardinal (Pid.Set.inter view.crashed s) in
+    Some (Report.gen s k)
   in
   { Oracle.name = "gen-exact"; poll }
 
-let gen_component ~components ?(period = 1) () =
-  let polls = Hashtbl.create 8 in
-  let poll p (view : Oracle.view) =
-    let c = Option.value ~default:0 (Hashtbl.find_opt polls p) in
-    Hashtbl.replace polls p (c + 1);
-    if c mod period <> 0 then None
-    else
-      let s =
-        List.fold_left
-          (fun acc comp ->
-            if Pid.Set.is_empty (Pid.Set.inter comp view.planned_faulty) then
-              acc
-            else Pid.Set.union acc comp)
-          Pid.Set.empty components
-      in
-      let k = Pid.Set.cardinal (Pid.Set.inter view.crashed s) in
-      Some (Report.gen s k)
+let gen_component ~components () =
+  let poll _p (view : Oracle.view) =
+    let s =
+      List.fold_left
+        (fun acc comp ->
+          if Pid.Set.is_empty (Pid.Set.inter comp view.planned_faulty) then acc
+          else Pid.Set.union acc comp)
+        Pid.Set.empty components
+    in
+    let k = Pid.Set.cardinal (Pid.Set.inter view.crashed s) in
+    Some (Report.gen s k)
   in
   { Oracle.name = "gen-component"; poll }
 
@@ -204,7 +196,7 @@ let rec subsets n t =
   else
     List.map (fun s -> (n - 1) :: s) (subsets (n - 1) (t - 1)) @ subsets (n - 1) t
 
-let trivial_cycling ~t ?(period = 4) () =
+let trivial_cycling ~t () =
   let state = Hashtbl.create 8 in
   (* pid -> (poll count, subset index) *)
   let all_subsets = ref None in
@@ -220,7 +212,7 @@ let trivial_cycling ~t ?(period = 4) () =
     let polls, idx =
       Option.value ~default:(0, 0) (Hashtbl.find_opt state p)
     in
-    if polls mod period <> 0 then (
+    if polls mod 4 <> 0 then (
       Hashtbl.replace state p (polls + 1, idx);
       None)
     else (
