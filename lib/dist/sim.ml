@@ -46,10 +46,26 @@ let config ~n ~seed =
    last-wins — after the fact). Reject them at construction instead.
    Negative and tick-0 schedule entries stay legal: they are the pinned
    "cutover before the first tick" behaviour. The rate check is written
-   [not (r >= 0 && r <= 1)] so NaN is rejected too. *)
+   [not (r >= 0 && r <= 1)] so NaN is rejected too. A plan entry naming a
+   pid outside [0, n) could never fire, and would hold the run open to
+   [max_ticks] or index past the window. *)
 let validate cfg =
   let bad fmt = Printf.ksprintf invalid_arg fmt in
   if cfg.n < 1 then bad "Sim.validate: n %d < 1" cfg.n;
+  let check_pid what p =
+    if p < 0 || p >= cfg.n then
+      bad "Sim.validate: %s %d outside [0, %d)" what p cfg.n
+  in
+  List.iter
+    (fun e -> check_pid "init owner" (Action_id.owner e.Init_plan.action))
+    (Init_plan.entries cfg.init_plan);
+  List.iter
+    (fun e ->
+      check_pid "fault victim" e.Fault_plan.victim;
+      match e.Fault_plan.trigger with
+      | Fault_plan.After_did (q, _) -> check_pid "After_did performer" q
+      | Fault_plan.At _ | Fault_plan.After_any_do -> ())
+    (Fault_plan.entries cfg.fault_plan);
   if cfg.crash_budget < 0 then
     bad "Sim.validate: crash_budget %d < 0" cfg.crash_budget;
   let check_rate what r =
@@ -109,9 +125,8 @@ type window = {
   crashed : bool array;
   order : Pid.t array; (* global pids; permuted in place every tick *)
   pending_inits : Init_plan.entry list array; (* per owner, plan order *)
-  mutable pending_init_count : int; (* live entries, orphans included *)
+  mutable pending_init_count : int; (* live entries *)
   pending_faults : Fault_plan.entry list array; (* per victim, plan order *)
-  orphan_faults : Fault_plan.entry list;
   mutable schedule : (int * float) list; (* loss-schedule entries ahead *)
   mutable crashes : Pid.t list; (* newest first; a caller may clear it *)
   mutable initiated : Action_id.t list; (* every Init event so far *)
@@ -132,28 +147,21 @@ let rec apply_schedule w =
       apply_schedule w
   | _ -> ()
 
-(* Plan entries whose owner/victim is outside [0, n) can never fire but
-   do block goal and quiescence checks, as the old global-list scans did;
-   the window at base 0 keeps them aside ([orphan_faults], and inits in
-   the count only) so that behaviour survives the dense indexing. *)
 let window cfg ~base ~size ~source ~hists make_process =
   let mine p = p >= base && p < base + size in
-  let orphan p = base = 0 && (p < 0 || p >= cfg.n) in
   let pending_inits = Array.make size [] and init_count = ref 0 in
   List.iter
     (fun e ->
       let owner = Action_id.owner e.Init_plan.action in
       if mine owner then (
         pending_inits.(owner - base) <- e :: pending_inits.(owner - base);
-        incr init_count)
-      else if orphan owner then incr init_count)
+        incr init_count))
     (List.rev (Init_plan.entries cfg.init_plan));
-  let pending_faults = Array.make size [] and orphan_faults = ref [] in
+  let pending_faults = Array.make size [] in
   List.iter
     (fun e ->
       let v = e.Fault_plan.victim in
-      if mine v then pending_faults.(v - base) <- e :: pending_faults.(v - base)
-      else if orphan v then orphan_faults := e :: !orphan_faults)
+      if mine v then pending_faults.(v - base) <- e :: pending_faults.(v - base))
     (List.rev (Fault_plan.entries cfg.fault_plan));
   let decide ~now ~src ~dst ~rate =
     Decision.drop source ~tick:now ~src ~dst ~rate
@@ -175,7 +183,6 @@ let window cfg ~base ~size ~source ~hists make_process =
       pending_inits;
       pending_init_count = !init_count;
       pending_faults;
-      orphan_faults = !orphan_faults;
       schedule = cfg.loss_schedule;
       crashes = [];
       initiated = [];
@@ -386,8 +393,7 @@ let quiescent w =
   && Channel.in_flight_count w.channel = 0
   && quiet 0
   && (* no pending fault whose trigger can still fire *)
-  (not (Array.exists (List.exists (fires w ~by:max_int)) w.pending_faults))
-  && not (List.exists (fires w ~by:max_int) w.orphan_faults)
+  not (Array.exists (List.exists (fires w ~by:max_int)) w.pending_faults)
 
 (* ---------- The unsharded engine: one window over [0, n) ---------- *)
 

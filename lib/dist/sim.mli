@@ -89,9 +89,10 @@ val config : n:int -> seed:int64 -> config
     malformed: [n < 1], [crash_budget < 0], a loss rate (global,
     per-link, or scheduled) outside [0, 1] or NaN, a [loss_schedule] that
     is not strictly increasing in tick (unsorted or duplicate ticks),
-    [max_consecutive_drops < 0], or an ADD window/bound below 1. Negative
-    and tick-0 schedule entries remain legal (pre-run cutover). Called by
-    {!execute}; exposed so config builders can fail fast. *)
+    [max_consecutive_drops < 0], an ADD window/bound below 1, or an init
+    owner, fault victim or [After_did] performer outside [[0, n)].
+    Negative and tick-0 schedule entries remain legal (pre-run cutover).
+    Called by {!execute}; exposed so config builders can fail fast. *)
 val validate : config -> unit
 
 type result = {
@@ -145,9 +146,8 @@ type window = {
   crashed : bool array;
   order : Pid.t array;  (** the slot order, permuted in place every tick *)
   pending_inits : Init_plan.entry list array;  (** per owner, plan order *)
-  mutable pending_init_count : int;  (** orphans included *)
+  mutable pending_init_count : int;
   pending_faults : Fault_plan.entry list array;  (** per victim, plan order *)
-  orphan_faults : Fault_plan.entry list;
   mutable schedule : (int * float) list;  (** loss-schedule entries ahead *)
   mutable crashes : Pid.t list;
       (** crashed pids, newest first; the caller may clear it once read *)
@@ -161,10 +161,8 @@ type window = {
 (** [window cfg ~base ~size ~source ~hists make_process] builds the window
     [[base, base + size)]: its slice of the init and fault plans, a
     channel that draws drop decisions from [source], [size] empty
-    builders [hists], and the states [make_process p]. The window at base
-    0 also keeps the plan entries that name no pid of [[0, n)]: they
-    never fire but block quiescence (and the goal). Loss-schedule entries
-    at tick 0 or earlier are applied at once. [cfg] must pass
+    builders [hists], and the states [make_process p]. Loss-schedule
+    entries at tick 0 or earlier are applied at once. [cfg] must pass
     {!validate}. *)
 val window :
   config ->

@@ -210,6 +210,7 @@ let malformed_repro () =
           ("n", "0");
           ("crash-budget", "-1");
           ("init", "0.-1@1");
+          ("init", "9.0@1");
           ("digest", String.make 31 'a');
           ("protocol", "majority:-1");
         ];

@@ -640,10 +640,26 @@ let config_validation_rejects () =
   rejects "add bound 0" (fun () ->
       Sim.validate
         { base with Sim.add = Some { Channel.window = 4; bound = 0 } });
+  (* a plan entry naming a pid outside [0, n), at n = 4 *)
+  let base4 = Sim.config ~n:4 ~seed:1L in
+  let faults victim trigger =
+    {
+      base4 with
+      Sim.fault_plan = Fault_plan.of_entries [ { Fault_plan.victim; trigger } ];
+    }
+  in
+  let after_did q = Fault_plan.After_did (q, Action_id.make ~owner:q ~tag:0) in
+  rejects "init owner out of range" (fun () ->
+      Sim.validate { base4 with Sim.init_plan = Init_plan.one ~owner:4 ~at:1 });
+  rejects "fault victim out of range" (fun () ->
+      Sim.validate (faults (-1) (Fault_plan.At 4)));
+  rejects "After_did performer out of range" (fun () ->
+      Sim.validate (faults 0 (after_did 7)));
   (* the legal shapes stay legal *)
   Sim.validate { base with Sim.loss_schedule = [ (-4, 0.1); (0, 0.2) ] };
   Sim.validate
-    { base with Sim.add = Some { Channel.window = 1; bound = 1 } }
+    { base with Sim.add = Some { Channel.window = 1; bound = 1 } };
+  Sim.validate (faults 0 (after_did 3))
 
 (* Representation invariance: a constant rate [r] and the schedule
    [[(0, r)]] over a junk base rate describe the same channel, so the run

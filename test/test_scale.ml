@@ -104,14 +104,12 @@ let current_cases =
       };
     ]
 
-(* Plan entries may name pids outside [0, n): out-of-range fault victims
-   and init owners must block quiescence in both engines, and never
-   fire. Schedules may start at tick <= 0 (the pre-run cutover). *)
+(* Schedules may start at tick <= 0 (the pre-run cutover). *)
 let case_gen =
   let open QCheck.Gen in
   let* n = int_range 2 12 in
   let* ticks = int_range 1 120 in
-  let pid = int_range 0 (n - 1) and any_pid = int_range (-2) (n + 1) in
+  let pid = int_range 0 (n - 1) in
   let tick = int_range 0 ticks in
   let* backend = oneofl Detector.Backends.labels
   and* with_oracle = bool
@@ -129,8 +127,8 @@ let case_gen =
        { Channel.window; bound })
   and* max_delay = int_range 1 8
   and* max_consecutive_drops = int_range 0 8
-  and* faults = list_size (int_range 0 3) (pair any_pid tick)
-  and* inits = list_size (int_range 0 3) (pair any_pid tick) in
+  and* faults = list_size (int_range 0 3) (pair pid tick)
+  and* inits = list_size (int_range 0 3) (pair pid tick) in
   let loss_schedule =
     List.rev
       (snd
