@@ -104,7 +104,7 @@ let same_key what ~key ~domains seq out =
    second. Returns the domains-1 wall time and result. [gate] fails the
    bench when the pool is more than 10% slower than domains 1, so the
    spawn-per-call regression (domains=2 ran the explorer 2.2x slower
-   because every 256-node chunk spawned fresh domains; Ensemble.run
+   because every 256-node chunk spawned fresh domains; seed-ensemble
    callers were hit first) cannot come back. It needs parallel hardware:
    on a single-core runner extra domains time-share one core and the
    ratio measures the OS scheduler, not the dispatch path. *)
@@ -458,7 +458,7 @@ let ensemble_throughput ~gate () =
   in
   let work domains =
     let mw0 = Gc.minor_words () in
-    let digests = Ensemble.run ~domains ~seeds sim in
+    let digests = Ensemble.map ~domains sim seeds in
     (digests, Gc.minor_words () -. mw0)
   in
   let key (digests, _) =

@@ -1,9 +1,9 @@
 let env ~mk_config ~protocol ~runs =
   let seeds = List.init runs (fun i -> Int64.of_int ((i * 6700417) + 97)) in
   let runs_list =
-    Ensemble.run ~seeds (fun seed ->
-        let cfg = mk_config seed in
-        (Sim.execute_uniform cfg protocol).Sim.run)
+    Ensemble.map
+      (fun seed -> (Sim.execute_uniform (mk_config seed) protocol).Sim.run)
+      seeds
   in
   Epistemic.Checker.make (Epistemic.System.of_runs runs_list)
 

@@ -356,50 +356,9 @@ let map_array ?domains f xs =
     results
 
 let map ?domains f xs = Array.to_list (map_array ?domains f (Array.of_list xs))
-let run ?domains ~seeds f = map ?domains f seeds
 
 let exists ?domains f xs =
-  let stop = Atomic.make false in
-  let results =
-    map_into ?domains ~stop
-      (fun x ->
-        let v = f x in
-        if v then Atomic.set stop true;
-        v)
-      (Array.of_list xs)
-  in
-  (* scan in input order: a true before the earliest error wins, as it
-     would under the sequential short-circuit *)
-  let len = Array.length results in
-  let rec scan i =
-    if i >= len then false
-    else
-      match results.(i) with
-      | Some (Ok true) -> true
-      | Some (Error e) -> raise e
-      | Some (Ok false) | None -> scan (i + 1)
-  in
-  scan 0
-
-let find_map ?domains f xs =
-  let stop = Atomic.make false in
-  let results =
-    map_into ?domains ~stop
-      (fun x ->
-        let v = f x in
-        if Option.is_some v then Atomic.set stop true;
-        v)
-      (Array.of_list xs)
-  in
-  let len = Array.length results in
-  let rec scan i =
-    if i >= len then None
-    else
-      match results.(i) with
-      | Some (Ok (Some _ as v)) -> v
-      | Some (Error e) -> raise e
-      | Some (Ok None) | None -> scan (i + 1)
-  in
-  scan 0
+  let _, stopped = map_until ?domains ~stop_on:Fun.id f (Array.of_list xs) in
+  Option.is_some stopped
 
 let fold ?domains ~f ~init g xs = List.fold_left f init (map ?domains g xs)

@@ -44,20 +44,12 @@ val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ?domains f xs] = [List.map f xs], computed on the pool. *)
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [run ?domains ~seeds f] maps [f] over a seed list — the ensemble
-    primitive. Results are in seed-list order regardless of scheduling. *)
-val run : ?domains:int -> seeds:int64 list -> (int64 -> 'a) -> 'a list
-
-(** [exists ?domains f xs]: whether any item satisfies [f]. Domains stop
-    claiming new work once a witness is found, so this is an (eager,
-    deterministic) parallel search. *)
+(** [exists ?domains f xs]: whether any item satisfies [f] — a
+    {!map_until} stopping on the first [true], so domains stop claiming
+    new work once a witness is found. An item that raises before the
+    first witness in input order raises, as the sequential
+    [List.exists] would. *)
 val exists : ?domains:int -> ('a -> bool) -> 'a list -> bool
-
-(** [find_map ?domains f xs]: the first (in input order) [Some] produced
-    by [f], with the same early-stopping discipline as {!exists} — the
-    witness returned is the one the sequential [List.find_map] would
-    return. *)
-val find_map : ?domains:int -> ('a -> 'b option) -> 'a list -> 'b option
 
 (** [fold ?domains ~f ~init g xs] maps [g] in parallel, then folds the
     results sequentially in input order — the common

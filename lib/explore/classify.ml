@@ -147,7 +147,7 @@ let classify ?domains ~backend ~regime params =
         let reports, false_susp = audit run in
         (sat, reports, false_susp, Run.digest run)
       in
-      let verdicts = Ensemble.run ?domains ~seeds:(seeds params.runs) job in
+      let verdicts = Ensemble.map ?domains job (seeds params.runs) in
       let rates =
         List.map
           (fun c ->
@@ -373,7 +373,7 @@ let kset ?domains ~backend ~regime ~k params =
         in
         (attained, terminated, sk, ks1, ks2, Run.digest run)
       in
-      let verdicts = Ensemble.run ?domains ~seeds:(seeds params.runs) job in
+      let verdicts = Ensemble.map ?domains job (seeds params.runs) in
       let count f = List.length (List.filter f verdicts) in
       let digest =
         Digest.to_hex

@@ -7,11 +7,8 @@
    costs a comparison, not a verdict. A hit here means some
    already-expanded schedule produced the bit-identical run, so the
    node's subtree re-explores decisions whose every observable effect is
-   already covered and can be cut. The table is sharded on the low
-   fingerprint bits so each hashtable stays small (bounded resize
-   pauses, and the layout is ready for per-shard locking if probing ever
-   moves into the parallel phase — today all access is from the
-   sequential merge, which is what keeps the cut deterministic).
+   already covered and can be cut. Every probe happens in the engine's
+   sequential merge, which is what keeps the cut deterministic.
 
    Prefix tier: fingerprint-only marks of decision-prefix states (the
    FNV fold of [Decision.hash] along a trace). This tier has no
@@ -22,21 +19,13 @@
    themselves would cost O(trace^2) per run for a guidance signal. *)
 
 type t = {
-  shards : (int, Run.t list) Hashtbl.t array;
-  mask : int;
+  runs : (int, Run.t list) Hashtbl.t;
   mutable distinct : int;
   prefixes : (int, unit) Hashtbl.t;
 }
 
-let create ?(shards = 16) () =
-  let rec pow2 n = if n >= shards then n else pow2 (n * 2) in
-  let n = pow2 1 in
-  {
-    shards = Array.init n (fun _ -> Hashtbl.create 64);
-    mask = n - 1;
-    distinct = 0;
-    prefixes = Hashtbl.create 1024;
-  }
+let create () =
+  { runs = Hashtbl.create 1024; distinct = 0; prefixes = Hashtbl.create 1024 }
 
 let fingerprint (r : Run.t) =
   let n = Run.n r in
@@ -51,15 +40,14 @@ let fingerprint (r : Run.t) =
    of each bucket entry until one matches. *)
 let check_add t r =
   let fp = fingerprint r in
-  let tbl = t.shards.(fp land t.mask) in
-  match Hashtbl.find_opt tbl fp with
+  match Hashtbl.find_opt t.runs fp with
   | Some bucket when List.exists (Run.equal r) bucket -> true
   | Some bucket ->
-      Hashtbl.replace tbl fp (r :: bucket);
+      Hashtbl.replace t.runs fp (r :: bucket);
       t.distinct <- t.distinct + 1;
       false
   | None ->
-      Hashtbl.add tbl fp [ r ];
+      Hashtbl.add t.runs fp [ r ];
       t.distinct <- t.distinct + 1;
       false
 

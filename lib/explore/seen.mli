@@ -3,10 +3,9 @@
     Two tiers with deliberately different disciplines:
 
     {b Runs} (node tier): {!check_add} keys complete runs by a seeded
-    FNV fingerprint of their timed histories, {e sharded} on the low
-    fingerprint bits, with collisions resolved by structural equality
-    ([Run.equal]) — the PR 5 dedup discipline. The fingerprint routes to
-    a bucket; only structural comparison decides equality, so an FNV
+    FNV fingerprint of their timed histories, with collisions resolved
+    by structural equality ([Run.equal]). The fingerprint routes to a
+    bucket; only structural comparison decides equality, so an FNV
     collision costs a walk, never a wrong cut. A hit certifies that an
     already-expanded schedule produced the bit-identical run, so the
     re-converging node's subtree can be cut. The bounded search records
@@ -25,9 +24,8 @@
 
 type t
 
-(** [create ?shards ()] — [shards] (default 16, rounded up to a power of
-    two) run-table shards. *)
-val create : ?shards:int -> unit -> t
+(** An empty cache. *)
+val create : unit -> t
 
 (** Seeded FNV fingerprint of a run's timed histories (plus arity and
     horizon) — consistent with [Run.equal]. *)

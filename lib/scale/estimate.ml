@@ -37,8 +37,9 @@ type ci = { successes : int; trials : int; rate : float; lo : float; hi : float 
    Propagating [nan] endpoints instead poisons downstream JSON and any
    width arithmetic. At the defined endpoints the formula collapses to
    closed forms (pinned by tests): p=0 gives [0, z^2/(n+z^2)], p=1 gives
-   [n/(n+z^2), 1] — nonzero width strictly inside [0,1]. *)
-let wilson ?(z = 1.96) ~successes ~trials () =
+   [n/(n+z^2), 1] — nonzero width strictly inside [0,1]. z = 1.96 (95%). *)
+let wilson ~successes ~trials =
+  let z = 1.96 in
   if trials = 0 then { successes; trials; rate = nan; lo = 0.; hi = 1. }
   else begin
     let nf = float_of_int trials in
@@ -315,10 +316,10 @@ let estimate p =
   | Ok () -> ()
   | Error e -> invalid_arg ("Estimate.estimate: " ^ e));
   let t0 = Unix.gettimeofday () in
-  let results = Ensemble.run ?domains:p.domains ~seeds:(seeds p) (one_run p) in
+  let results = Ensemble.map ?domains:p.domains (one_run p) (seeds p) in
   let wall = Unix.gettimeofday () -. t0 in
   let count f = List.length (List.filter f results) in
-  let ci f = wilson ~successes:(count f) ~trials:p.runs () in
+  let ci f = wilson ~successes:(count f) ~trials:p.runs in
   let au (a, _, _, _) = a in
   let completeness = ci (fun r -> (au r).a_completeness) in
   let strong = ci (fun r -> (au r).a_strong) in

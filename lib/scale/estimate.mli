@@ -15,12 +15,12 @@
 (** A Wilson score interval for a Bernoulli rate. *)
 type ci = { successes : int; trials : int; rate : float; lo : float; hi : float }
 
-(** [wilson ~successes ~trials ()] with [z] defaulting to 1.96 (95%).
+(** [wilson ~successes ~trials] is the 95% interval (z = 1.96).
     [trials = 0] yields a NaN rate with the vacuous interval [0, 1]
     (no evidence constrains nothing); endpoints are always finite and
     inside [0, 1]. At the defined extremes the closed forms are
     [p = 0 -> [0, z^2/(n+z^2)]] and [p = 1 -> [n/(n+z^2), 1]]. *)
-val wilson : ?z:float -> successes:int -> trials:int -> unit -> ci
+val wilson : successes:int -> trials:int -> ci
 
 type dist = { samples : int; mean : float; p50 : float; p99 : float; max : float }
 

@@ -54,8 +54,8 @@ let test_same_seed_same_digest () =
 let test_parallel_equals_sequential () =
   List.iter
     (fun (name, simulate) ->
-      let sequential = Ensemble.run ~domains:1 ~seeds:udc_seeds simulate in
-      let parallel = Ensemble.run ~domains:4 ~seeds:udc_seeds simulate in
+      let sequential = Ensemble.map ~domains:1 simulate udc_seeds in
+      let parallel = Ensemble.map ~domains:4 simulate udc_seeds in
       Alcotest.(check int)
         (name ^ ": same cardinality")
         (List.length sequential) (List.length parallel);
@@ -95,19 +95,14 @@ let test_parallel_f_runs () =
     (List.combine sequential parallel)
 
 (* Sequential-equivalence of the combinators themselves. *)
-let test_exists_and_find_map () =
+let test_exists () =
   let xs = List.init 100 Fun.id in
   List.iter
     (fun domains ->
       Alcotest.(check bool) "exists true" true
         (Ensemble.exists ~domains (fun x -> x = 63) xs);
       Alcotest.(check bool) "exists false" false
-        (Ensemble.exists ~domains (fun x -> x > 1000) xs);
-      Alcotest.(check (option int))
-        "find_map earliest witness" (Some 170)
-        (Ensemble.find_map ~domains
-           (fun x -> if x mod 17 = 0 && x > 0 then Some (x * 10) else None)
-           xs))
+        (Ensemble.exists ~domains (fun x -> x > 1000) xs))
     [ 1; 4 ]
 
 exception Boom of int
@@ -117,9 +112,16 @@ let test_earliest_error_wins () =
   let f x = if x mod 13 = 12 then raise (Boom x) else x in
   List.iter
     (fun domains ->
-      match Ensemble.map ~domains f xs with
+      (match Ensemble.map ~domains f xs with
       | _ -> Alcotest.fail "expected an exception"
-      | exception Boom x -> Alcotest.(check int) "earliest failure" 12 x)
+      | exception Boom x -> Alcotest.(check int) "earliest failure" 12 x);
+      (* exists raises the earliest failure unless a witness precedes it *)
+      (match Ensemble.exists ~domains (fun x -> f x > 40) xs with
+      | _ -> Alcotest.fail "exists: expected an exception"
+      | exception Boom x ->
+          Alcotest.(check int) "exists: earliest failure" 12 x);
+      Alcotest.(check bool) "exists: a witness before the failure wins" true
+        (Ensemble.exists ~domains (fun x -> f x = 5) xs))
     [ 1; 4 ]
 
 let test_fold_order () =
@@ -144,7 +146,7 @@ let outcome f = match f () with v -> Ok v | exception e -> Error e
 
 let pooled_equals_sequential =
   QCheck.Test.make
-    ~name:"pooled map/exists/find_map/fold = sequential (incl. errors)"
+    ~name:"pooled map/exists/fold = sequential (incl. errors)"
     ~count:40
     QCheck.(
       triple (list_of_size Gen.(int_range 0 60) small_int) (int_range 2 5)
@@ -153,14 +155,11 @@ let pooled_equals_sequential =
       (* [f] raises on a data-dependent subset, so some generated cases
          exercise the earliest-failure path and some the clean path *)
       let f x = if x mod modulus = modulus - 1 then raise (Prop_boom x) else x * x in
-      let pred x = x mod modulus = 0 in
-      let fm x = if x mod modulus = 1 then Some (x * 3) else None in
+      let pred x = f x mod modulus = 0 in
       outcome (fun () -> Ensemble.map ~domains f xs)
       = outcome (fun () -> List.map f xs)
       && outcome (fun () -> Ensemble.exists ~domains pred xs)
          = outcome (fun () -> List.exists pred xs)
-      && outcome (fun () -> Ensemble.find_map ~domains fm xs)
-         = outcome (fun () -> List.find_map fm xs)
       && outcome (fun () ->
              Ensemble.fold ~domains ~f:(fun acc x -> acc + x) ~init:0 f xs)
          = outcome (fun () -> List.fold_left (fun acc x -> acc + f x) 0 xs))
@@ -210,8 +209,7 @@ let suite =
       test_parallel_equals_sequential;
     Alcotest.test_case "4 domains = 1 domain (E8 f-construction)" `Quick
       test_parallel_f_runs;
-    Alcotest.test_case "exists/find_map sequential-equivalent" `Quick
-      test_exists_and_find_map;
+    Alcotest.test_case "exists sequential-equivalent" `Quick test_exists;
     Alcotest.test_case "earliest error wins" `Quick test_earliest_error_wins;
     Alcotest.test_case "fold preserves order" `Quick test_fold_order;
     Alcotest.test_case "pool reuse leaves no stale state" `Quick

@@ -512,7 +512,7 @@ let phi_deadline_monotone =
       && (d = 1 || phi_at (d - 1) <= threshold))
 
 let wilson_interval () =
-  let c = Scale.Estimate.wilson ~successes:9 ~trials:10 () in
+  let c = Scale.Estimate.wilson ~successes:9 ~trials:10 in
   Alcotest.(check (float 1e-9)) "rate" 0.9 c.Scale.Estimate.rate;
   Alcotest.(check bool) "lo < rate" true (c.Scale.Estimate.lo < 0.9);
   Alcotest.(check bool) "hi > rate" true (c.Scale.Estimate.hi > 0.9);
@@ -521,7 +521,7 @@ let wilson_interval () =
     (Float.abs (c.Scale.Estimate.lo -. 0.59585) < 5e-3);
   Alcotest.(check bool) "hi ~ 0.982" true
     (Float.abs (c.Scale.Estimate.hi -. 0.98213) < 5e-3);
-  let z = Scale.Estimate.wilson ~successes:0 ~trials:0 () in
+  let z = Scale.Estimate.wilson ~successes:0 ~trials:0 in
   Alcotest.(check bool) "empty trials -> nan" true
     (Float.is_nan z.Scale.Estimate.rate);
   (* no evidence constrains nothing: the vacuous interval, not NaN *)
@@ -531,12 +531,12 @@ let wilson_interval () =
      [0, z^2/(n+z^2)], p=1 gives [n/(n+z^2), 1] — nonzero width strictly
      inside [0,1] *)
   let zz = 1.96 *. 1.96 in
-  let lo0 = Scale.Estimate.wilson ~successes:0 ~trials:10 () in
+  let lo0 = Scale.Estimate.wilson ~successes:0 ~trials:10 in
   Alcotest.(check (float 1e-9)) "p=0 lo" 0. lo0.Scale.Estimate.lo;
   Alcotest.(check (float 1e-9)) "p=0 hi"
     (zz /. (10. +. zz))
     lo0.Scale.Estimate.hi;
-  let hi1 = Scale.Estimate.wilson ~successes:10 ~trials:10 () in
+  let hi1 = Scale.Estimate.wilson ~successes:10 ~trials:10 in
   Alcotest.(check (float 1e-9)) "p=1 lo"
     (10. /. (10. +. zz))
     hi1.Scale.Estimate.lo;
