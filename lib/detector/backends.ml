@@ -146,6 +146,26 @@ let suspect_after (cfg : phi_config) w =
   in
   phi_deadline ~mean ~std ~threshold:cfg.threshold
 
+(* φ's arrival state over [k] monitored peers, full-mesh or ring: each
+   peer's last arrival and its inter-arrival window. Ticks start at 1,
+   so [last] 0 is the bootstrap anchor, before any arrival. *)
+type phi_arrivals = { last : int array; windows : Phi_window.t array }
+
+let phi_arrivals (cfg : phi_config) k =
+  {
+    last = Array.make k 0;
+    windows = Array.make k (Phi_window.create ~capacity:cfg.window);
+  }
+
+(* An arrival from peer slot [i] at [now]: the first only anchors the
+   clock, later ones feed the window. Returns the peer's new deadline. *)
+let phi_arrive cfg a i ~now =
+  if a.last.(i) > 0 then
+    a.windows.(i) <-
+      Phi_window.observe a.windows.(i) (float_of_int (now - a.last.(i)));
+  a.last.(i) <- now;
+  now + suspect_after cfg a.windows.(i)
+
 (* The φ and gossip cores, full-mesh and ring, keep one suspicion
    deadline per monitored peer (the full-mesh cores index by pid and
    keep [max_int] for the own pid, never suspected). Between arrivals
@@ -175,8 +195,7 @@ let phi_core (cfg : phi_config) : (module CORE) =
     type t = {
       me : Pid.t;
       peers : Pid.t list;
-      last : int array; (* last arrival; -1 before the first *)
-      windows : Phi_window.t array;
+      arrivals : phi_arrivals;
       deadline : int array; (* suspect from this tick on *)
       mutable hb_ring : Pid.t list;
       mutable last_hb_round : int;
@@ -186,20 +205,18 @@ let phi_core (cfg : phi_config) : (module CORE) =
     }
 
     let name = "phi"
-    let empty = Phi_window.create ~capacity:cfg.window
 
     (* Before the first arrival a peer is scored against the bootstrap
        mean from the run's start, so a peer that crashes before ever
        sending is still eventually suspected (completeness needs no
        history). *)
-    let bootstrap = suspect_after cfg empty
+    let bootstrap = suspect_after cfg (Phi_window.create ~capacity:cfg.window)
 
     let create ~n ~me =
       {
         me;
         peers = peers_of ~n ~me;
-        last = Array.make n (-1);
-        windows = Array.make n empty;
+        arrivals = phi_arrivals cfg n;
         deadline =
           Array.init n (fun q -> if q = me then max_int else bootstrap);
         hb_ring = [];
@@ -219,14 +236,7 @@ let phi_core (cfg : phi_config) : (module CORE) =
     let on_message t ~now ~src = function
       | Message.Heartbeat _ ->
           if src <> t.me then begin
-            (* the first arrival only anchors the clock; later ones feed
-               the inter-arrival window *)
-            if t.last.(src) >= 0 then
-              t.windows.(src) <-
-                Phi_window.observe t.windows.(src)
-                  (float_of_int (now - t.last.(src)));
-            t.last.(src) <- now;
-            let d = now + suspect_after cfg t.windows.(src) in
+            let d = phi_arrive cfg t.arrivals src ~now in
             t.deadline.(src) <- d;
             if d < t.next_check then t.next_check <- d;
             if Pid.Set.mem src t.suspected then
@@ -550,7 +560,7 @@ module type HEARTBEAT_RULE = sig
   val name : string
   val period : int
   val first_deadline : int
-  val arrivals : degree:int -> arrivals
+  val arrivals : int -> arrivals (* for this many watched peers *)
   val arrive : arrivals -> int -> now:int -> int
 end
 
@@ -564,31 +574,23 @@ let gossip_ring_rule (cfg : gossip_config) : (module HEARTBEAT_RULE) =
     let name = "gossip-ring"
     let period = cfg.gossip_period
     let first_deadline = cfg.fail_timeout + 1
-    let arrivals ~degree:_ = ()
+    let arrivals _ = ()
     let arrive () _ ~now = now + cfg.fail_timeout + 1
   end)
 
-(* φ over the ring: as in [phi_core], the first arrival only anchors the
-   clock (from the bootstrap anchor at tick 0) and later ones feed the
-   watched peer's inter-arrival window. *)
+(* φ over the ring: the arrival rule of [phi_core], per watched peer. *)
 let phi_ring_rule (cfg : phi_config) : (module HEARTBEAT_RULE) =
   (module struct
-    type arrivals = { last : int array; windows : Phi_window.t array }
+    type arrivals = phi_arrivals
 
     let name = "phi-ring"
     let period = cfg.hb_period
-    let empty = Phi_window.create ~capacity:cfg.window
-    let first_deadline = suspect_after cfg empty
 
-    let arrivals ~degree =
-      { last = Array.make degree 0; windows = Array.make degree empty }
+    let first_deadline =
+      suspect_after cfg (Phi_window.create ~capacity:cfg.window)
 
-    let arrive a i ~now =
-      if a.last.(i) > 0 then
-        a.windows.(i) <-
-          Phi_window.observe a.windows.(i) (float_of_int (now - a.last.(i)));
-      a.last.(i) <- now;
-      now + suspect_after cfg a.windows.(i)
+    let arrivals = phi_arrivals cfg
+    let arrive = phi_arrive cfg
   end)
 
 (* One core for both heartbeat rules: every [R.period] ticks push a
@@ -619,7 +621,7 @@ let heartbeat_ring_core (module R : HEARTBEAT_RULE) ~degree : (module CORE) =
       {
         watched;
         watchers = ring_watchers ~n ~degree me;
-        arrivals = R.arrivals ~degree:d;
+        arrivals = R.arrivals d;
         deadline = Array.make d R.first_deadline;
         seq = 0;
         last_round = -1;
