@@ -866,9 +866,7 @@ let cell_oracle ~name (cells : Pid.Set.t array) =
   in
   { Oracle.name; poll }
 
-(* The application protocol [inner] runs on pids [0..members-1] and
-   believes the system has [members] processes; every other pid runs the
-   idle protocol. The detector layer under both spans all [n]. *)
+(* [P] believing the system has [c] processes. *)
 let clamp_committee c (module P : Protocol.S) : (module Protocol.S) =
   (module struct
     include P
@@ -876,6 +874,9 @@ let clamp_committee c (module P : Protocol.S) : (module Protocol.S) =
     let create ~n:_ ~me = P.create ~n:c ~me
   end)
 
+(* The application protocol [inner] runs on pids [0..members-1] and
+   believes the system has [members] processes; every other pid runs the
+   idle protocol. The detector layer under both spans all [n]. *)
 let make_pair (module D : CORE) ~members ~inner ~n =
   let cells = Array.make n Pid.Set.empty in
   let over inner =

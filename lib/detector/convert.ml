@@ -49,8 +49,8 @@ module Shell (P : Protocol.S) = struct
     let gossip_step () =
       match Outbox.next t.gossip ~now with
       | Some (gossip, (dst, msg)) ->
-          Some
-            ({ t with gossip; gossip_turn = false }, Protocol.Send_to (dst, msg))
+          let t = { t with gossip; gossip_turn = false } in
+          Some (t, Protocol.Send_to (dst, msg))
       | None -> None
     in
     let inner_step () =
@@ -114,8 +114,7 @@ module With_gossip_current (P : Protocol.S) : Protocol.S = struct
 
   let name = P.name ^ "+gossip-current"
 
-  let create ~n ~me =
-    make ~n ~me { own = Pid.Set.empty; peers = Pid.Map.empty }
+  let create ~n ~me = make ~n ~me { own = Pid.Set.empty; peers = Pid.Map.empty }
 
   let recompute t merge =
     hand_off { t with merge }

@@ -7,6 +7,13 @@
     the fair-lossy channels of the run; the derived suspicion timeline is
     recovered from the run by {!Spec.gossip_timeline}.
 
+    Both gossip conversions below are built on one internal shell,
+    [Shell (P)], which owns the state, the recurring broadcast, handing
+    a changed derived set to the inner protocol, the fair turn-taking
+    between gossip and inner steps, [quiescent] and [performed]. They
+    differ only in their merge rule: what a peer's gossip and a local
+    report do to the derived set.
+
     The impermanent-to-permanent conversion (Prop 2.2) is the oracle wrapper
     {!Oracles.accumulate}. *)
 
