@@ -167,16 +167,15 @@ let phi_arrive cfg a i ~now =
   now + suspect_after cfg a.windows.(i)
 
 (* The φ and gossip cores, full-mesh and ring, keep one suspicion
-   deadline per monitored peer (the full-mesh cores index by pid and
-   keep [max_int] for the own pid, never suspected). Between arrivals
-   from a peer, its φ and its staleness only grow with the clock, so it
-   is suspected exactly while [now >= deadline]. An arrival sets its
-   peer's deadline, possibly earlier than before, and lowers
-   [next_check] to it: [next_check] stays at or below the earliest
-   deadline of an unsuspected peer, and the rescan runs only when the
+   deadline per monitored peer ([max_int] for a full-mesh core's own
+   pid). Between arrivals a peer's φ and staleness only grow with the
+   clock, so it is suspected exactly while [now >= deadline]. An arrival
+   sets its peer's deadline, possibly earlier than before, and lowers
+   [next_check] to it, so [next_check] stays at or below the earliest
+   deadline of an unsuspected peer and the rescan runs only when the
    clock reaches it. [rescan_deadlines ~pid] returns the peers due at
-   [now], slot [i] standing for pid [pid i] ([suspected] itself when
-   unchanged), and the next check. *)
+   [now] (slot [i] is pid [pid i]; [suspected] itself when unchanged)
+   and the next check. *)
 let rescan_deadlines ~pid deadline ~now ~suspected =
   let found = ref Pid.Set.empty and next = ref max_int in
   for i = 0 to Array.length deadline - 1 do
@@ -874,21 +873,23 @@ let clamp_committee c (module P : Protocol.S) : (module Protocol.S) =
     let create ~n:_ ~me = P.create ~n:c ~me
   end)
 
-(* The application protocol [inner] runs on pids [0..members-1] and
-   believes the system has [members] processes; every other pid runs the
-   idle protocol. The detector layer under both spans all [n]. *)
+(* Pids [0..members-1] run [inner], re-created with [n = members]; the
+   others run the idle protocol, adapted only when some pid does. The
+   detector layer under both spans all [n]. *)
 let make_pair (module D : CORE) ~members ~inner ~n =
   let cells = Array.make n Pid.Set.empty in
   let over inner =
     let module M = (val adapt (module D) inner ~cells) in
     fun p -> Protocol.make_timed (module M) ~n ~me:p
   in
-  let idle = over (module Idle) in
   let member = over (clamp_committee members inner) in
-  {
-    oracle = cell_oracle ~name:D.name cells;
-    protocol = (fun p -> if p < members then member p else idle p);
-  }
+  let protocol =
+    if members >= n then member
+    else
+      let idle = over (module Idle) in
+      fun p -> if p < members then member p else idle p
+  in
+  { oracle = cell_oracle ~name:D.name cells; protocol }
 
 (* Every backend once: its label, its full-mesh core and its ring core. *)
 let backends =
@@ -905,21 +906,22 @@ let backends =
 let labels = List.map (fun (label, _, _) -> label) backends
 let find label = List.find_opt (fun (l, _, _) -> l = label) backends
 
-let of_label label =
-  Option.map
-    (fun (_, core, _) ~n -> make_pair core ~members:0 ~inner:(module Idle) ~n)
-    (find label)
-
-(* a full-mesh inner protocol is a committee of all [n] *)
+(* A full-mesh inner protocol is a committee of all [n], and so is the
+   idle protocol when no committee is named. *)
 let of_label_inner label =
   Option.map
     (fun (_, core, _) ~inner ~n -> make_pair core ~members:n ~inner ~n)
     (find label)
 
+let of_label label =
+  Option.map (fun mk ~n -> mk ~inner:(module Idle : Protocol.S) ~n)
+    (of_label_inner label)
+
 let of_ring_label label =
   Option.map
-    (fun (_, _, ring) ~degree
-         ?(committee = (0, (module Idle : Protocol.S))) ~n () ->
-      let members, inner = committee in
+    (fun (_, _, ring) ~degree ?committee ~n () ->
+      let members, inner =
+        Option.value committee ~default:(n, (module Idle : Protocol.S))
+      in
       make_pair (ring ~degree) ~members ~inner ~n)
     (find label)

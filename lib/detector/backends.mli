@@ -93,8 +93,7 @@ type pair = { oracle : Oracle.t; protocol : Pid.t -> Protocol.t }
 (** The CLI and repro labels: ["phi"], ["swim"], ["gossip"]. *)
 val labels : string list
 
-(** [of_label l] builds the full-mesh backend [l] with the idle protocol
-    on every pid. *)
+(** The full-mesh backend [l], with the idle protocol on every pid. *)
 val of_label : string -> (n:int -> pair) option
 
 (** Like {!of_label}, but runs [inner] alongside the detector component
