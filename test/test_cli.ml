@@ -262,6 +262,80 @@ let classify_expect () =
         "" (run_stdout args))
     [ "perfekt"; "perfect+strnog"; "strong-0" ]
 
+(* the value of [text]'s first [key: value] line *)
+let field text key =
+  let prefix = key ^ ": " in
+  List.find_map
+    (fun line ->
+      if String.starts_with ~prefix line then
+        Some
+          (String.sub line (String.length prefix)
+             (String.length line - String.length prefix))
+      else None)
+    (String.split_on_char '\n' text)
+
+(* Each search's shrunk witness, pinned by its repro file's horizon and
+   run digest: a shrinker change that moves every witness the same way
+   still replays, so only a pin catches it. The fuzz k-set search is a
+   trace-level witness (its node is the root); the two classify cells
+   go through the certificate search. *)
+let pinned_witnesses () =
+  let repro = Filename.temp_file "udc_pin" ".repro" in
+  let explore args = ("explore" :: args) @ [ "--expect"; "violation" ] in
+  let kset_lb =
+    [
+      "--protocol"; "kset"; "--property"; "kset:1"; "--adversarial-oracle";
+      "-n"; "3"; "--max-ticks"; "16";
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove repro with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (args, max_ticks, digest) ->
+          let what = String.concat " " args in
+          check_exit what 0 (args @ [ "--out"; repro ]);
+          let text = read repro in
+          Alcotest.(check (option string))
+            (what ^ ": max-ticks") (Some max_ticks) (field text "max-ticks");
+          Alcotest.(check (option string))
+            (what ^ ": digest") (Some digest) (field text "digest"))
+        [
+          ( explore [ "--scenario"; "solo"; "-n"; "4"; "--depth"; "2" ],
+            "4",
+            "11f8ff9ce352f0f2c0a1981a75baf862" );
+          ( explore
+              [
+                "--scenario"; "solo"; "-n"; "4"; "--mode"; "fuzz";
+                "--max-runs"; "4000";
+              ],
+            "4",
+            "11f8ff9ce352f0f2c0a1981a75baf862" );
+          ( explore
+              [ "--scenario"; "confined"; "-n"; "4"; "-t"; "2"; "--depth"; "3" ],
+            "14",
+            "7624f17afb44e382bf9592e26b430531" );
+          ( explore (kset_lb @ [ "--depth"; "6" ]),
+            "7",
+            "025f9ef96a43a38abd2cacd0e2c2253e" );
+          ( explore (kset_lb @ [ "--mode"; "fuzz"; "--max-runs"; "3000" ]),
+            "14",
+            "1a0c5e66c1d371473775b62622c466d4" );
+          ( [
+              "classify"; "-b"; "phi"; "-r"; "lossy"; "--runs"; "8";
+              "--max-ticks"; "200"; "--certify";
+            ],
+            "32",
+            "b1b9cd3883d8b2a2ad6b21e65f8d861d" );
+          ( [
+              "classify"; "--problem"; "kset"; "-b"; "gossip"; "-r"; "add";
+              "-k"; "1"; "-n"; "3"; "--crashes"; "1"; "--runs"; "2";
+              "--max-ticks"; "120"; "--certify";
+            ],
+            "9",
+            "3a43508043d356b6952c13b102d1abe5" );
+        ])
+
 (* [udc scale] bounds: each input either escaped as an uncaught
    exception (exit 125) or scored runs that ran no tick or monitored no
    pair (exit 0). A small valid estimate with one flag replaced. *)
@@ -397,4 +471,5 @@ let suite =
     Alcotest.test_case "explore --replay: malformed repro exits 2" `Slow
       malformed_repro;
     Alcotest.test_case "classify --expect exit codes" `Slow classify_expect;
+    Alcotest.test_case "shrunk witnesses pinned" `Quick pinned_witnesses;
   ]
