@@ -7,14 +7,17 @@ type shrunk = {
   decisions : int;
 }
 
-let violates problem ~max_ticks (node : Engine.node) =
-  let result, source =
-    Problem.run problem ~max_ticks ~plan:node.Engine.devs
-      ~silence:node.Engine.silences
-  in
-  match Problem.violation problem result with
-  | Some desc -> Some (desc, result, source)
-  | None -> None
+(* The re-run's violation, with the run and the decision source that
+   drove it *)
+let violating problem (result, source) =
+  Option.map
+    (fun desc -> (desc, result, source))
+    (Problem.violation problem result)
+
+let violates problem (node : Engine.node) ~max_ticks =
+  violating problem
+    (Problem.run problem ~max_ticks ~plan:node.Engine.devs
+       ~silence:node.Engine.silences)
 
 (* Greedily drop moves one at a time until no single removal preserves the
    violation ("drop fewer messages, crash fewer processes"). *)
@@ -31,7 +34,7 @@ let remove_moves problem ~max_ticks node =
       @ List.map (fun d -> without_dev d node) node.Engine.devs
     in
     match
-      List.find_opt (fun c -> violates problem ~max_ticks c <> None) candidates
+      List.find_opt (fun c -> violates problem c ~max_ticks <> None) candidates
     with
     | Some smaller -> fix smaller
     | None -> node
@@ -79,7 +82,7 @@ let crash_later problem ~max_ticks (node : Engine.node) =
             ((j, d) :: without.Engine.devs)
         in
         let cand = { without with Engine.devs = devs } in
-        match violates problem ~max_ticks cand with
+        match violates problem cand ~max_ticks with
         | Some _ -> Some cand
         | None -> None)
       !laters
@@ -116,64 +119,49 @@ let decisive_floor run =
   !floor_tick
 
 (* Binary-search the smallest still-violating horizon in
-   [decisive_floor, max_ticks] ("shorten the run"). *)
-let shrink_horizon problem ~max_ticks node =
-  match violates problem ~max_ticks node with
-  | None -> max_ticks
-  | Some (_, result, _) ->
-      let lo = ref (decisive_floor result.Sim.run) and hi = ref max_ticks in
-      if !lo > !hi then max_ticks
-      else begin
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if violates problem ~max_ticks:mid node <> None then hi := mid
-          else lo := mid + 1
-        done;
-        if violates problem ~max_ticks:!lo node <> None then !lo else max_ticks
-      end
+   [decisive_floor, max_ticks] ("shorten the run") and package the
+   violating run there. [check ~max_ticks] re-runs the witness at a
+   horizon; the bisection keeps the run [check] last confirmed, so the
+   packaged horizon is one that violates, [max_ticks] at worst. *)
+let finish ~node check ~max_ticks =
+  match check ~max_ticks with
+  | None -> invalid_arg "Shrink: witness does not violate"
+  | Some ((_, full, _) as hit) ->
+      let rec bisect lo hi hit =
+        if lo >= hi then (hi, hit)
+        else
+          let mid = (lo + hi) / 2 in
+          match check ~max_ticks:mid with
+          | Some h -> bisect lo mid h
+          | None -> bisect (mid + 1) hi hit
+      in
+      let max_ticks, (violation, result, source) =
+        bisect (decisive_floor full.Sim.run) max_ticks hit
+      in
+      let trace = Decision.trace source in
+      {
+        node;
+        max_ticks;
+        trace;
+        result;
+        violation;
+        decisions = List.length trace;
+      }
 
 let minimize problem (w : Engine.witness) =
   let max_ticks = problem.Problem.config.Sim.max_ticks in
   let node = remove_moves problem ~max_ticks w.Engine.node in
   let node = crash_later problem ~max_ticks node in
   let node = remove_moves problem ~max_ticks node in
-  let horizon = shrink_horizon problem ~max_ticks node in
-  match violates problem ~max_ticks:horizon node with
-  | Some (desc, result, source) ->
-      let trace = Decision.trace source in
-      {
-        node;
-        max_ticks = horizon;
-        trace;
-        result;
-        violation = desc;
-        decisions = List.length trace;
-      }
-  | None -> (
-      (* horizon search should have verified; fall back to the full horizon *)
-      match violates problem ~max_ticks node with
-      | Some (desc, result, source) ->
-          let trace = Decision.trace source in
-          {
-            node;
-            max_ticks;
-            trace;
-            result;
-            violation = desc;
-            decisions = List.length trace;
-          }
-      | None -> invalid_arg "Shrink.minimize: witness does not violate")
+  finish ~node (violates problem node) ~max_ticks
 
 (* Trace-level minimization for fuzz witnesses, which carry no move set
    (their node is {!Engine.root}). The trace is executed tolerantly
    ({!Problem.run_guided}), so every candidate is a legal schedule; each
    check re-records, so the final trace is the effective sequence and
    replays strictly. *)
-let violates_trace problem ~max_ticks trace =
-  let result, source = Problem.run_guided problem ~max_ticks ~trace in
-  match Problem.violation problem result with
-  | Some desc -> Some (desc, result, source)
-  | None -> None
+let violates_trace problem trace ~max_ticks =
+  violating problem (Problem.run_guided problem ~max_ticks ~trace)
 
 (* Greedily revert mutated decisions to the scripted defaults while the
    violation persists — the trace analogue of [remove_moves]. One pass in
@@ -195,46 +183,13 @@ let revert_defaults problem ~max_ticks trace =
       | Some d' when d' <> d ->
           let saved = arr.(i) in
           arr.(i) <- d';
-          if violates_trace problem ~max_ticks (Array.to_list arr) = None then
+          if violates_trace problem (Array.to_list arr) ~max_ticks = None then
             arr.(i) <- saved
       | _ -> ())
     arr;
   Array.to_list arr
 
-let shrink_horizon_trace problem ~max_ticks trace =
-  match violates_trace problem ~max_ticks trace with
-  | None -> max_ticks
-  | Some (_, result, _) ->
-      let lo = ref (decisive_floor result.Sim.run) and hi = ref max_ticks in
-      if !lo > !hi then max_ticks
-      else begin
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if violates_trace problem ~max_ticks:mid trace <> None then hi := mid
-          else lo := mid + 1
-        done;
-        if violates_trace problem ~max_ticks:!lo trace <> None then !lo
-        else max_ticks
-      end
-
 let minimize_trace problem (w : Engine.witness) =
   let max_ticks = problem.Problem.config.Sim.max_ticks in
   let trace = revert_defaults problem ~max_ticks w.Engine.trace in
-  let horizon = shrink_horizon_trace problem ~max_ticks trace in
-  let finish ~max_ticks (desc, result, source) =
-    let trace = Decision.trace source in
-    {
-      node = Engine.root;
-      max_ticks;
-      trace;
-      result;
-      violation = desc;
-      decisions = List.length trace;
-    }
-  in
-  match violates_trace problem ~max_ticks:horizon trace with
-  | Some hit -> finish ~max_ticks:horizon hit
-  | None -> (
-      match violates_trace problem ~max_ticks trace with
-      | Some hit -> finish ~max_ticks hit
-      | None -> invalid_arg "Shrink.minimize_trace: witness does not violate")
+  finish ~node:Engine.root (violates_trace problem trace) ~max_ticks
