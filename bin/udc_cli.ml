@@ -8,6 +8,16 @@
 
 open Cmdliner
 
+(* Every subcommand's exit path: "udc CMD: message" on standard error,
+   then exit [code]: 1 when the outcome contradicts an expectation (or a
+   repro fails to reproduce), 2 on a usage or configuration error. *)
+let exit_with code cmd fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline ("udc " ^ cmd ^ ": " ^ s);
+      exit code)
+    fmt
+
 let protocol_conv =
   (* [name:T] with an integer threshold [T]; its sign is checked with the
      other simulate bounds *)
@@ -128,21 +138,16 @@ let oracle_arg =
            | theta | gen.")
 
 let simulate n seed loss crashes actions proto oracle verbose diagram =
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        prerr_endline ("udc simulate: " ^ s);
-        exit 2)
-      fmt
-  in
-  if n < 1 then fail "-n %d < 1" n;
+  if n < 1 then exit_with 2 "simulate" "-n %d < 1" n;
   if crashes < 0 || crashes > n then
-    fail "--crashes %d outside [0, %d]" crashes n;
-  if not (loss >= 0.0 && loss <= 1.0) then fail "--loss %g outside [0, 1]" loss;
-  if actions < 0 then fail "--actions %d < 0" actions;
+    exit_with 2 "simulate" "--crashes %d outside [0, %d]" crashes n;
+  if not (loss >= 0.0 && loss <= 1.0) then
+    exit_with 2 "simulate" "--loss %g outside [0, 1]" loss;
+  if actions < 0 then exit_with 2 "simulate" "--actions %d < 0" actions;
   (match proto with
-  | `Majority t when t < 0 -> fail "--protocol majority:%d: T < 0" t
-  | `Gen t when t < 0 -> fail "--protocol gen:%d: T < 0" t
+  | `Majority t when t < 0 ->
+      exit_with 2 "simulate" "--protocol majority:%d: T < 0" t
+  | `Gen t when t < 0 -> exit_with 2 "simulate" "--protocol gen:%d: T < 0" t
   | _ -> ());
   let prng = Prng.create seed in
   let cfg = Sim.config ~n ~seed in
@@ -187,9 +192,7 @@ let enumerate n depth crashes domains max_nodes stats =
   in
   (match Enumerate.check cfg with
   | Ok () -> ()
-  | Error e ->
-      prerr_endline ("udc enumerate: " ^ e);
-      exit 2);
+  | Error e -> exit_with 2 "enumerate" "%s" e);
   match
     Enumerate.runs_exn cfg
       (Core.Fip.make ~trust_reports:true (module Core.Ack_udc.P))
@@ -220,9 +223,7 @@ let enumerate n depth crashes domains max_nodes stats =
 
 let scenarios n seed =
   (* the confined clique is built at t = n/2, which needs n/2 < n - 1 *)
-  if n < 4 then (
-    Printf.eprintf "udc scenarios: -n %d < 4\n" n;
-    exit 2);
+  if n < 4 then exit_with 2 "scenarios" "-n %d < 4" n;
   List.iter
     (fun (s, verdict) ->
       Format.printf "@.%s: %s@." s.Core.Adversary.name
@@ -277,25 +278,10 @@ let parse_channel = function
 let explore scenario t property proto_label n seed mode search_depth window
     max_runs domains max_ticks crash_budget adversarial channel out replay
     expect pool_stats =
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        prerr_endline ("udc explore: " ^ s);
-        exit 2)
-      fmt
-  in
-  (* exit 1 = the run contradicted an expectation (--expect, or a repro
-     file's recorded digest/violation); exit 2 = usage error (fail) *)
-  let mismatch fmt =
-    Printf.ksprintf
-      (fun s ->
-        prerr_endline ("udc explore: " ^ s);
-        exit 1)
-      fmt
-  in
   (* a bound that admits no run would certify a space never searched *)
   List.iter
-    (fun (flag, v, least) -> if v < least then fail "%s %d < %d" flag v least)
+    (fun (flag, v, least) ->
+      if v < least then exit_with 2 "explore" "%s %d < %d" flag v least)
     [
       ("-n", n, 1);
       ("--max-ticks", max_ticks, 1);
@@ -305,15 +291,17 @@ let explore scenario t property proto_label n seed mode search_depth window
       ("--crash-budget", crash_budget, 0);
     ];
   let add =
-    match parse_channel channel with Ok a -> a | Error e -> fail "%s" e
+    match parse_channel channel with
+    | Ok a -> a
+    | Error e -> exit_with 2 "explore" "%s" e
   in
   match replay with
   | Some path -> (
       match Explore.Repro.load path with
-      | Error e -> fail "%s" e
+      | Error e -> exit_with 2 "explore" "%s" e
       | Ok r -> (
           match Explore.Repro.replay r with
-          | Error e -> mismatch "replay failed: %s" e
+          | Error e -> exit_with 1 "explore" "replay failed: %s" e
           | Ok (result, desc) ->
               Format.printf "problem:   %s (%s, property %s)@."
                 r.Explore.Repro.problem.Explore.Problem.name
@@ -328,23 +316,26 @@ let explore scenario t property proto_label n seed mode search_depth window
               (* a verified repro IS a violation: --expect applies to the
                  replay path exactly as to the search path *)
               if expect = "none" then
-                mismatch "expected no violation, replay exhibited one"))
+                exit_with 1 "explore"
+                  "expected no violation, replay exhibited one"))
   | None ->
       let problem =
         match scenario with
         | Some name -> (
             match scenario_of_name name ~n ~t ~seed with
             | Ok s -> Explore.Problem.of_scenario ~max_ticks s
-            | Error e -> fail "%s" e)
+            | Error e -> exit_with 2 "explore" "%s" e)
         | None -> (
             match property with
-            | None -> fail "--property is required without --scenario"
+            | None ->
+                exit_with 2 "explore"
+                  "--property is required without --scenario"
             | Some p -> (
                 match
                   ( Explore.Property.of_string p,
                     Explore.Protocols.instantiate proto_label ~n )
                 with
-                | Error e, _ | _, Error e -> fail "%s" e
+                | Error e, _ | _, Error e -> exit_with 2 "explore" "%s" e
                 | Ok property, Ok protocol ->
                     (* k-set runs on everyone proposing their own id
                        (the vector [Property.Kset] scores validity
@@ -352,15 +343,7 @@ let explore scenario t property proto_label n seed mode search_depth window
                        one-coordination-action UDC protocols *)
                     let init_plan =
                       if proto_label = "kset" then
-                        Init_plan.of_entries
-                          (List.map
-                             (fun q ->
-                               {
-                                 Init_plan.action =
-                                   Action_id.make ~owner:q ~tag:q;
-                                 at = 1;
-                               })
-                             (Pid.all n))
+                        Explore.Classify.proposal_plan n
                       else Init_plan.one ~owner:0 ~at:1
                     in
                     let config =
@@ -407,9 +390,10 @@ let explore scenario t property proto_label n seed mode search_depth window
           stats.Explore.Engine.states stats.Explore.Engine.distinct
           stats.Explore.Engine.seen_hits stats.Explore.Engine.pruned
       in
-      let check_expect_none () =
+      (* no witness: a mismatch under --expect violation *)
+      let none_found () =
         if expect = "violation" then
-          mismatch "expected a violation, none found"
+          exit_with 1 "explore" "expected a violation, none found"
       in
       (match outcome with
       | Explore.Engine.Exhausted stats ->
@@ -417,13 +401,13 @@ let explore scenario t property proto_label n seed mode search_depth window
             "no violation: move space exhausted (%d runs, depth %d reached)@."
             stats.Explore.Engine.explored stats.Explore.Engine.depth_reached;
           reduction stats;
-          check_expect_none ()
+          none_found ()
       | Explore.Engine.Budget stats ->
           Format.printf
             "no violation within budget (%d runs, depth %d reached)@."
             stats.Explore.Engine.explored stats.Explore.Engine.depth_reached;
           reduction stats;
-          check_expect_none ()
+          none_found ()
       | Explore.Engine.Violation (w, stats) ->
           Format.printf "violation found after %d runs at depth %d@."
             stats.Explore.Engine.explored stats.Explore.Engine.depth_reached;
@@ -449,7 +433,7 @@ let explore scenario t property proto_label n seed mode search_depth window
               Format.printf "repro written to %s@." path
           | None -> Format.printf "@.%s" (Explore.Repro.to_string repro));
           if expect = "none" then
-            mismatch "expected no violation, found one")
+            exit_with 1 "explore" "expected no violation, found one")
 
 let scenario_arg =
   Arg.(
@@ -583,26 +567,10 @@ let expect_arg =
 
 let classify backend regime n crashes runs max_ticks gst domains certify out
     expect problem k =
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        prerr_endline ("udc classify: " ^ s);
-        exit 2)
-      fmt
-  in
-  (* same contract as udc explore: 1 = measured outcome contradicts
-     --expect, 2 = usage error *)
-  let mismatch fmt =
-    Printf.ksprintf
-      (fun s ->
-        prerr_endline ("udc classify: " ^ s);
-        exit 1)
-      fmt
-  in
   let regime =
     match Explore.Classify.regime_of_string regime with
     | Ok r -> r
-    | Error e -> fail "%s" e
+    | Error e -> exit_with 2 "classify" "%s" e
   in
   (* an expectation no outcome can match is a usage error, found before
      any run *)
@@ -612,18 +580,19 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
          && List.exists
               (fun c -> Detector.Spec.cls_of_string c = None)
               (String.split_on_char '+' e) ->
-      fail
+      exit_with 2 "classify"
         "unknown --expect %S for --problem detector (none, or class names \
          joined by '+', e.g. eventually-perfect+strong)"
         e
   | "kset", Some e when e <> "attained" && e <> "violated" ->
-      fail "unknown --expect %S for --problem kset (attained | violated)" e
+      exit_with 2 "classify"
+        "unknown --expect %S for --problem kset (attained | violated)" e
   | _ -> ());
   let params = { Explore.Classify.n; crashes; runs; max_ticks; gst } in
   let emit_repro repro =
     (match Explore.Repro.replay repro with
     | Ok (_, desc) -> Format.printf "repro replayed digest-strict: %s@." desc
-    | Error e -> fail "repro failed to replay: %s" e);
+    | Error e -> exit_with 2 "classify" "repro failed to replay: %s" e);
     match out with
     | Some path ->
         Explore.Repro.save path repro;
@@ -635,7 +604,7 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
       let outcome =
         match Explore.Classify.classify ?domains ~backend ~regime params with
         | Ok o -> o
-        | Error e -> fail "%s" e
+        | Error e -> exit_with 2 "classify" "%s" e
       in
       Format.printf "%a@." Explore.Classify.pp_outcome outcome;
       (match expect with
@@ -646,7 +615,8 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
               outcome.Explore.Classify.assignment
           in
           if got <> expected then
-            mismatch "expected assignment %S, measured %S" expected got);
+            exit_with 1 "classify" "expected assignment %S, measured %S"
+              expected got);
       if certify then (
         match Explore.Classify.certification_target outcome with
         | None ->
@@ -657,7 +627,7 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
             Format.printf "certify: searching for a schedule violating %s@."
               (Detector.Spec.cls_name against);
             match Explore.Classify.certify ~backend ~against ~n with
-            | Error e -> fail "certification failed: %s" e
+            | Error e -> exit_with 2 "classify" "certification failed: %s" e
             | Ok cert ->
                 Format.printf "certified: %s is not %s (%d runs explored)@."
                   backend
@@ -665,41 +635,36 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
                   cert.Explore.Classify.explored;
                 emit_repro cert.Explore.Classify.repro))
   | "kset" ->
-      (* n processes decide at most n values, so any k >= n is attained on
-         every run *)
-      (match Explore.Classify.check ~regime params with
-      | Error e -> fail "%s" e
-      | Ok () ->
-          if k < 1 || k > n - 1 then fail "-k %d outside [1, %d]" k (n - 1));
       let outcome =
         match Explore.Classify.kset ?domains ~backend ~regime ~k params with
         | Ok o -> o
-        | Error e -> fail "%s" e
+        | Error e -> exit_with 2 "classify" "%s" e
       in
       Format.printf "%a@." Explore.Classify.pp_kset_outcome outcome;
       (match expect with
       | Some "attained" ->
           if outcome.Explore.Classify.attained <> runs then
-            mismatch "expected k-set attained on all %d runs, got %d" runs
+            exit_with 1 "classify"
+              "expected k-set attained on all %d runs, got %d" runs
               outcome.Explore.Classify.attained
       | Some "violated" ->
           if outcome.Explore.Classify.attained = runs then
-            mismatch "expected a k-set violation, all %d runs attained it"
-              runs
+            exit_with 1 "classify"
+              "expected a k-set violation, all %d runs attained it" runs
       | _ -> ());
       if certify then (
         Format.printf
           "certify: searching for a suspicion pattern deciding > %d values@."
           k;
         match Explore.Classify.certify_kset ~k ~n with
-        | Error e -> fail "certification failed: %s" e
+        | Error e -> exit_with 2 "classify" "certification failed: %s" e
         | Ok cert ->
             Format.printf
               "certified: adversarial suspicions defeat kset:%d (%d runs \
                explored)@."
               cert.Explore.Classify.k cert.Explore.Classify.explored;
             emit_repro cert.Explore.Classify.repro)
-  | p -> fail "unknown problem %S (detector | kset)" p
+  | p -> exit_with 2 "classify" "unknown problem %S (detector | kset)" p
 
 let backend_arg =
   Arg.(
@@ -852,62 +817,35 @@ let scenarios_cmd =
 
 let scale n shards degree backend regime runs ticks faults committee seed
     domains out check_digest =
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        prerr_endline ("udc scale: " ^ s);
-        exit 2)
-      fmt
-  in
   let regime =
     match Explore.Classify.regime_of_string regime with
     | Ok r -> r
-    | Error e -> fail "%s" e
-  in
-  let mk_pair =
-    match Detector.Backends.of_ring_label backend with
-    | Some mk -> mk
-    | None -> fail "unknown backend %S (phi | swim | gossip)" backend
+    | Error e -> exit_with 2 "scale" "%s" e
   in
   let p =
     Scale.Estimate.params ~shards ~degree ~regime ~runs ~ticks ?faults
       ~committee ~seed ?domains ~n ~backend ()
   in
-  (match Scale.Estimate.check p with Ok () -> () | Error e -> fail "%s" e);
+  (match Scale.Estimate.check p with
+  | Ok () -> ()
+  | Error e -> exit_with 2 "scale" "%s" e);
   if check_digest then (
-    (* One workload, both engines; pairs are single-use, so build one per
-       execution. Meant for a small --n: the unsharded reference run is
-       the cost. *)
-    let pair () =
-      let committee =
-        if p.Scale.Estimate.committee > 0 then
-          Some
-            ( p.Scale.Estimate.committee,
-              (module Core.Ack_udc.P : Protocol.S) )
-        else None
-      in
-      mk_pair ~degree ?committee ~n ()
-    in
+    (* One workload, both engines, each on its own fresh pair. Meant for
+       a small --n: the unsharded reference run is the cost. *)
     let cfg = Scale.Estimate.config p ~seed in
-    let reference =
-      let pr = pair () in
-      Sim.execute
-        { cfg with Sim.oracle = pr.Detector.Backends.oracle }
-        pr.Detector.Backends.protocol
+    let digest execute =
+      let pair = Scale.Estimate.pair p in
+      let cfg = { cfg with Sim.oracle = pair.Detector.Backends.oracle } in
+      Run.digest (execute cfg pair.Detector.Backends.protocol).Sim.run
     in
-    let sharded =
-      let pr = pair () in
-      Scale.Shard.execute ~shards:1 ?domains
-        { cfg with Sim.oracle = pr.Detector.Backends.oracle }
-        pr.Detector.Backends.protocol
+    let da = digest (fun cfg protocol -> Sim.execute cfg protocol) in
+    let db =
+      digest (fun cfg protocol ->
+          Scale.Shard.execute ~shards:1 ?domains cfg protocol)
     in
-    let da = Run.digest reference.Sim.run
-    and db = Run.digest sharded.Sim.run in
-    if da <> db then (
-      Printf.eprintf
-        "udc scale: digest gate FAILED: Sim.execute %s vs Shard.execute %s\n"
-        da db;
-      exit 1);
+    if da <> db then
+      exit_with 1 "scale"
+        "digest gate FAILED: Sim.execute %s vs Shard.execute %s" da db;
     Format.printf "digest gate: shards=1 is bit-identical to Sim.execute (%s)@."
       da);
   let r = Scale.Estimate.estimate p in

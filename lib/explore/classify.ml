@@ -102,6 +102,26 @@ let config ~regime ~params ~seed =
 
 let seeds count = List.init count (fun i -> Int64.of_int ((i * 7919) + 13))
 
+(* One ensemble cell: each seed runs [config seed] on a fresh [pair ()]
+   and [score] reads the run. The scores come back in seed order, with
+   the MD5 over the runs' digests. *)
+let cell ?domains ~runs ~config ~pair score =
+  let job seed =
+    let cfg = config seed in
+    let { Detector.Backends.oracle; protocol } = pair () in
+    let run = (Sim.execute { cfg with Sim.oracle } protocol).Sim.run in
+    let s = score run in
+    (s, Run.digest run)
+  in
+  let cells = Ensemble.map ?domains job (seeds runs) in
+  ( List.map fst cells,
+    Digest.to_hex (Digest.string (String.concat "" (List.map snd cells))) )
+
+let count f l = List.length (List.filter f l)
+
+let unknown_backend backend =
+  Error (Printf.sprintf "unknown detector backend %S" backend)
+
 (* Suspicion change points, audited like {!Core.Sampled.f_overclaim}: a
    change point is one report; it is a false suspicion if it names a
    process not yet crashed at that tick. *)
@@ -118,6 +138,10 @@ let audit run =
     (Pid.all (Run.n run));
   (!reports, !false_susp)
 
+(* the classes whose axioms held on all [runs] runs *)
+let held ~runs rates =
+  List.filter_map (fun (c, k) -> if k = runs then Some c else None) rates
+
 let maximal sat_all =
   List.filter
     (fun c ->
@@ -130,50 +154,29 @@ let maximal sat_all =
 let classify ?domains ~backend ~regime params =
   match (check ~regime params, Protocols.backend_pair backend) with
   | Error e, _ -> Error e
-  | Ok (), None -> Error (Printf.sprintf "unknown detector backend %S" backend)
+  | Ok (), None -> unknown_backend backend
   | Ok (), Some mk ->
-      let job seed =
-        let cfg = config ~regime ~params ~seed in
-        let pair = mk ~n:params.n in
-        let cfg = { cfg with Sim.oracle = pair.Detector.Backends.oracle } in
-        let result = Sim.execute cfg pair.Detector.Backends.protocol in
-        let run = result.Sim.run in
+      let score run =
         let sat =
-          List.map
-            (fun c ->
-              (c, Result.is_ok (Detector.Spec.satisfies c run)))
+          List.filter
+            (fun c -> Result.is_ok (Detector.Spec.satisfies c run))
             classes
         in
-        let reports, false_susp = audit run in
-        (sat, reports, false_susp, Run.digest run)
+        (sat, audit run)
       in
-      let verdicts = Ensemble.map ?domains job (seeds params.runs) in
+      let verdicts, digest =
+        cell ?domains ~runs:params.runs
+          ~config:(fun seed -> config ~regime ~params ~seed)
+          ~pair:(fun () -> mk ~n:params.n)
+          score
+      in
       let rates =
         List.map
-          (fun c ->
-            ( c,
-              List.length
-                (List.filter
-                   (fun (sat, _, _, _) -> List.assoc c sat)
-                   verdicts) ))
+          (fun c -> (c, count (fun (sat, _) -> List.mem c sat) verdicts))
           classes
       in
-      let sat_all =
-        List.filter_map
-          (fun (c, k) -> if k = params.runs then Some c else None)
-          rates
-      in
-      let reports =
-        List.fold_left (fun a (_, r, _, _) -> a + r) 0 verdicts
-      in
-      let false_suspicions =
-        List.fold_left (fun a (_, _, f, _) -> a + f) 0 verdicts
-      in
-      let digest =
-        Digest.to_hex
-          (Digest.string
-             (String.concat ""
-                (List.map (fun (_, _, _, d) -> d) verdicts)))
+      let sum f =
+        List.fold_left (fun a (_, audit) -> a + f audit) 0 verdicts
       in
       Ok
         {
@@ -181,9 +184,9 @@ let classify ?domains ~backend ~regime params =
           regime;
           params;
           rates;
-          assignment = maximal sat_all;
-          reports;
-          false_suspicions;
+          assignment = maximal (held ~runs:params.runs rates);
+          reports = sum fst;
+          false_suspicions = sum snd;
           digest;
         }
 
@@ -205,11 +208,7 @@ let pp_outcome ppf o =
   Format.fprintf ppf "@,digest: %s@]" o.digest
 
 let certification_target o =
-  let sat_all =
-    List.filter_map
-      (fun (c, k) -> if k = o.params.runs then Some c else None)
-      o.rates
-  in
+  let sat_all = held ~runs:o.params.runs o.rates in
   List.find_opt
     (fun c ->
       (not (List.mem c sat_all))
@@ -230,45 +229,47 @@ type certificate = {
   explored : int;
 }
 
+(* Both certificate searches run a crash-free seed-1 problem to its
+   horizon. *)
+let certificate_config ~n ~max_ticks =
+  { (Sim.config ~n ~seed:1L) with Sim.goal = Sim.Run_to_max; max_ticks }
+
+(* A bounded search of [problem] for a violation of [what], its witness
+   shrunk into a repro, with the count of nodes explored; [exhausted]
+   ends the message of a bounded space that holds none. *)
+let search_certificate problem ~what ~exhausted =
+  let outcome, stats = Engine.search problem in
+  let explored = stats.Engine.explored in
+  match outcome with
+  | Engine.Violation (witness, _) ->
+      Ok (Repro.of_shrunk problem (Shrink.minimize problem witness), explored)
+  | Engine.Exhausted _ ->
+      Error
+        (Printf.sprintf
+           "no legal schedule violating %s found: bounded space exhausted \
+            (%d nodes)%s"
+           what explored exhausted)
+  | Engine.Budget _ ->
+      Error
+        (Printf.sprintf
+           "no violation of %s within the run budget (%d nodes explored)" what
+           explored)
+
 let certify ~backend ~against ~n =
   match Protocols.instantiate backend ~n with
-  | Error _ ->
-      Error (Printf.sprintf "unknown detector backend %S" backend)
+  | Error _ -> unknown_backend backend
   | Ok protocol ->
-      let config =
-        {
-          (Sim.config ~n ~seed:1L) with
-          Sim.goal = Sim.Run_to_max;
-          max_ticks = 160;
-        }
-      in
-      let problem =
-        Problem.make
-          ~name:(Printf.sprintf "classify-%s" backend)
-          ~config ~protocol ~protocol_label:backend
-          (Property.Detector against)
-      in
-      let outcome, stats = Engine.search problem in
-      let explored = stats.Engine.explored in
-      (match outcome with
-      | Engine.Violation (witness, _) ->
-          let shrunk = Shrink.minimize problem witness in
-          Ok { against; repro = Repro.of_shrunk problem shrunk; explored }
-      | Engine.Exhausted _ ->
-          Error
-            (Printf.sprintf
-               "no legal schedule violating %s found: bounded space exhausted \
-                (%d nodes) — consistent with the backend satisfying %s at \
-                this depth"
-               (Detector.Spec.cls_name against)
-               explored
-               (Detector.Spec.cls_name against))
-      | Engine.Budget _ ->
-          Error
-            (Printf.sprintf
-               "no violation of %s within the run budget (%d nodes explored)"
-               (Detector.Spec.cls_name against)
-               explored))
+      let what = Detector.Spec.cls_name against in
+      Problem.make
+        ~name:(Printf.sprintf "classify-%s" backend)
+        ~config:(certificate_config ~n ~max_ticks:160)
+        ~protocol ~protocol_label:backend (Property.Detector against)
+      |> search_certificate ~what
+           ~exhausted:
+             (Printf.sprintf
+                " — consistent with the backend satisfying %s at this depth"
+                what)
+      |> Result.map (fun (repro, explored) -> { against; repro; explored })
 
 (* ---- k-set agreement grid ---------------------------------------- *)
 
@@ -340,46 +341,53 @@ let kset_epistemics ~k run =
 
 (* n processes decide at most n values, so k-agreement with k >= n holds
    on every run: such a cell would score a vacuous "attained" *)
-let check_k what ~k ~n =
+let check_k ~k ~n =
   if k < 1 || k > n - 1 then
-    invalid_arg (Printf.sprintf "%s: k = %d outside [1, %d]" what k (n - 1))
+    Error (Printf.sprintf "-k %d outside [1, %d]" k (n - 1))
+  else Ok ()
+
+(* one run's verdicts, which {!kset} counts over the ensemble *)
+type kset_run = {
+  r_attained : bool;
+  r_terminated : bool;
+  r_sk : bool;
+  r_ks1 : bool;
+  r_ks2 : bool;
+}
 
 let kset ?domains ~backend ~regime ~k params =
-  check_k "Classify.kset" ~k ~n:params.n;
-  match (check ~regime params, Detector.Backends.of_label_inner backend) with
+  match
+    ( Result.bind (check ~regime params) (fun () -> check_k ~k ~n:params.n),
+      Detector.Backends.of_label_inner backend )
+  with
   | Error e, _ -> Error e
-  | Ok (), None -> Error (Printf.sprintf "unknown detector backend %S" backend)
+  | Ok (), None -> unknown_backend backend
   | Ok (), Some mk ->
       let proposals = Array.init params.n Fun.id in
-      let job seed =
-        let cfg = config ~regime ~params ~seed in
-        let cfg = { cfg with Sim.init_plan = proposal_plan params.n } in
-        let pair =
-          mk ~inner:(module Consensus.Kset.P : Protocol.S) ~n:params.n
-        in
-        let cfg = { cfg with Sim.oracle = pair.Detector.Backends.oracle } in
-        let result = Sim.execute cfg pair.Detector.Backends.protocol in
-        let run = result.Sim.run in
-        let attained =
+      let score run =
+        let r_attained =
           Result.is_ok (Consensus.Spec.k_agreement ~k run)
           && Result.is_ok (Consensus.Spec.validity ~proposals run)
         in
-        let terminated = Result.is_ok (Consensus.Spec.termination run) in
-        let sk =
+        let r_terminated = Result.is_ok (Consensus.Spec.termination run) in
+        let r_sk =
           Result.is_ok (Detector.Spec.satisfies (Detector.Spec.Strong_k k) run)
         in
-        let ks1, ks2 =
-          if attained then kset_epistemics ~k run else (false, false)
+        let r_ks1, r_ks2 =
+          if r_attained then kset_epistemics ~k run else (false, false)
         in
-        (attained, terminated, sk, ks1, ks2, Run.digest run)
+        { r_attained; r_terminated; r_sk; r_ks1; r_ks2 }
       in
-      let verdicts = Ensemble.map ?domains job (seeds params.runs) in
-      let count f = List.length (List.filter f verdicts) in
-      let digest =
-        Digest.to_hex
-          (Digest.string
-             (String.concat ""
-                (List.map (fun (_, _, _, _, _, d) -> d) verdicts)))
+      let runs, digest =
+        cell ?domains ~runs:params.runs
+          ~config:(fun seed ->
+            {
+              (config ~regime ~params ~seed) with
+              Sim.init_plan = proposal_plan params.n;
+            })
+          ~pair:(fun () ->
+            mk ~inner:(module Consensus.Kset.P : Protocol.S) ~n:params.n)
+          score
       in
       Ok
         {
@@ -387,11 +395,11 @@ let kset ?domains ~backend ~regime ~k params =
           regime;
           k;
           params;
-          attained = count (fun (a, _, _, _, _, _) -> a);
-          terminated = count (fun (_, t, _, _, _, _) -> t);
-          sk_simulated = count (fun (_, _, s, _, _, _) -> s);
-          ks1 = count (fun (_, _, _, a, _, _) -> a);
-          ks2 = count (fun (_, _, _, _, b, _) -> b);
+          attained = count (fun r -> r.r_attained) runs;
+          terminated = count (fun r -> r.r_terminated) runs;
+          sk_simulated = count (fun r -> r.r_sk) runs;
+          ks1 = count (fun r -> r.r_ks1) runs;
+          ks2 = count (fun r -> r.r_ks2) runs;
           digest;
         }
 
@@ -417,36 +425,17 @@ type kset_certificate = { k : int; repro : Repro.t; explored : int }
    min-rule protocol decides more than [k] values — exactly what an
    oracle below (S,k) permits. *)
 let certify_kset ~k ~n =
-  check_k "Classify.certify_kset" ~k ~n;
-  let config =
-    {
-      (Sim.config ~n ~seed:1L) with
-      Sim.goal = Sim.Run_to_max;
-      max_ticks = 40;
-      init_plan = proposal_plan n;
-    }
-  in
-  let problem =
-    Problem.make
-      ~name:(Printf.sprintf "kset-%d" k)
-      ~adversarial_oracle:true ~config
-      ~protocol:(fun p -> Protocol.make (module Consensus.Kset.P) ~n ~me:p)
-      ~protocol_label:"kset" (Property.Kset k)
-  in
-  let outcome, stats = Engine.search problem in
-  let explored = stats.Engine.explored in
-  match outcome with
-  | Engine.Violation (witness, _) ->
-      let shrunk = Shrink.minimize problem witness in
-      Ok { k; repro = Repro.of_shrunk problem shrunk; explored }
-  | Engine.Exhausted _ ->
-      Error
-        (Printf.sprintf
-           "no legal schedule violating kset:%d found: bounded space \
-            exhausted (%d nodes)"
-           k explored)
-  | Engine.Budget _ ->
-      Error
-        (Printf.sprintf
-           "no violation of kset:%d within the run budget (%d nodes explored)"
-           k explored)
+  Result.bind (check_k ~k ~n) (fun () ->
+      let config =
+        {
+          (certificate_config ~n ~max_ticks:40) with
+          Sim.init_plan = proposal_plan n;
+        }
+      in
+      Problem.make
+        ~name:(Printf.sprintf "kset-%d" k)
+        ~adversarial_oracle:true ~config
+        ~protocol:(fun p -> Protocol.make (module Consensus.Kset.P) ~n ~me:p)
+        ~protocol_label:"kset" (Property.Kset k)
+      |> search_certificate ~what:(Printf.sprintf "kset:%d" k) ~exhausted:""
+      |> Result.map (fun (repro, explored) -> { k; repro; explored }))

@@ -115,6 +115,12 @@ val certify :
     side (KS1/KS2 below) — the empirical face of the paper's claim that
     coordination is knowledge acquisition. *)
 
+(** The k-set initiation plan: every process proposes its own id at tick
+    1 ([Action_id.make ~owner:q ~tag:q]), so the proposal vector is
+    [\[0 .. n-1\]]. {!kset} and {!certify_kset} run on it, and so does
+    [udc explore --protocol kset]. *)
+val proposal_plan : int -> Init_plan.t
+
 type kset_outcome = {
   backend : string;
   regime : regime;
@@ -138,10 +144,10 @@ type kset_outcome = {
   digest : string;  (** MD5 over the ensemble's run digests, in order *)
 }
 
-(** Bit-identical at every domain count, like {!classify}. Raises
-    [Invalid_argument] when [k] is outside [\[1, n - 1\]]: [n]
-    processes decide at most [n] values, so any [k >= n] is attained
-    vacuously. *)
+(** Bit-identical at every domain count, like {!classify}. After
+    {!check}, it returns an [Error] naming [-k] when [k] is outside
+    [\[1, n - 1\]]: [n] processes decide at most [n] values, so any
+    [k >= n] is attained vacuously. *)
 val kset :
   ?domains:int ->
   backend:string ->
@@ -163,7 +169,6 @@ type kset_certificate = {
     oracle playing the detector (explorer-chosen suspicions), for a
     legal schedule on which the min-rule protocol decides more than [k]
     values — evidence that an oracle below (S,k) admits the violation.
-    [Error] when the bounded space contains none. Raises
-    [Invalid_argument] when [k] is outside [\[1, n - 1\]], as {!kset}
-    does. *)
+    [Error] when the bounded space contains none, and when [k] is
+    outside [\[1, n - 1\]], as {!kset} does. *)
 val certify_kset : k:int -> n:int -> (kset_certificate, string) result

@@ -106,9 +106,9 @@ let params ?(shards = 1) ?(degree = 2) ?(regime = Explore.Classify.Fair_lossy)
     domains;
   }
 
-(* Each bound keeps a run from failing inside the engine (no shard, a
-   fault plan larger than the system) or from scoring a vacuous verdict
-   (no tick, no monitored pair, no run). *)
+(* Each bound keeps a run from failing inside the engine (no backend,
+   no shard, a fault plan larger than the system) or from scoring a
+   vacuous verdict (no tick, no monitored pair, no run). *)
 let check p =
   let below =
     List.find_opt
@@ -122,11 +122,16 @@ let check p =
         ("--committee", p.committee, 0);
       ]
   in
-  match below with
-  | Some (flag, v, least) -> Error (Printf.sprintf "%s %d < %d" flag v least)
-  | None when p.faults < 0 || p.faults > p.n ->
+  match (Detector.Backends.of_ring_label p.backend, below) with
+  | None, _ ->
+      Error
+        (Printf.sprintf "--backend %S unknown (expected %s)" p.backend
+           (String.concat " | " Detector.Backends.labels))
+  | _, Some (flag, v, least) ->
+      Error (Printf.sprintf "%s %d < %d" flag v least)
+  | _, None when p.faults < 0 || p.faults > p.n ->
       Error (Printf.sprintf "--faults %d outside [0, %d]" p.faults p.n)
-  | None -> Ok ()
+  | _, None -> Ok ()
 
 (* The classification grid's regime, crash plan and horizon, with the
    stabilisation tick at mid-run; a committee's owner initiates at tick 1. *)
@@ -268,22 +273,20 @@ type report = {
 
 let seeds p = List.init p.runs (fun i -> Int64.add p.seed (Int64.of_int ((i * 7919) + 13)))
 
+let pair p =
+  match Detector.Backends.of_ring_label p.backend with
+  | None -> invalid_arg ("Estimate.pair: unknown backend " ^ p.backend)
+  | Some mk ->
+      let committee =
+        if p.committee > 0 then
+          Some (p.committee, (module Core.Ack_udc.P : Protocol.S))
+        else None
+      in
+      mk ~degree:p.degree ?committee ~n:p.n ()
+
 let one_run p seed =
   let cfg = config p ~seed in
-  let committee =
-    if p.committee > 0 then
-      Some (p.committee, (module Core.Ack_udc.P : Protocol.S))
-    else None
-  in
-  let pair =
-    match Detector.Backends.of_ring_label p.backend with
-    | Some mk -> mk ~degree:p.degree ?committee ~n:p.n ()
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Estimate: unknown backend %S (expected %s)"
-             p.backend
-             (String.concat " | " Detector.Backends.labels))
-  in
+  let pair = pair p in
   let cfg = { cfg with Sim.oracle = pair.Detector.Backends.oracle } in
   let res =
     Shard.execute ~shards:p.shards ?domains:p.domains cfg

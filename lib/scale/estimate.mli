@@ -24,9 +24,6 @@ val wilson : successes:int -> trials:int -> ci
 
 type dist = { samples : int; mean : float; p50 : float; p99 : float; max : float }
 
-(** Nearest-rank percentiles; [None] on an empty sample list. *)
-val dist_of : float list -> dist option
-
 type params = {
   n : int;
   shards : int;
@@ -59,7 +56,8 @@ val params :
   params
 
 (** [check p] rejects parameters that would fail inside the engine or
-    yield a vacuous score (no run, no tick, no monitored pair):
+    yield a vacuous score (no run, no tick, no monitored pair): a
+    [backend] that is not a ring label ({!Detector.Backends.of_ring_label}),
     [n < 2], [shards < 1], [degree < 1], [runs < 1], [ticks < 1],
     [faults] outside [0 .. n] and [committee < 0]. The message names the
     [udc scale] flag of the offending field. {!estimate} runs the same
@@ -73,6 +71,13 @@ val check : params -> (unit, string) result
     workload. The oracle field is filled in per run with the fresh
     backend pair's oracle. *)
 val config : params -> seed:int64 -> Sim.config
+
+(** A fresh ring pair for one execution of [p]: [backend] at [degree],
+    with the committee (pids [0..committee-1] running [Core.Ack_udc])
+    wired in when [committee > 0]. Pairs are single-use, so each run
+    builds its own. Raises [Invalid_argument] on a backend {!check}
+    rejects. *)
+val pair : params -> Detector.Backends.pair
 
 type report = {
   p : params;

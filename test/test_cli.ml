@@ -312,7 +312,9 @@ let pinned_witnesses () =
             "4",
             "11f8ff9ce352f0f2c0a1981a75baf862" );
           ( explore
-              [ "--scenario"; "confined"; "-n"; "4"; "-t"; "2"; "--depth"; "3" ],
+              [
+                "--scenario"; "confined"; "-n"; "4"; "-t"; "2"; "--depth"; "3";
+              ],
             "14",
             "7624f17afb44e382bf9592e26b430531" );
           ( explore (kset_lb @ [ "--depth"; "6" ]),
@@ -343,6 +345,7 @@ let scale_bounds () =
   rejects_bounds [ "scale" ]
     ~small:[ ("-n", "50"); ("--runs", "2"); ("--ticks", "40") ]
     [
+      ("--backend", [ "--backend"; "bogus" ]);
       ("--shards", [ "--shards"; "0" ]);
       ("-n", [ "-n"; "0" ]);
       ("--faults", [ "--faults"; "100" ]);
