@@ -290,6 +290,11 @@ let explore scenario t property proto_label n seed mode search_depth window
       ("--max-runs", max_runs, 1);
       ("--crash-budget", crash_budget, 0);
     ];
+  (* nor can fuzz, which never exhausts a space, certify one clean *)
+  if replay = None && mode = Explore.Engine.Fuzz && expect = "none" then
+    exit_with 2 "explore"
+      "--expect none needs an exhaustive search, and --mode fuzz never \
+       exhausts a space";
   let add =
     match parse_channel channel with
     | Ok a -> a
@@ -407,7 +412,13 @@ let explore scenario t property proto_label n seed mode search_depth window
             "no violation within budget (%d runs, depth %d reached)@."
             stats.Explore.Engine.explored stats.Explore.Engine.depth_reached;
           reduction stats;
-          none_found ()
+          none_found ();
+          (* a space the budget cut short is not certified clean *)
+          if expect = "none" then
+            exit_with 1 "explore"
+              "expected no violation, but --max-runs %d stopped the search \
+               before it exhausted the space"
+              max_runs
       | Explore.Engine.Violation (w, stats) ->
           Format.printf "violation found after %d runs at depth %d@."
             stats.Explore.Engine.explored stats.Explore.Engine.depth_reached;
@@ -557,7 +568,9 @@ let expect_arg =
     & info [ "expect" ]
         ~doc:
           "Exit nonzero unless the outcome matches: violation (a witness \
-           must be found) | none (the space must be clean) | any. Applies \
+           must be found) | none (the space must be exhausted and clean: a \
+           search that --max-runs stops exits 1, and --mode fuzz, which \
+           never exhausts a space, exits 2 before any run) | any. Applies \
            to both the search and --replay paths. Exit codes: 0 = outcome \
            matches, 1 = outcome contradicts the expectation (or a repro \
            failed to reproduce its recorded digest/violation), 2 = usage \

@@ -119,6 +119,26 @@ let expect_contract () =
         (with_field (read repro) "digest" "00000000000000000000000000000000");
       check_exit "replay: tampered digest" 1
         [ "explore"; "--replay"; repro ]);
+  (* --expect none certifies only a space the search exhausted: a stop
+     on the run budget is a mismatch (1) naming --max-runs, and fuzz,
+     which never exhausts a space, is a usage error (2) before any run.
+     Both exited 0. *)
+  let clean extra =
+    [
+      "explore"; "--protocol"; "reliable"; "--property"; "udc"; "-n"; "4";
+      "--expect"; "none";
+    ]
+    @ extra
+  in
+  check_exit "clean space exhausted at depth 2" 0 (clean [ "--depth"; "2" ]);
+  let code, err = run_capture (clean [ "--depth"; "3"; "--max-runs"; "50" ]) in
+  Alcotest.(check int) "budget stop, --expect none" 1 code;
+  Alcotest.(check bool) "budget stop names --max-runs" true
+    (contains err "--max-runs");
+  let fuzz = clean [ "--depth"; "3"; "--mode"; "fuzz"; "--max-runs"; "50" ] in
+  check_exit "fuzz, --expect none" 2 fuzz;
+  Alcotest.(check string) "fuzz, --expect none runs nothing" ""
+    (run_stdout fuzz);
   (* usage errors are 2 on both subcommands *)
   check_exit "explore: bad channel" 2
     (kset_search [ "--channel"; "bogus" ]);
