@@ -17,6 +17,3 @@ module P : Protocol.S
 (** Tick after which no coordination (non-heartbeat) message is sent in
     the run; [None] when the last tick still carries application traffic. *)
 val app_quiescent_after : Run.t -> int option
-
-(** Heartbeat emission period (per peer). *)
-val period : int

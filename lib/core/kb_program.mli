@@ -25,10 +25,6 @@ type table
 val empty_table : unit -> table
 val table_size : table -> int
 
-(** A canonical digest of a local history (ticks ignored, like
-    indistinguishability). *)
-val digest : Event.t list -> string
-
 (** The guard, evaluated at a point of the current candidate system. It is
     expected to be [p]-local (built from [K_p ...]), so that it is constant
     on indistinguishability classes; the interpreter samples one

@@ -60,11 +60,3 @@ let f_overclaim ?domains env =
     ~init:{ reports = 0; false_suspicions = 0; runs_complete = 0; runs_total = 0 }
     audit
     (List.init (Epistemic.System.run_count sys) Fun.id)
-
-let pp_overclaim ppf o =
-  Format.fprintf ppf
-    "%d suspicion entries, %d false (%.2f%%); completeness %d/%d runs"
-    o.reports o.false_suspicions
-    (if o.reports = 0 then 0.0
-     else 100.0 *. float_of_int o.false_suspicions /. float_of_int o.reports)
-    o.runs_complete o.runs_total

@@ -36,5 +36,3 @@ type overclaim = {
     the domain pool ([?domains] caps the workers); the record is
     bit-identical at every domain count. *)
 val f_overclaim : ?domains:int -> Epistemic.Checker.env -> overclaim
-
-val pp_overclaim : Format.formatter -> overclaim -> unit

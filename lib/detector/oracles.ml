@@ -229,8 +229,6 @@ let lying ~victims ~from =
   in
   { Oracle.name = "lying"; poll }
 
-let blind = { Oracle.name = "blind"; poll = (fun _ _ -> None) }
-
 let accumulate (base : Oracle.t) =
   let acc = Hashtbl.create 8 in
   (* pid -> accumulated standard suspicions *)

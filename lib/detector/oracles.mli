@@ -2,10 +2,11 @@
 
     Each constructor returns an oracle whose reports satisfy the advertised
     class on every run it participates in (given that the run's crash plan
-    is what the oracle was shown). The [lying] and [blind] oracles
-    deliberately violate accuracy resp. completeness: they drive the
-    lower-bound experiments, exhibiting UDC violations when the detector is
-    weaker than the paper requires. *)
+    is what the oracle was shown). The [lying] oracle deliberately
+    violates accuracy: it drives the lower-bound experiments, exhibiting
+    UDC violations when the detector is weaker than the paper requires
+    (the blind-detector scenario needs no oracle here: it runs on
+    {!Oracle.none}, which never reports, so completeness fails). *)
 
 (** Strong accuracy + strong completeness. [lag] delays detection of each
     crash by that many ticks. *)
@@ -69,9 +70,6 @@ val trivial_cycling : t:int -> unit -> Oracle.t
     accuracy: additionally suspects [victims] from tick [from] on,
     regardless of whether they crashed. *)
 val lying : victims:Pid.Set.t -> from:int -> Oracle.t
-
-(** Violates completeness: never reports anything. *)
-val blind : Oracle.t
 
 (** Wraps an oracle so that each report is the union of everything the
     wrapped oracle has reported to this process so far — the trivial

@@ -14,7 +14,6 @@ let of_entries l =
   List.sort (fun a b -> Int.compare a.at b.at) l
 
 let entries t = t
-let actions t = List.map (fun e -> e.action) t
 let one ~owner ~at = [ { action = Action_id.make ~owner ~tag:0; at } ]
 
 let staggered ~n ~actions_per_process ~spacing =

@@ -10,7 +10,6 @@ type t
 val empty : t
 val of_entries : entry list -> t
 val entries : t -> entry list
-val actions : t -> Action_id.t list
 
 (** [one ~owner ~at] initiates a single action [a{owner}.0]. *)
 val one : owner:Pid.t -> at:int -> t

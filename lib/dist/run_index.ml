@@ -20,7 +20,6 @@ type t = {
   all_suspicions : (int * Pid.Set.t) array array;
   gossip : (int * Pid.Set.t) array array;
   gen_reports : (int * Pid.Set.t * int) array array;
-  faulty : Pid.Set.t;
   counts : counts;
 }
 
@@ -112,7 +111,6 @@ let build r =
       Array.map (fun l -> Array.of_list (List.rev l)) all_susp_rev;
     gossip = Array.map (fun l -> Array.of_list (List.rev l)) gossip_rev;
     gen_reports = Array.map (fun l -> Array.of_list (List.rev l)) gen_rev;
-    faulty = Run.faulty r;
     counts =
       {
         sends = !sends;
@@ -163,9 +161,6 @@ let of_run r =
               Cache.add cache r idx;
               idx)
 
-let run t = t.run
-let n t = Run.n t.run
-let horizon t = Run.horizon t.run
 let events t p = t.events.(p)
 
 (* A scan, not a table: see [first_send] in the interface. *)
@@ -189,8 +184,6 @@ let first_recv t ~dst ~src msg =
 let crash_tick t p = Run.crash_tick t.run p
 let first_do t p a = Hashtbl.find_opt t.first_dos (p, Action_id.owner a, Action_id.tag a)
 let first_init t a = Hashtbl.find_opt t.first_inits (action_key a)
-let faulty t = t.faulty
-let correct t = Pid.Set.complement (n t) t.faulty
 let initiated t = t.initiated
 let all_actions t = t.all_actions
 
@@ -212,6 +205,6 @@ let suspects_at changes m =
   done;
   if !lo = 0 then Pid.Set.empty else snd changes.(!lo - 1)
 
-let final_suspects t p = suspects_at t.suspicions.(p) (horizon t)
+let final_suspects t p = suspects_at t.suspicions.(p) (Run.horizon t.run)
 
 let counts t = t.counts

@@ -28,10 +28,6 @@ type t
 (** [of_run r] builds — or returns the cached — index of [r]. *)
 val of_run : Run.t -> t
 
-val run : t -> Run.t
-val n : t -> int
-val horizon : t -> int
-
 (** All events of [p], chronological, with ticks. *)
 val events : t -> Pid.t -> (Event.t * int) array
 
@@ -55,9 +51,6 @@ val first_do : t -> Pid.t -> Action_id.t -> int option
 (** Tick of the first [init(alpha)] {e at its owner}, if it occurred —
     the [Inited] primitive of the model checker. *)
 val first_init : t -> Action_id.t -> int option
-
-val faulty : t -> Pid.Set.t
-val correct : t -> Pid.Set.t
 
 (** Actions initiated in the run with their ticks, grouped by owner in pid
     order (the same order as {!Run.initiated}). *)

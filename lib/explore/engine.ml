@@ -29,12 +29,6 @@ type mode = Bfs | Dpor | Fuzz
 
 let mode_to_string = function Bfs -> "bfs" | Dpor -> "dpor" | Fuzz -> "fuzz"
 
-let mode_of_string = function
-  | "bfs" -> Ok Bfs
-  | "dpor" -> Ok Dpor
-  | "fuzz" -> Ok Fuzz
-  | s -> Error (Printf.sprintf "unknown mode %S (bfs | dpor | fuzz)" s)
-
 type options = {
   mode : mode;
   depth : int;

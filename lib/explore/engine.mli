@@ -49,7 +49,6 @@ type node = {
 
 val root : node
 val moves : node -> move list
-val depth_of : node -> int
 val pp_node : Format.formatter -> node -> unit
 
 type mode =
@@ -58,7 +57,6 @@ type mode =
   | Fuzz  (** coverage-guided trace mutation, no depth bound *)
 
 val mode_to_string : mode -> string
-val mode_of_string : string -> (mode, string) result
 
 (** Search settings. Crash and pick deviations are always branched on;
     suspicion deviations only when the problem's

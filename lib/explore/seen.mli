@@ -27,10 +27,6 @@ type t
 (** An empty cache. *)
 val create : unit -> t
 
-(** Seeded FNV fingerprint of a run's timed histories (plus arity and
-    horizon) — consistent with [Run.equal]. *)
-val fingerprint : Run.t -> int
-
 (** [check_add t r] is [true] iff a structurally equal run was already
     recorded; otherwise records [r] and returns [false]. *)
 val check_add : t -> Run.t -> bool
