@@ -18,6 +18,9 @@ let exit_with code cmd fmt =
       exit code)
     fmt
 
+(* the [Ok] value, or exit 2 with the [Error] message *)
+let ok_or_usage cmd = function Ok v -> v | Error e -> exit_with 2 cmd "%s" e
+
 let protocol_conv =
   (* [name:T] with an integer threshold [T]; its sign is checked with the
      other simulate bounds *)
@@ -190,9 +193,7 @@ let enumerate n depth crashes domains max_nodes stats =
       max_nodes;
     }
   in
-  (match Enumerate.check cfg with
-  | Ok () -> ()
-  | Error e -> exit_with 2 "enumerate" "%s" e);
+  ok_or_usage "enumerate" (Enumerate.check cfg);
   match
     Enumerate.runs_exn cfg
       (Core.Fip.make ~trust_reports:true (module Core.Ack_udc.P))
@@ -295,73 +296,65 @@ let explore scenario t property proto_label n seed mode search_depth window
     exit_with 2 "explore"
       "--expect none needs an exhaustive search, and --mode fuzz never \
        exhausts a space";
-  let add =
-    match parse_channel channel with
-    | Ok a -> a
-    | Error e -> exit_with 2 "explore" "%s" e
-  in
+  let add = ok_or_usage "explore" (parse_channel channel) in
   match replay with
   | Some path -> (
-      match Explore.Repro.load path with
-      | Error e -> exit_with 2 "explore" "%s" e
-      | Ok r -> (
-          match Explore.Repro.replay r with
-          | Error e -> exit_with 1 "explore" "replay failed: %s" e
-          | Ok (result, desc) ->
-              Format.printf "problem:   %s (%s, property %s)@."
-                r.Explore.Repro.problem.Explore.Problem.name
-                r.Explore.Repro.problem.Explore.Problem.protocol_label
-                (Explore.Property.to_string
-                   r.Explore.Repro.problem.Explore.Problem.property);
-              Format.printf "replayed:  %d decisions, stopped %a@."
-                (List.length r.Explore.Repro.trace)
-                Sim.pp_stop_reason result.Sim.reason;
-              Format.printf "digest:    %s (verified)@." r.Explore.Repro.digest;
-              Format.printf "violation: %s@." desc;
-              (* a verified repro IS a violation: --expect applies to the
-                 replay path exactly as to the search path *)
-              if expect = "none" then
-                exit_with 1 "explore"
-                  "expected no violation, replay exhibited one"))
+      let r = ok_or_usage "explore" (Explore.Repro.load path) in
+      match Explore.Repro.replay r with
+      | Error e -> exit_with 1 "explore" "replay failed: %s" e
+      | Ok (result, desc) ->
+          Format.printf "problem:   %s (%s, property %s)@."
+            r.Explore.Repro.problem.Explore.Problem.name
+            r.Explore.Repro.problem.Explore.Problem.protocol_label
+            (Explore.Property.to_string
+               r.Explore.Repro.problem.Explore.Problem.property);
+          Format.printf "replayed:  %d decisions, stopped %a@."
+            (List.length r.Explore.Repro.trace)
+            Sim.pp_stop_reason result.Sim.reason;
+          Format.printf "digest:    %s (verified)@." r.Explore.Repro.digest;
+          Format.printf "violation: %s@." desc;
+          (* a verified repro IS a violation: --expect applies to the
+             replay path exactly as to the search path *)
+          if expect = "none" then
+            exit_with 1 "explore" "expected no violation, replay exhibited one")
   | None ->
       let problem =
         match scenario with
-        | Some name -> (
-            match scenario_of_name name ~n ~t ~seed with
-            | Ok s -> Explore.Problem.of_scenario ~max_ticks s
-            | Error e -> exit_with 2 "explore" "%s" e)
+        | Some name ->
+            Explore.Problem.of_scenario ~max_ticks
+              (ok_or_usage "explore" (scenario_of_name name ~n ~t ~seed))
         | None -> (
             match property with
             | None ->
                 exit_with 2 "explore"
                   "--property is required without --scenario"
-            | Some p -> (
-                match
-                  ( Explore.Property.of_string p,
-                    Explore.Protocols.instantiate proto_label ~n )
-                with
-                | Error e, _ | _, Error e -> exit_with 2 "explore" "%s" e
-                | Ok property, Ok protocol ->
-                    (* k-set runs on everyone proposing their own id
-                       (the vector [Property.Kset] scores validity
-                       against); the single-action plan is for the
-                       one-coordination-action UDC protocols *)
-                    let init_plan =
-                      if proto_label = "kset" then
-                        Explore.Classify.proposal_plan n
-                      else Init_plan.one ~owner:0 ~at:1
-                    in
-                    let config =
-                      {
-                        (Sim.config ~n ~seed) with
-                        Sim.init_plan;
-                        max_ticks;
-                        crash_budget;
-                      }
-                    in
-                    Explore.Problem.make ~name:proto_label
-                      ~adversarial_oracle:adversarial ~config ~protocol
-                      ~protocol_label:proto_label property))
+            | Some p ->
+                let property =
+                  ok_or_usage "explore" (Explore.Property.of_string p)
+                in
+                let protocol =
+                  ok_or_usage "explore"
+                    (Explore.Protocols.instantiate proto_label ~n)
+                in
+                (* k-set runs on everyone proposing their own id
+                   (the vector [Property.Kset] scores validity
+                   against); the single-action plan is for the
+                   one-coordination-action UDC protocols *)
+                let init_plan =
+                  if proto_label = "kset" then Explore.Classify.proposal_plan n
+                  else Init_plan.one ~owner:0 ~at:1
+                in
+                let config =
+                  {
+                    (Sim.config ~n ~seed) with
+                    Sim.init_plan;
+                    max_ticks;
+                    crash_budget;
+                  }
+                in
+                Explore.Problem.make ~name:proto_label
+                  ~adversarial_oracle:adversarial ~config ~protocol
+                  ~protocol_label:proto_label property)
       in
       let problem =
         {
@@ -581,9 +574,7 @@ let expect_arg =
 let classify backend regime n crashes runs max_ticks gst domains certify out
     expect problem k =
   let regime =
-    match Explore.Classify.regime_of_string regime with
-    | Ok r -> r
-    | Error e -> exit_with 2 "classify" "%s" e
+    ok_or_usage "classify" (Explore.Classify.regime_of_string regime)
   in
   (* an expectation no outcome can match is a usage error, found before
      any run *)
@@ -615,9 +606,8 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
   match problem with
   | "detector" ->
       let outcome =
-        match Explore.Classify.classify ?domains ~backend ~regime params with
-        | Ok o -> o
-        | Error e -> exit_with 2 "classify" "%s" e
+        ok_or_usage "classify"
+          (Explore.Classify.classify ?domains ~backend ~regime params)
       in
       Format.printf "%a@." Explore.Classify.pp_outcome outcome;
       (match expect with
@@ -649,9 +639,8 @@ let classify backend regime n crashes runs max_ticks gst domains certify out
                 emit_repro cert.Explore.Classify.repro))
   | "kset" ->
       let outcome =
-        match Explore.Classify.kset ?domains ~backend ~regime ~k params with
-        | Ok o -> o
-        | Error e -> exit_with 2 "classify" "%s" e
+        ok_or_usage "classify"
+          (Explore.Classify.kset ?domains ~backend ~regime ~k params)
       in
       Format.printf "%a@." Explore.Classify.pp_kset_outcome outcome;
       (match expect with
@@ -830,18 +819,12 @@ let scenarios_cmd =
 
 let scale n shards degree backend regime runs ticks faults committee seed
     domains out check_digest =
-  let regime =
-    match Explore.Classify.regime_of_string regime with
-    | Ok r -> r
-    | Error e -> exit_with 2 "scale" "%s" e
-  in
+  let regime = ok_or_usage "scale" (Explore.Classify.regime_of_string regime) in
   let p =
     Scale.Estimate.params ~shards ~degree ~regime ~runs ~ticks ?faults
       ~committee ~seed ?domains ~n ~backend ()
   in
-  (match Scale.Estimate.check p with
-  | Ok () -> ()
-  | Error e -> exit_with 2 "scale" "%s" e);
+  ok_or_usage "scale" (Scale.Estimate.check p);
   if check_digest then (
     (* One workload, both engines, each on its own fresh pair. Meant for
        a small --n: the unsharded reference run is the cost. *)
