@@ -750,11 +750,6 @@ let classification ~smoke () =
    bit-identical to [Sim.execute]. *)
 let sharded_engine ~smoke () =
   Util.header "P12: sharded engine throughput";
-  let mk_pair =
-    match Detector.Backends.of_ring_label "gossip" with
-    | Some mk -> mk
-    | None -> failwith "P12: gossip backend missing"
-  in
   (* the bare engine, no committee (the detector ring is the per-slot
      workload the E18 grid scales) *)
   let n = if smoke then 10_000 else 100_000 in
@@ -764,7 +759,7 @@ let sharded_engine ~smoke () =
       ~seed:11L ~backend:"gossip" ()
   in
   let cfg = Scale.Estimate.config p ~seed:11L in
-  let pr = mk_pair ~degree:p.Scale.Estimate.degree ~n () in
+  let pr = Scale.Estimate.pair p in
   let wall, result =
     time (fun () ->
         Scale.Shard.execute ~shards:4

@@ -18,7 +18,6 @@ let exit_with code cmd fmt =
       exit code)
     fmt
 
-(* the [Ok] value, or exit 2 with the [Error] message *)
 let ok_or_usage cmd = function Ok v -> v | Error e -> exit_with 2 cmd "%s" e
 
 let protocol_conv =
@@ -388,7 +387,6 @@ let explore scenario t property proto_label n seed mode search_depth window
           stats.Explore.Engine.states stats.Explore.Engine.distinct
           stats.Explore.Engine.seen_hits stats.Explore.Engine.pruned
       in
-      (* no witness: a mismatch under --expect violation *)
       let none_found () =
         if expect = "violation" then
           exit_with 1 "explore" "expected a violation, none found"
