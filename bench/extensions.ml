@@ -362,13 +362,14 @@ let classify () =
 
 (* E19: k-set agreement as a decision protocol riding on each
    implemented backend under each channel regime (including the ADD
-   average-delay model), with the epistemic experiment alongside: on
-   runs that attain k-set safety, do the deciders' knowledge states
-   validate the conditions an (S,k) oracle would induce (KS1: each
-   decider knows its own proposal; KS2: a common core of min(k,#correct)
-   correct proposers is known-initiated by every decider)?  Negative
-   cells are certified by an explorer-found shrunk repro in which
-   adversarial suspicions defeat the bound. *)
+   average-delay model), with an epistemic reading alongside: on runs
+   that attain k-set safety, KS1 asks whether each decider knows its own
+   proposal was initiated, and KS2 whether a common core of
+   min(k,#correct) correct proposers is known-initiated by every
+   decider. Knowledge is read on the system of the one run, where it
+   only says a proposal was initiated by the decide tick, not that the
+   decider heard it. Negative cells are certified by an explorer-found
+   shrunk repro in which adversarial suspicions defeat the bound. *)
 let kset () =
   Util.header
     "E19: k-set agreement on implemented detectors and ADD channels";
@@ -427,7 +428,8 @@ let kset () =
        simulate an (S,2) oracle in every regime (incl. ADD) and attain \
        2-set safety throughout; phi's bootstrap false-suspicions split \
        the min rule past 2 values on reliable runs — the one cell that \
-       loses safety; every attaining run validates KS1/KS2 at the \
-       deciders' decide points; and the explorer certifies that \
-       unconstrained suspicions (below (S,k)) admit a replayable \
-       schedule deciding k+1 values"
+       loses safety; KS1/KS2 hold on every attaining run, but read on \
+       one run they only say each proposal was initiated by the decide \
+       tick (all propose at tick 1), not that the decider heard it; and \
+       the explorer certifies that unconstrained suspicions (below \
+       (S,k)) admit a replayable schedule deciding k+1 values"

@@ -294,38 +294,41 @@ type kset_outcome = {
   digest : string;
 }
 
-(* The epistemic side of the grid: over the single-run system, at each
-   decider's decide tick,
+(* The epistemic side of the grid, read on the system of this one run at
+   each decider's decide tick:
    - KS1: the decider knows its own proposal was initiated (grounding);
    - KS2: one common core of >= min(k, #correct) correct proposers is
      known-initiated by every decider.
-   With perfect-recall semantics on one run, [K_p (inited a_q)] holds at
-   [p]'s decide point exactly when every point with the same [p]-local
-   history lies at or after [q]'s init — true when [p] heard [q]'s
-   estimate before deciding, false when a suspicion let [p] skip it.
-   KS2 is therefore the run-level trace of the knowledge precondition an
-   (S,k) oracle induces: the k-weak accuracy core is exactly a set of
-   correct processes no decider was allowed to skip. *)
-let kset_epistemics ~k run =
-  let n = Run.n run in
+   Within one run, [p]'s histories at two ticks are prefixes of each
+   other, and R2 allows at most one event per process per tick, so two
+   points are indistinguishable to [p] exactly when [p] has no event
+   between them: [p]'s class at tick [m] starts at its last event at or
+   before [m] (tick 0 if none). [inited a_q] is stable, so [K_p (inited
+   a_q)] holds at [m] iff [q] initiated by that event. At a decide tick
+   that event is the decision itself, so KS1/KS2 say which proposals
+   were initiated by the time each decider decided — not which it heard:
+   a decider that a suspicion let skip [q] still knows [inited a_q] once
+   [q] has initiated. *)
+let kset_knowledge ~k run =
+  let idx = Run_index.of_run run in
   let deciders =
     List.filter_map
       (fun p ->
-        match Consensus.Spec.decision run p with
+        match Run_index.decision idx p with
         | None -> None
         | Some v ->
             Option.map
               (fun tick -> (p, tick))
-              (Run.do_tick run p (Action_id.make ~owner:p ~tag:v)))
-      (Pid.all n)
+              (Run_index.first_do idx p (Action_id.make ~owner:p ~tag:v)))
+      (Pid.all (Run.n run))
   in
-  let env = Epistemic.Checker.make (Epistemic.System.of_runs [ run ]) in
   let knows p tick q =
-    Epistemic.Checker.holds env
-      (Epistemic.Formula.intern
-         (Epistemic.Formula.K
-            (p, Epistemic.Formula.inited (Action_id.make ~owner:q ~tag:q))))
-      ~run:0 ~tick
+    let last =
+      History.last_tick (History.prefix_upto (Run.history run p) tick)
+    in
+    match Run_index.first_init idx (Action_id.make ~owner:q ~tag:q) with
+    | Some t0 -> t0 <= Option.value last ~default:0
+    | None -> false
   in
   let ks1 =
     deciders <> [] && List.for_all (fun (p, tick) -> knows p tick p) deciders
@@ -374,7 +377,7 @@ let kset ?domains ~backend ~regime ~k params =
           Result.is_ok (Detector.Spec.satisfies (Detector.Spec.Strong_k k) run)
         in
         let r_ks1, r_ks2 =
-          if r_attained then kset_epistemics ~k run else (false, false)
+          if r_attained then kset_knowledge ~k run else (false, false)
         in
         { r_attained; r_terminated; r_sk; r_ks1; r_ks2 }
       in

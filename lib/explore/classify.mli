@@ -38,17 +38,6 @@ type params = {
 
 val default_params : params
 
-(** [check ~regime p] rejects [n < 2] (no peer to monitor), [crashes]
-    outside [\[0, n - 1\]] (some process must stay correct), [runs < 1]
-    and [max_ticks < 1]: each would score no run, or hold every class
-    vacuously. Under [Eventually_timely] it also rejects [gst] outside
-    [\[2, max_ticks - 1\]]: losses would never stop, or no message would
-    ever be lost. Other regimes ignore [gst]. The message names the [udc
-    classify] flag: [-n], [--crashes], [--runs], [--max-ticks] or
-    [--gst]. {!classify} and {!kset} run it before any work and return
-    its [Error]. *)
-val check : regime:regime -> params -> (unit, string) result
-
 (** The classes a backend is scored against. *)
 val classes : Detector.Spec.cls list
 
@@ -70,6 +59,16 @@ type outcome = {
     and benches reuse the exact classification workload). *)
 val config : regime:regime -> params:params -> seed:int64 -> Sim.config
 
+(** Run [params.runs] seeds of the backend under the regime, with
+    random crash plans, and score every class on each run. The outcome
+    is bit-identical at every domain count. Before any run it returns an
+    [Error] naming the [udc classify] flag at fault: [-n] below 2 (no
+    peer to monitor), [--crashes] outside [\[0, n - 1\]] (some process
+    must stay correct), [--runs] or [--max-ticks] below 1 (no run would
+    be scored, or every class would hold vacuously), and, under
+    [Eventually_timely] only, [--gst] outside [\[2, max_ticks - 1\]]
+    (losses would never stop, or no message would ever be lost; other
+    regimes ignore [gst]). An unknown [backend] is an [Error] too. *)
 val classify :
   ?domains:int ->
   backend:string ->
@@ -112,8 +111,8 @@ val certify :
     run is scored on the decision side (safety attained, all correct
     decided), the detector side (did the suspicion timeline satisfy
     k-weak accuracy, i.e. simulate an (S,k) oracle), and the knowledge
-    side (KS1/KS2 below) — the empirical face of the paper's claim that
-    coordination is knowledge acquisition. *)
+    side (KS1/KS2 below: which proposals each decider knew to be
+    initiated when it decided). *)
 
 (** The k-set initiation plan: every process proposes its own id at tick
     1 ([Action_id.make ~owner:q ~tag:q]), so the proposal vector is
@@ -139,15 +138,19 @@ type kset_outcome = {
   ks2 : int;
       (** attained runs with a common core of >= min(k, #correct)
           correct proposers known-initiated by {e every} decider at its
-          decide tick — the knowledge precondition an (S,k) oracle's
-          k-weak accuracy core induces *)
+          decide tick: each had initiated its proposal by the time each
+          decider decided. It does not say the deciders heard them (see
+          {!kset_knowledge}) *)
   digest : string;  (** MD5 over the ensemble's run digests, in order *)
 }
 
-(** Bit-identical at every domain count, like {!classify}. After
-    {!check}, it returns an [Error] naming [-k] when [k] is outside
-    [\[1, n - 1\]]: [n] processes decide at most [n] values, so any
-    [k >= n] is attained vacuously. *)
+(** Bit-identical at every domain count, like {!classify}. Before any
+    run it returns {!classify}'s [Error] for out-of-range [params], then
+    one naming [-k] when [k] is outside [\[1, n - 1\]] ([n] processes
+    decide at most [n] values, so any [k >= n] is attained vacuously),
+    then one for an unknown [backend]. A run scores KS1/KS2 with
+    {!kset_knowledge} when it attained k-set safety, and neither
+    otherwise. *)
 val kset :
   ?domains:int ->
   backend:string ->
@@ -155,6 +158,21 @@ val kset :
   k:int ->
   params ->
   (kset_outcome, string) result
+
+(** [kset_knowledge ~k run] is the pair [(ks1, ks2)] that {!kset}
+    counts for an attained run, read on the system of [run] alone at each
+    decider's decide tick. Both are false when no process decided.
+
+    In a one-run system, [p]'s indistinguishability class at a tick
+    starts at its last event at or before that tick, and at a decide
+    tick that event is the decision. So [K_p(inited a_q)] holds there
+    exactly when [q] initiated its proposal at or before [p]'s decide
+    tick. It does not hold [p] to have heard [q]: a decider that a
+    suspicion let skip [q]'s estimate still knows [inited a_q] once [q]
+    has initiated. The verdict equals the model checker's
+    ({!Epistemic.Checker.holds} over [Epistemic.System.of_runs [run]]),
+    which the test suite checks. *)
+val kset_knowledge : k:int -> Run.t -> bool * bool
 
 val pp_kset_outcome : Format.formatter -> kset_outcome -> unit
 

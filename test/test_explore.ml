@@ -470,6 +470,149 @@ let kset_grid () =
        (Explore.Classify.kset ~backend:"nope"
           ~regime:Explore.Classify.Reliable ~k:2 params))
 
+(* ---------- KS1/KS2: the closed form against the model checker ---------- *)
+
+(* Each decider with its decide tick. *)
+let decide_ticks run =
+  List.filter_map
+    (fun p ->
+      match Consensus.Spec.decision run p with
+      | None -> None
+      | Some v ->
+          Option.map
+            (fun tick -> (p, tick))
+            (Run.do_tick run p (Action_id.make ~owner:p ~tag:v)))
+    (Pid.all (Run.n run))
+
+(* The reference: KS1/KS2 evaluated by the model checker on the system of
+   the one run, at the same decide ticks. *)
+let checker_knowledge ~k run =
+  let deciders = decide_ticks run in
+  let env = Epistemic.Checker.make (Epistemic.System.of_runs [ run ]) in
+  let knows p tick q =
+    Epistemic.Checker.holds env
+      (Epistemic.Formula.intern
+         (Epistemic.Formula.K
+            (p, Epistemic.Formula.inited (Action_id.make ~owner:q ~tag:q))))
+      ~run:0 ~tick
+  in
+  let ks1 =
+    deciders <> [] && List.for_all (fun (p, tick) -> knows p tick p) deciders
+  in
+  let correct = Pid.Set.elements (Run.correct run) in
+  let core =
+    List.filter
+      (fun q -> List.for_all (fun (p, tick) -> knows p tick q) deciders)
+      correct
+  in
+  let ks2 = deciders <> [] && List.length core >= min k (List.length correct) in
+  (ks1, ks2)
+
+(* classify-grid's k-set cells: n = 4, one crash, 240 ticks *)
+let kset_params =
+  {
+    Explore.Classify.default_params with
+    Explore.Classify.n = 4;
+    crashes = 1;
+    max_ticks = 240;
+  }
+
+(* One k-set run of a grid cell. [late] moves proposer n-1's init to that
+   tick, so deciders that suspect it decide before it initiates. *)
+let kset_run ?late ~backend ~regime seed =
+  let n = kset_params.Explore.Classify.n in
+  let plan =
+    Init_plan.of_entries
+      (List.map
+         (fun (e : Init_plan.entry) ->
+           match late with
+           | Some at when Action_id.owner e.action = n - 1 -> { e with at }
+           | _ -> e)
+         (Init_plan.entries (Explore.Classify.proposal_plan n)))
+  in
+  let mk = Option.get (Detector.Backends.of_label_inner backend) in
+  let { Detector.Backends.oracle; protocol } =
+    mk ~inner:(module Consensus.Kset.P : Protocol.S) ~n
+  in
+  let cfg =
+    {
+      (Explore.Classify.config ~regime ~params:kset_params ~seed) with
+      Sim.init_plan = plan;
+      oracle;
+    }
+  in
+  (Sim.execute cfg protocol).Sim.run
+
+let kset_knowledge_matches_checker () =
+  let ks2_seen = ref [] in
+  List.iter
+    (fun late ->
+      List.iter
+        (fun backend ->
+          List.iter
+            (fun regime ->
+              List.iter
+                (fun seed ->
+                  let run = kset_run ?late ~backend ~regime seed in
+                  List.iter
+                    (fun k ->
+                      let got = Explore.Classify.kset_knowledge ~k run in
+                      let want = checker_knowledge ~k run in
+                      if got <> want then
+                        Alcotest.failf
+                          "%s x %s seed %Ld late %s k=%d: closed form \
+                           (%b,%b), checker (%b,%b)"
+                          backend
+                          (Explore.Classify.regime_label regime)
+                          seed
+                          (Option.fold ~none:"-" ~some:string_of_int late)
+                          k (fst got) (snd got) (fst want) (snd want);
+                      if k = 3 then ks2_seen := snd got :: !ks2_seen)
+                    [ 1; 2; 3 ])
+                (Helpers.seeds 4))
+            Explore.Classify.regimes)
+        Detector.Backends.labels)
+    [ None; Some 40; Some 120 ];
+  (* the late inits make KS2 fail at k = 3, so both verdicts are compared *)
+  Alcotest.(check (list bool))
+    "KS2 verdicts seen" [ false; true ]
+    (List.sort_uniq compare !ks2_seen)
+
+(* Pairs (p, q): decider p decided before any estimate from q reached it. *)
+let skipped run =
+  List.concat_map
+    (fun (p, decided) ->
+      let heard q =
+        List.exists
+          (function
+            | Event.Recv { src; msg = Message.Cons_estimate _ }, tick ->
+                Pid.equal src q && tick <= decided
+            | _ -> false)
+          (History.timed_events (Run.history run p))
+      in
+      List.filter_map
+        (fun q -> if q <> p && not (heard q) then Some (p, q) else None)
+        (Pid.all (Run.n run)))
+    (decide_ticks run)
+
+(* KS1/KS2 say which proposals were initiated when each decider decided,
+   not which it heard: on this phi x reliable grid run, false suspicions
+   let p2 and p3 decide without the estimate of p0 (correct, proposing the
+   minimum 0), and both conditions still hold. *)
+let kset_knowledge_ignores_skips () =
+  let run = kset_run ~backend:"phi" ~regime:Explore.Classify.Reliable 15851L in
+  Alcotest.(check (list (pair int int)))
+    "skips" [ (2, 0); (3, 0) ]
+    (skipped run);
+  Alcotest.(check bool) "p0 correct" true (Pid.Set.mem 0 (Run.correct run));
+  Alcotest.(check (list (pair int (option int))))
+    "decisions"
+    [ (0, Some 0); (1, Some 0); (2, Some 1); (3, Some 1) ]
+    (List.map (fun p -> (p, Consensus.Spec.decision run p)) (Pid.all 4));
+  Alcotest.(check (pair bool bool))
+    "KS1/KS2 hold" (true, true)
+    (Explore.Classify.kset_knowledge ~k:2 run)
+
 let kset_certify () =
   match Explore.Classify.certify_kset ~k:1 ~n:3 with
   | Error e -> Alcotest.fail e
@@ -519,6 +662,10 @@ let suite =
         property_roundtrip;
       Alcotest.test_case "kset grid: easy cell, domain-invariant" `Slow
         kset_grid;
+      Alcotest.test_case "kset knowledge: closed form = checker" `Quick
+        kset_knowledge_matches_checker;
+      Alcotest.test_case "kset knowledge: a skipped proposer still counts"
+        `Quick kset_knowledge_ignores_skips;
       Alcotest.test_case "kset negative cell certified by adversary" `Slow
         kset_certify;
     ]
