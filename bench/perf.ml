@@ -441,9 +441,8 @@ let checker_kernel () =
 (* P5/P10: throughput and allocation of the simulator hot path over the
    flat (struct-of-arrays) run representation, through the ensemble
    engine. The run digests double as the determinism gate: they must be
-   bit-identical at domains 1, 2 and 4 and on the pool (arena reuse on
-   pool workers cannot leak state between seeds); test_flat_history pins
-   the first two. Minor words per run come from the domains-1 pass,
+   bit-identical at domains 1, 2 and 4 and on the pool; test_flat_history
+   pins the first two. Minor words per run come from the domains-1 pass,
    which runs on the calling domain. *)
 let ensemble_throughput ~gate () =
   Util.header "P5/P10: ensemble throughput over the flat run representation";
@@ -745,9 +744,9 @@ let classification ~smoke () =
    10k). The traced end-to-end benchmark (bench/e2e/README.md) puts the
    kernel at about 2us per slot on one core of a 2-vCPU VM, of which
    decision draws are 3.5%; the floor sits 10x under the measured rate
-   (conservative floor, same policy as P9). test_scale's
-   [engines_agree] and [udc scale --check-digest] check that shards=1 is
-   bit-identical to [Sim.execute]. *)
+   (conservative floor, same policy as P9). With shards=1 [Shard.execute]
+   is [Sim.execute] (one tick loop), and test_scale's [engines_agree] checks
+   it at domains 1/2/4. *)
 let sharded_engine ~smoke () =
   Util.header "P12: sharded engine throughput";
   (* the bare engine, no committee (the detector ring is the per-slot
@@ -788,7 +787,7 @@ let sharded_engine ~smoke () =
    on them and still publish a BENCH_perf.json artifact: the kernel
    differential, the cross-domain determinism keys of P5/P10, P7, P8, P9
    and P11, the scaling gates of P5 and P7, and the P9 and P12 floors. *)
-let run ?(smoke = false) ?(pool_stats = false) () =
+let run_gated ~smoke ~pool_stats =
   records := [];
   if not smoke then begin
     timed "bechamel" bechamel;
@@ -811,3 +810,12 @@ let run ?(smoke = false) ?(pool_stats = false) () =
   Format.printf "@.  wrote BENCH_perf.json (%d records; %d domains)@."
     (List.length !records)
     (Ensemble.domain_count ())
+
+(* A gate fails with [Failure]: print its message and exit 1, as table1
+   does when a cell reads otherwise than the paper's table. *)
+let run ?(smoke = false) ?(pool_stats = false) () =
+  try run_gated ~smoke ~pool_stats
+  with Failure msg ->
+    Format.printf "@?";
+    prerr_endline ("udc-bench perf: " ^ msg);
+    exit 1

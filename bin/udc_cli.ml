@@ -816,32 +816,13 @@ let scenarios_cmd =
 (* ---------- scale ---------- *)
 
 let scale n shards degree backend regime runs ticks faults committee seed
-    domains out check_digest =
+    domains out =
   let regime = ok_or_usage "scale" (Explore.Classify.regime_of_string regime) in
   let p =
     Scale.Estimate.params ~shards ~degree ~regime ~runs ~ticks ?faults
       ~committee ~seed ?domains ~n ~backend ()
   in
   ok_or_usage "scale" (Scale.Estimate.check p);
-  if check_digest then (
-    (* One workload, both engines, each on its own fresh pair. Meant for
-       a small --n: the unsharded reference run is the cost. *)
-    let cfg = Scale.Estimate.config p ~seed in
-    let digest execute =
-      let pair = Scale.Estimate.pair p in
-      let cfg = { cfg with Sim.oracle = pair.Detector.Backends.oracle } in
-      Run.digest (execute cfg pair.Detector.Backends.protocol).Sim.run
-    in
-    let da = digest (fun cfg protocol -> Sim.execute cfg protocol) in
-    let db =
-      digest (fun cfg protocol ->
-          Scale.Shard.execute ~shards:1 ?domains cfg protocol)
-    in
-    if da <> db then
-      exit_with 1 "scale"
-        "digest gate FAILED: Sim.execute %s vs Shard.execute %s" da db;
-    Format.printf "digest gate: shards=1 is bit-identical to Sim.execute (%s)@."
-      da);
   let r = Scale.Estimate.estimate p in
   Format.printf "%a@." Scale.Estimate.pp_report r;
   match out with
@@ -864,7 +845,7 @@ let shards_arg =
     & info [ "shards" ]
         ~doc:
           "Shards for the two-tier engine; each gets its own decision \
-           stream, channel, and arenas.")
+           stream, channel and history builders.")
 
 let degree_arg =
   Arg.(
@@ -894,15 +875,6 @@ let committee_arg =
           "Ack-UDC committee size riding on the detector (pids 0..c-1); 0 \
            disables the UDC scoring.")
 
-let check_digest_arg =
-  Arg.(
-    value & flag
-    & info [ "check-digest" ]
-        ~doc:
-          "First run one workload unsharded through both Sim.execute and \
-           the sharded engine and require bit-identical run digests (use a \
-           small --n; the unsharded reference is the cost).")
-
 let scale_cmd =
   Cmd.v
     (Cmd.info "scale"
@@ -913,12 +885,11 @@ let scale_cmd =
           completeness/accuracy over the monitored pairs with Wilson \
           intervals, and report detection-latency and false-suspicion \
           distributions. Bit-identical at every --domains value; at \
-          --shards 1 the engine is bit-identical to the reference \
-          simulator (checkable with --check-digest).")
+          --shards 1 the engine is the reference simulator itself.")
     Term.(
       const scale $ scale_n_arg $ shards_arg $ degree_arg $ backend_arg
       $ regime_arg $ scale_runs_arg $ scale_ticks_arg $ faults_arg
-      $ committee_arg $ seed_arg $ domains_arg $ out_arg $ check_digest_arg)
+      $ committee_arg $ seed_arg $ domains_arg $ out_arg)
 
 let () =
   let info =

@@ -5,7 +5,7 @@
    [append] copies both arrays (the cold path: enumeration trees, whose
    histories are bounded by the search depth, and tests). The
    simulator's hot loop goes through [Builder], which appends into
-   reusable arena buffers and seals an exact-size snapshot per run. A
+   geometrically grown buffers and seals an exact-size snapshot per run. A
    history carries no hash: the one product reader, the explorer's seen
    cache, fingerprints each run once, and [hash_timed_events] is a plain
    O(n) fold. *)
@@ -106,11 +106,7 @@ module Builder = struct
     mutable suspect : Report.t option; (* last Suspect payload, O(1) *)
   }
 
-  let initial_capacity = 64
-
-  (* The default capacity suits the simulator's history lengths; the
-     sharded large-n engine starts its million builders far smaller. *)
-  let fresh ?(capacity = initial_capacity) () =
+  let fresh ?(capacity = 64) () =
     let capacity = max 1 capacity in
     {
       events = Array.make capacity Event.Crash;
@@ -120,14 +116,7 @@ module Builder = struct
       suspect = None;
     }
 
-  let reset b =
-    b.len <- 0;
-    b.crashed <- false;
-    b.suspect <- None
-
-  (* Grown geometrically, never shrunk: a worker's arena converges on the
-     high-water mark of its workload and stops allocating. Old buffer
-     contents need not be cleared — [len] delimits the live region and
+  (* Grown geometrically, never shrunk; [len] delimits the live region and
      [seal] copies only that. *)
   let grow b =
     let cap = Array.length b.events in
@@ -165,31 +154,6 @@ module Builder = struct
       ticks = Array.sub b.ticks 0 b.len;
       len = b.len;
     }
-
-  type arena = { mutable slots : t array; mutable busy : bool }
-
-  let arena () = { slots = [||]; busy = false }
-
-  let acquire a ~n =
-    if a.busy then
-      (* re-entrant use on the same domain: fall back to unpooled
-         builders rather than corrupting the active run's buffers *)
-      (Array.init n (fun _ -> fresh ()), fun () -> ())
-    else begin
-      a.busy <- true;
-      let have = Array.length a.slots in
-      if have < n then begin
-        let slots = Array.make n (fresh ()) in
-        Array.blit a.slots 0 slots 0 have;
-        for i = have to n - 1 do
-          slots.(i) <- fresh ()
-        done;
-        a.slots <- slots
-      end;
-      let out = Array.sub a.slots 0 n in
-      Array.iter reset out;
-      (out, fun () -> a.busy <- false)
-    end
 end
 
 (* The legacy cons-list representation, retained as the executable

@@ -13,8 +13,8 @@
     {!last_tick} and {!is_crashed} are O(1) and {!prefix_upto} is
     O(log n) with full structure sharing. A history carries no cached
     hash. The functional {!append} copies and is the cold path. The
-    simulator's hot loop appends through {!Builder}, whose arena buffers
-    are reused across seeds on the same worker. *)
+    simulator's hot loop appends through {!Builder}, one mutable builder
+    per process and run, sealed into a {!t} when the run ends. *)
 
 type t
 
@@ -81,25 +81,17 @@ val hash_timed_events : t -> int
 
 val pp : Format.formatter -> t -> unit
 
-(** Mutable linear history construction over reusable arena buffers — the
-    simulator's hot path. A {!Builder.arena} belongs to one worker
-    (domain); {!Builder.acquire} hands out [n] reset builders whose
-    backing arrays are grown geometrically and never shrunk, so after the
-    first few runs a worker stops allocating history storage altogether.
-    {!Builder.seal} snapshots a builder into an exact-size {!t}; sealed
-    histories share nothing with the arena, which is why reuse across
-    seeds cannot leak state between runs. *)
+(** Mutable linear history construction — the simulator's hot path.
+    A builder's buffers grow geometrically; {!Builder.seal} snapshots it
+    into an exact-size {!t} that shares nothing with the builder. *)
 module Builder : sig
   type history := t
   type t
 
-  (** A standalone builder, not attached to any arena (for linear
-      run transforms and tests). [capacity] (default 64) sizes the
-      initial buffers; the sharded simulator passes a small capacity so a
-      million mostly-quiet builders do not pre-reserve gigabytes. *)
+  (** An empty builder. [capacity] (default 64) sizes the initial
+      buffers; the simulator passes a small capacity so a million
+      mostly-quiet builders do not pre-reserve gigabytes. *)
   val fresh : ?capacity:int -> unit -> t
-
-  val reset : t -> unit
 
   (** Appends one event; same R2/R4 validation as {!History.append}, but
       O(1) amortized, writing into the builder's buffers. *)
@@ -117,17 +109,6 @@ module Builder : sig
 
   (** Exact-size snapshot; shares nothing with the builder. *)
   val seal : t -> history
-
-  type arena
-
-  (** A fresh arena. Allocate one per worker (the simulator keeps one in
-      domain-local storage). *)
-  val arena : unit -> arena
-
-  (** [acquire a ~n] returns [n] reset builders backed by the arena and a
-      release function. While the arena is held, a nested acquire on the
-      same arena falls back to unpooled builders (safe, just unpooled). *)
-  val acquire : arena -> n:int -> t array * (unit -> unit)
 end
 
 (** The legacy cons-list implementation, retained as the executable

@@ -104,7 +104,7 @@ let pp_stop_reason ppf = function
   | Quiescent -> Format.pp_print_string ppf "quiescent"
   | Max_ticks -> Format.pp_print_string ppf "max ticks"
 
-(* ---------- The scheduling kernel ---------- *)
+(* ---------- The tick loop ---------- *)
 
 (* A window is a contiguous pid range [base, base + size) and the dense
    state its slots touch, indexed locally (pid - base): history builders,
@@ -112,8 +112,9 @@ let pp_stop_reason ppf = function
    (plan order per owner is preserved, so "first due entry" agrees with
    the old scan of the global list), and a channel holding the in-flight
    queues of the window's own destinations. Decisions, fairness rows and
-   events carry global pids. [execute] drives one window over [0, n);
-   [Shard.execute] drives one per shard plus its cross-shard barrier. *)
+   events carry global pids. [execute_shards] ticks one window per decision
+   source; a send to a pid in another window waits in the sender's outbox
+   for the barrier. *)
 type window = {
   cfg : config;
   base : int;
@@ -128,13 +129,33 @@ type window = {
   mutable pending_init_count : int; (* live entries *)
   pending_faults : Fault_plan.entry list array; (* per victim, plan order *)
   mutable schedule : (int * float) list; (* loss-schedule entries ahead *)
-  mutable crashes : Pid.t list; (* newest first; a caller may clear it *)
+  mutable crashes : Pid.t list; (* since the last barrier, newest first *)
+  mutable known : Pid.t list; (* [crashes], then the committed ones *)
+  mutable view : Oracle.view; (* its [crashed] is [known] as a set *)
   mutable initiated : Action_id.t list; (* every Init event so far *)
   mutable any_do : bool;
   mutable crash_budget_left : int;
   done_actions : Action_id.Set.t array; (* per pid, for After_did triggers *)
   mutable now : int;
+  outbox : (Pid.t * Pid.t * Message.t) list array;
+      (* per destination window, newest first; drained at the barrier *)
+  mutable inbox : (Pid.t * Pid.t * Message.t) list; (* delivery order *)
 }
+
+(* Balanced contiguous partition of [0, n) into [s] windows: the first
+   [n mod s] hold one extra pid. Both directions are O(1). *)
+let window_of ~n ~s p =
+  let q = n / s and r = n mod s in
+  if p < r * (q + 1) then p / (q + 1) else r + ((p - (r * (q + 1))) / q)
+
+let window_base ~n ~s k =
+  let q = n / s and r = n mod s in
+  (k * q) + min k r
+
+(* Builders start small and grow geometrically: a million mostly-quiet
+   ring-detector histories at 64 preallocated slots each would reserve
+   gigabytes before the first event lands. *)
+let builder_capacity = 16
 
 (* The schedule is walked by a cursor: O(schedule) total. [validate] has
    rejected unsorted and duplicate-tick schedules, and entries at tick 0
@@ -147,7 +168,7 @@ let rec apply_schedule w =
       apply_schedule w
   | _ -> ()
 
-let window cfg ~base ~size ~source ~hists make_process =
+let window cfg ~windows ~view ~base ~size ~source make_process =
   let mine p = p >= base && p < base + size in
   let pending_inits = Array.make size [] and init_count = ref 0 in
   List.iter
@@ -176,7 +197,9 @@ let window cfg ~base ~size ~source ~hists make_process =
         Channel.create ~link_loss:cfg.link_loss ?add:cfg.add ~n:size ~decide
           ~loss_rate:cfg.loss_rate
           ~max_consecutive_drops:cfg.max_consecutive_drops ();
-      hists;
+      hists =
+        Array.init size (fun _ ->
+            History.Builder.fresh ~capacity:builder_capacity ());
       states = Array.init size (fun i -> make_process (base + i));
       crashed = Array.make size false;
       order = Array.init size (fun i -> base + i);
@@ -185,11 +208,15 @@ let window cfg ~base ~size ~source ~hists make_process =
       pending_faults;
       schedule = cfg.loss_schedule;
       crashes = [];
+      known = [];
+      view;
       initiated = [];
       any_do = false;
       crash_budget_left = cfg.crash_budget;
       done_actions = Array.make size Action_id.Set.empty;
       now = 0;
+      outbox = Array.make windows [];
+      inbox = [];
     }
   in
   apply_schedule w;
@@ -204,12 +231,14 @@ let set_state w lp s = if s != w.states.(lp) then w.states.(lp) <- s
 (* The single crash path, whatever caused the crash: a dead process
    never initiates or crashes again, so its planned inits and faults are
    consumed with it (a stale [At] entry would otherwise block quiescence
-   forever). *)
+   forever). The window's own oracle sees the crash at its next poll. *)
 let crash w lp =
   let p = w.base + lp in
   append w lp Event.Crash;
   w.crashed.(lp) <- true;
   w.crashes <- p :: w.crashes;
+  w.known <- p :: w.known;
+  w.view <- { w.view with Oracle.crashed = Pid.Set.of_list w.known };
   Channel.drop_in_flight_to w.channel ~dst:lp;
   Channel.forget w.channel ~pid:p;
   w.pending_init_count <-
@@ -259,10 +288,25 @@ let deliver_message w lp (src, msg, _sent_at) =
   append w lp (Event.Recv { src; msg });
   set_state w lp (Protocol.on_recv w.states.(lp) ~now:w.now ~src msg)
 
-(* A send to a destination inside the window is gated and enqueued here
-   ([Channel.send] split in two, so the gate sees global pids); any other
-   destination goes to the caller's [send_out] hook. *)
-let protocol_step w ~send_out lp =
+(* A send to another window is gated on the sender's channel and
+   decision stream ([Channel.send] split in two, so the gate sees global
+   pids and fairness classes do not depend on the partition) and waits in
+   the outbox for the barrier. The sender reads the crashes committed at
+   the last barrier (its view's set, since no crash of its own window can
+   name [dst]); the destination re-checks its exact flag when the batch
+   is injected, so a message is never enqueued for a crashed process. *)
+let send_out w ~src ~dst msg =
+  let n = w.cfg.n in
+  if dst < 0 || dst >= n then
+    invalid_arg (Printf.sprintf "Sim: send to pid %d outside [0, %d)" dst n);
+  if
+    (not (Pid.Set.mem dst w.view.Oracle.crashed))
+    && Channel.gate w.channel ~now:w.now ~src ~dst msg
+  then
+    let k = window_of ~n ~s:(Array.length w.outbox) dst in
+    w.outbox.(k) <- (src, dst, msg) :: w.outbox.(k)
+
+let protocol_step w lp =
   let p = w.base + lp in
   let state', act = Protocol.step w.states.(lp) ~now:w.now in
   set_state w lp state';
@@ -275,7 +319,7 @@ let protocol_step w ~send_out lp =
   | Protocol.Send_to (dst, msg) ->
       append w lp (Event.Send { dst; msg });
       let ld = dst - w.base in
-      if ld < 0 || ld >= w.size then send_out ~src:p ~dst msg
+      if ld < 0 || ld >= w.size then send_out w ~src:p ~dst msg
       else if
         (not w.crashed.(ld))
         && Channel.gate w.channel ~now:w.now ~src:p ~dst msg
@@ -284,7 +328,7 @@ let protocol_step w ~send_out lp =
 (* One scheduling slot for process p. Priorities: crash, then initiation,
    then a changed failure-detector report, then forced (overdue) delivery,
    then a coin flip between delivering a message and a protocol step. *)
-let slot w ~view ~send_out p =
+let slot w p =
   let lp = p - w.base in
   if w.crashed.(lp) then ()
   else if fault_due w lp || decision_crash w lp then crash w lp
@@ -297,7 +341,7 @@ let slot w ~view ~send_out p =
         set_state w lp (Protocol.on_init w.states.(lp) entry.Init_plan.action)
     | None -> (
         let report =
-          match w.cfg.oracle.Oracle.poll p (view ()) with
+          match w.cfg.oracle.Oracle.poll p w.view with
           | None -> None
           | Some r -> (
               match History.Builder.last_suspect w.hists.(lp) with
@@ -316,7 +360,7 @@ let slot w ~view ~send_out p =
                message (older than max_delay) is served first, so every
                kept message is eventually received. *)
             let backlog = Channel.backlog w.channel ~dst:lp in
-            if backlog = 0 then protocol_step w ~send_out lp
+            if backlog = 0 then protocol_step w lp
             else
               (* ADD delay bound: a kept message older than [bound] must
                  be received now — it preempts the whole slot and consumes
@@ -376,106 +420,209 @@ let slot w ~view ~send_out p =
                     in
                     deliver_message w lp
                       (Channel.nth_in_flight w.channel ~dst:lp i)
-              else protocol_step w ~send_out lp))
+              else protocol_step w lp))
 
-let tick w ~view ~send_out now =
+(* The batch the last barrier routed here, sent at the previous tick. *)
+let rec inject w = function
+  | [] -> ()
+  | (src, dst, msg) :: rest ->
+      let lp = dst - w.base in
+      if not w.crashed.(lp) then
+        Channel.inject w.channel ~src ~dst:lp ~sent:(w.now - 1) msg;
+      inject w rest
+
+(* Tick [now] on one window: inject the routed batch, apply the loss
+   schedule, draw the slot order and give every live process one slot
+   (R2). It touches only the window's own state, its decision stream and
+   what the last barrier left it, so windows tick in parallel. *)
+let tick w now =
   w.now <- now;
+  w.view <- { w.view with Oracle.now };
+  (match w.inbox with
+  | [] -> ()
+  | batch ->
+      w.inbox <- [];
+      inject w batch);
   apply_schedule w;
   Decision.order w.source ~tick:now w.order;
-  Array.iter (fun p -> slot w ~view ~send_out p) w.order
+  for i = 0 to w.size - 1 do
+    slot w w.order.(i)
+  done
 
+(* ---- The barrier, sequential in window order ---- *)
+
+(* Move every outbox into its destination's inbox, ordered by sending
+   window, then by send. *)
+let route ws =
+  let s = Array.length ws in
+  for dk = 0 to s - 1 do
+    let inbound = ref [] in
+    for sk = s - 1 downto 0 do
+      match ws.(sk).outbox.(dk) with
+      | [] -> ()
+      | l ->
+          ws.(sk).outbox.(dk) <- [];
+          inbound := List.rev_append l !inbound
+    done;
+    ws.(dk).inbox <- !inbound
+  done
+
+(* Commit the crashes since the last barrier, window by window, oldest
+   first: prune each victim's fairness rows in the other windows' channels
+   too, and restart every view from the committed list. *)
+let commit ws committed =
+  let s = Array.length ws and any = ref false in
+  for k = 0 to s - 1 do
+    match ws.(k).crashes with
+    | [] -> ()
+    | l ->
+        any := true;
+        ws.(k).crashes <- [];
+        List.iter
+          (fun p ->
+            committed := p :: !committed;
+            for j = 0 to s - 1 do
+              if j <> k then Channel.forget ws.(j).channel ~pid:p
+            done)
+          (List.rev l)
+  done;
+  if !any then begin
+    let crashed = Pid.Set.of_list !committed in
+    Array.iter
+      (fun w ->
+        w.known <- !committed;
+        w.view <- { w.view with Oracle.crashed })
+      ws
+  end
+
+(* The goal and quiescence checks run after every tick, so they are
+   loops over windows and local pids that build no closure and no pid
+   list. *)
+let rec live_performed ws a k lp =
+  k = Array.length ws
+  ||
+  let w = ws.(k) in
+  if lp = w.size then live_performed ws a (k + 1) 0
+  else
+    (w.crashed.(lp) || Action_id.Set.mem a (Protocol.performed w.states.(lp)))
+    && live_performed ws a k (lp + 1)
+
+let rec live_decided ws k lp =
+  k = Array.length ws
+  ||
+  let w = ws.(k) in
+  if lp = w.size then live_decided ws (k + 1) 0
+  else
+    (w.crashed.(lp)
+    || not (Action_id.Set.is_empty (Protocol.performed w.states.(lp))))
+    && live_decided ws k (lp + 1)
+
+let rec performed_all ws = function
+  | [] -> true
+  | a :: rest -> live_performed ws a 0 0 && performed_all ws rest
+
+(* every action initiated in window [k] or later *)
+let rec initiated_performed ws k =
+  k = Array.length ws
+  || (performed_all ws ws.(k).initiated && initiated_performed ws (k + 1))
+
+let goal_holds cfg ws =
+  Array.for_all (fun w -> w.pending_init_count = 0) ws
+  &&
+  match cfg.goal with
+  | Run_to_max -> false
+  | All_alive_decided -> live_decided ws 0 0
+  | All_alive_performed -> initiated_performed ws 0
+
+let rec can_fire w = function
+  | [] -> false
+  | e :: rest -> fires w ~by:max_int e || can_fire w rest
+
+let rec quiet w lp =
+  lp = w.size
+  || (w.crashed.(lp) || Protocol.quiescent w.states.(lp))
+     && (not (can_fire w w.pending_faults.(lp)))
+     && quiet w (lp + 1)
+
+(* No process of the window will emit another event unprompted: no
+   pending init, nothing in flight or routed to it, every live process
+   quiescent, and no pending fault whose trigger can still fire. *)
 let quiescent w =
-  let rec quiet lp =
-    lp >= w.size
-    || (w.crashed.(lp) || Protocol.quiescent w.states.(lp)) && quiet (lp + 1)
-  in
   w.pending_init_count = 0
   && Channel.in_flight_count w.channel = 0
-  && quiet 0
-  && (* no pending fault whose trigger can still fire *)
-  not (Array.exists (List.exists (fires w ~by:max_int)) w.pending_faults)
+  && w.inbox = []
+  && quiet w 0
 
-(* ---------- The unsharded engine: one window over [0, n) ---------- *)
-
-let goal_holds w =
-  w.pending_init_count = 0
-  &&
-  match w.cfg.goal with
-  | Run_to_max -> false
-  | All_alive_decided ->
-      List.for_all
-        (fun p ->
-          w.crashed.(p)
-          || not (Action_id.Set.is_empty (Protocol.performed w.states.(p))))
-        (Pid.all w.cfg.n)
-  | All_alive_performed ->
-      List.for_all
-        (fun a ->
-          List.for_all
-            (fun p ->
-              w.crashed.(p)
-              || Action_id.Set.mem a (Protocol.performed w.states.(p)))
-            (Pid.all w.cfg.n))
-        w.initiated
-
-(* One history arena per domain, reused across every run executed on that
-   worker (the Ensemble pool keeps its domains alive across jobs, so the
-   arena converges on the workload's high-water mark and stops
-   allocating). Sealing copies exact-size snapshots, so nothing escapes
-   the arena between seeds. *)
-let arena_key = Domain.DLS.new_key History.Builder.arena
-
-let execute ?decisions cfg make_process =
+let execute_shards ?domains ~sources cfg make_process =
   validate cfg;
-  let source =
-    match decisions with
-    | Some s -> s
-    | None -> Decision.random ~seed:cfg.seed ()
+  let n = cfg.n and s = Array.length sources in
+  if s < 1 || s > n then
+    invalid_arg
+      (Printf.sprintf "Sim.execute_shards: %d sources outside [1, %d]" s n);
+  let view =
+    {
+      Oracle.now = 0;
+      n;
+      crashed = Pid.Set.empty;
+      planned_faulty = Fault_plan.planned_faulty cfg.fault_plan;
+    }
   in
-  let hists, release =
-    History.Builder.acquire (Domain.DLS.get arena_key) ~n:cfg.n
+  let ws =
+    Array.init s (fun k ->
+        let base = window_base ~n ~s k in
+        window cfg ~windows:s ~view ~base
+          ~size:(window_base ~n ~s (k + 1) - base)
+          ~source:sources.(k) make_process)
   in
-  Fun.protect ~finally:release @@ fun () ->
-  let w = window cfg ~base:0 ~size:cfg.n ~source ~hists make_process in
-  (* The view is live: a crash earlier in this tick is already in it. *)
-  let planned_faulty = Fault_plan.planned_faulty cfg.fault_plan in
-  let seen = ref [] and crashed = ref Pid.Set.empty in
-  let view () =
-    if w.crashes != !seen then begin
-      seen := w.crashes;
-      crashed := Pid.Set.of_list w.crashes
-    end;
-    { Oracle.now = w.now; n = cfg.n; crashed = !crashed; planned_faulty }
-  in
-  let send_out ~src:_ ~dst _ =
-    invalid_arg (Printf.sprintf "Sim: send to pid %d outside [0, %d)" dst cfg.n)
-  in
+  let committed = ref [] in
   let reason = ref Max_ticks in
   let drained = ref 0 in
   let blackout_done = ref false in
   (try
      for now = 1 to cfg.max_ticks do
-       tick w ~view ~send_out now;
-       if cfg.blackout_after_do && w.any_do && not !blackout_done then (
-         Channel.drop_all_in_flight w.channel;
+       (* a single window ticks inline, without a pool dispatch *)
+       if s = 1 then tick ws.(0) now
+       else ignore (Ensemble.map_array ?domains (fun w -> tick w now) ws);
+       if s > 1 then route ws;
+       commit ws committed;
+       if
+         cfg.blackout_after_do && (not !blackout_done)
+         && Array.exists (fun w -> w.any_do) ws
+       then (
+         Array.iter
+           (fun w ->
+             Channel.drop_all_in_flight w.channel;
+             w.inbox <- [])
+           ws;
          blackout_done := true);
-       if goal_holds w then (
+       if goal_holds cfg ws then (
          incr drained;
          if !drained > cfg.drain_margin then (
            reason := Goal_reached;
            raise Exit))
        else drained := 0;
-       if quiescent w then (
+       if Array.for_all quiescent ws then (
          reason := Quiescent;
          raise Exit)
      done
    with Exit -> ());
+  let gather f = Array.concat (Array.to_list (Array.map f ws)) in
   {
+    (* every window runs the same ticks *)
     run =
-      Run.make ~n:cfg.n ~horizon:w.now (Array.map History.Builder.seal w.hists);
+      Run.make ~n ~horizon:ws.(0).now
+        (gather (fun w -> Array.map History.Builder.seal w.hists));
     reason = !reason;
-    final_states = w.states;
+    final_states = gather (fun w -> w.states);
   }
+
+let execute ?decisions cfg make_process =
+  let source =
+    match decisions with
+    | Some s -> s
+    | None -> Decision.random ~seed:cfg.seed ()
+  in
+  execute_shards ~sources:[| source |] cfg make_process
 
 let execute_uniform ?decisions cfg proto =
   execute ?decisions cfg (fun p -> Protocol.make proto ~n:cfg.n ~me:p)

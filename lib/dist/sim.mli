@@ -11,10 +11,11 @@
     surface, since the paper's protocols never terminate on their own
     (footnote 10).
 
-    The scheduling slot itself lives in a kernel over a pid window (at
-    the end of this interface): [execute] drives one window over
-    [[0, n)], and [Scale.Shard.execute] drives one per shard, so the two
-    engines share every slot rule by construction. *)
+    One tick loop, {!execute_shards}, runs every simulation: it ticks one
+    contiguous pid window per decision source, then runs one sequential
+    barrier. [execute] is that loop with one window over [[0, n)], and
+    [Scale.Shard.execute] is it with one window per shard, so the two
+    share every slot rule, barrier step and oracle-view rule. *)
 
 type stop_reason = Goal_reached | Quiescent | Max_ticks
 
@@ -104,9 +105,39 @@ type result = {
 (** [execute cfg make_process] runs the system where process [p] executes
     [make_process p]. [decisions] supplies every nondeterministic choice;
     it defaults to [Decision.random ~seed:cfg.seed ()], which reproduces
-    the historical PRNG behaviour bit-identically. *)
+    the historical PRNG behaviour bit-identically. It is
+    [execute_shards ~sources:[| decisions |]]. *)
 val execute :
   ?decisions:Decision.source -> config -> (Pid.t -> Protocol.t) -> result
+
+(** [execute_shards ~sources cfg make_process] splits [[0, n)] into
+    [Array.length sources] balanced contiguous windows (the first
+    [n mod s] hold one extra pid), window [k] drawing every decision from
+    [sources.(k)]. Each tick, every window runs its slots (on the
+    {!Ensemble} pool with [domains], inline when there is one window),
+    each live process getting one slot (R2). Priorities within a slot:
+    crash (planned or granted by the crash budget), then initiation, then
+    a changed oracle report, then forced delivery (ADD bound, then
+    [max_delay]), then the deliver-vs-step coin. A sequential barrier then
+    routes the sends that crossed windows (they arrive at the next tick),
+    commits the tick's crashes, applies the blackout, and checks the goal
+    with its drain margin and quiescence.
+
+    The oracle view: a window's oracle sees the crashes committed at the
+    last barrier plus the window's own crashes since. With one window
+    that is every crash so far, a crash earlier in the tick included.
+
+    With more than one source, [cfg] must have crash budget 0 and
+    [At]-triggered faults only ([Scale.Shard] checks this): a window
+    counts its own crash budget and reads its own pids' actions.
+    @raise Invalid_argument if [cfg] fails {!validate} or the number of
+    sources is outside [[1, n]]. *)
+val execute_shards :
+  ?domains:int ->
+  sources:Decision.source array ->
+  config ->
+  (Pid.t -> Protocol.t) ->
+  result
 
 (** All processes run the same protocol. *)
 val execute_uniform :
@@ -123,72 +154,3 @@ val replay :
   trace:Decision.t list -> config -> (Pid.t -> Protocol.t) -> result
 
 val pp_stop_reason : Format.formatter -> stop_reason -> unit
-
-(** {1 The scheduling kernel}
-
-    The slot logic both engines share, over a contiguous pid {e window}
-    [[base, base + size)]. Per-pid arrays are indexed locally
-    ([pid - base]); decisions, fairness rows and events carry global
-    pids. [execute] drives one window over [[0, n)] and adds the goal,
-    drain, blackout and a live oracle view (a crash is visible to the
-    next poll, within the same tick); [Scale.Shard] drives one window per
-    shard and adds the cross-shard barrier and a view committed at each
-    barrier. *)
-
-type window = {
-  cfg : config;
-  base : int;
-  size : int;
-  source : Decision.source;
-  channel : Channel.t;  (** in-flight queues of the window's destinations *)
-  hists : History.Builder.t array;
-  states : Protocol.t array;
-  crashed : bool array;
-  order : Pid.t array;  (** the slot order, permuted in place every tick *)
-  pending_inits : Init_plan.entry list array;  (** per owner, plan order *)
-  mutable pending_init_count : int;
-  pending_faults : Fault_plan.entry list array;  (** per victim, plan order *)
-  mutable schedule : (int * float) list;  (** loss-schedule entries ahead *)
-  mutable crashes : Pid.t list;
-      (** crashed pids, newest first; the caller may clear it once read *)
-  mutable initiated : Action_id.t list;
-  mutable any_do : bool;
-  mutable crash_budget_left : int;
-  done_actions : Action_id.Set.t array;
-  mutable now : int;  (** the current (or last) tick *)
-}
-
-(** [window cfg ~base ~size ~source ~hists make_process] builds the window
-    [[base, base + size)]: its slice of the init and fault plans, a
-    channel that draws drop decisions from [source], [size] empty
-    builders [hists], and the states [make_process p]. Loss-schedule
-    entries at tick 0 or earlier are applied at once. [cfg] must pass
-    {!validate}. *)
-val window :
-  config ->
-  base:int ->
-  size:int ->
-  source:Decision.source ->
-  hists:History.Builder.t array ->
-  (Pid.t -> Protocol.t) ->
-  window
-
-(** [tick w ~view ~send_out now] runs tick [now] on [w]: it applies the
-    loss schedule, draws the slot order and gives every live process one
-    slot (R2). Priorities within a slot: crash (planned or granted by the
-    crash budget), then initiation, then a changed oracle report (polled
-    with [view ()]), then forced delivery (ADD bound, then [max_delay]),
-    then the deliver-vs-step coin. A send to a pid inside the window is
-    gated and enqueued here; [send_out ~src ~dst msg] receives every
-    other send, ungated. *)
-val tick :
-  window ->
-  view:(unit -> Oracle.view) ->
-  send_out:(src:Pid.t -> dst:Pid.t -> Message.t -> unit) ->
-  int ->
-  unit
-
-(** No process of the window will emit another event unprompted: no
-    pending init, nothing in flight, every live process quiescent, and no
-    pending fault whose trigger can still fire. *)
-val quiescent : window -> bool

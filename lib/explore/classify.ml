@@ -425,8 +425,11 @@ type kset_certificate = { k : int; repro : Repro.t; explored : int }
 (* Negative cells are certified with the adversary playing the detector:
    the explorer controls suspicions directly ([Adversarial.oracle]), so
    a violation is a legal schedule + suspicion pattern under which the
-   min-rule protocol decides more than [k] values — exactly what an
-   oracle below (S,k) permits. *)
+   min-rule protocol decides more than [k] values. Nothing confines the
+   suspicions to a class, and the min rule needs more than (S,k): a
+   falsely suspected proposer may be heard by some deciders and skipped
+   by others under a timeline inside (S,k). So a certificate shows what
+   the min rule needs, not a class boundary for the problem. *)
 let certify_kset ~k ~n =
   Result.bind (check_k ~k ~n) (fun () ->
       let config =

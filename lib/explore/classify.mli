@@ -186,7 +186,8 @@ type kset_certificate = {
     {!Engine.default_options} over 40-tick runs and the {e adversarial}
     oracle playing the detector (explorer-chosen suspicions), for a
     legal schedule on which the min-rule protocol decides more than [k]
-    values — evidence that an oracle below (S,k) admits the violation.
-    [Error] when the bounded space contains none, and when [k] is
-    outside [\[1, n - 1\]], as {!kset} does. *)
+    values. The suspicions are unconstrained, so the certificate names no
+    detector class: such a run may even respect (S,k), since the min rule
+    needs more than (S,k). [Error] when the bounded space contains none,
+    and when [k] is outside [\[1, n - 1\]], as {!kset} does. *)
 val certify_kset : k:int -> n:int -> (kset_certificate, string) result

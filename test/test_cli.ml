@@ -343,6 +343,15 @@ let pinned_witnesses () =
           ( explore (kset_lb @ [ "--mode"; "fuzz"; "--max-runs"; "3000" ]),
             "14",
             "1a0c5e66c1d371473775b62622c466d4" );
+          (* no crash, and a suspicion timeline inside (S,2) *)
+          ( explore
+              [
+                "--protocol"; "kset"; "--property"; "kset:2";
+                "--adversarial-oracle"; "--crash-budget"; "0"; "-n"; "5";
+                "--depth"; "4"; "--max-ticks"; "60";
+              ],
+            "16",
+            "9031758c8c8feaac336eb5d04ee9985d" );
           ( [
               "classify"; "-b"; "phi"; "-r"; "lossy"; "--runs"; "8";
               "--max-ticks"; "200"; "--certify";

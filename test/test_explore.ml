@@ -637,6 +637,60 @@ let kset_certify () =
           | Ok _ -> ()
           | Error e -> Alcotest.failf "reloaded replay failed: %s" e))
 
+(* The witness of `udc explore --protocol kset --property kset:2
+   --adversarial-oracle --crash-budget 0 -n 5 --depth 4 --max-ticks 60`
+   (test_cli pins its repro): the min rule decides three values with no
+   crash, under a suspicion timeline that S and (S,2) accept. So an
+   unconstrained certificate shows that the min rule needs more than
+   (S,k); it shows no class boundary. *)
+let kset_witness_inside_sk () =
+  let n = 5 in
+  let config =
+    {
+      (Sim.config ~n ~seed:42L) with
+      Sim.init_plan = Explore.Classify.proposal_plan n;
+      max_ticks = 60;
+    }
+  in
+  let problem =
+    Explore.Problem.make ~name:"kset" ~adversarial_oracle:true ~config
+      ~protocol:(Result.get_ok (Explore.Protocols.instantiate "kset" ~n))
+      ~protocol_label:"kset" (Explore.Property.Kset 2)
+  in
+  let options =
+    { Explore.Engine.default_options with mode = Explore.Engine.Dpor }
+  in
+  match Explore.Engine.search ~options problem with
+  | Explore.Engine.Violation (w, _), _ -> (
+      let repro =
+        Explore.Repro.of_shrunk problem (Explore.Shrink.minimize problem w)
+      in
+      Alcotest.(check string) "digest" "9031758c8c8feaac336eb5d04ee9985d"
+        repro.Explore.Repro.digest;
+      match Explore.Repro.replay repro with
+      | Error e -> Alcotest.failf "repro failed to replay: %s" e
+      | Ok (result, _) ->
+          let run = result.Sim.run in
+          Alcotest.(check (list int)) "no crash" []
+            (Pid.Set.elements (Run.faulty run));
+          List.iter
+            (fun (cls, holds) ->
+              Alcotest.(check bool)
+                (Detector.Spec.cls_name cls)
+                holds
+                (Result.is_ok (Detector.Spec.satisfies cls run)))
+            Detector.Spec.
+              [
+                (Strong_k 2, true);
+                (Strong, true);
+                (Strong_k 3, true);
+                (Weak, true);
+                (Eventually_strong, true);
+                (Perfect, false);
+                (Eventually_perfect, false);
+              ])
+  | _ -> Alcotest.fail "expected a k-set violation"
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [ trace_roundtrip; record_replay_digest; unrecorded_run_matches ]
@@ -668,6 +722,8 @@ let suite =
         `Quick kset_knowledge_ignores_skips;
       Alcotest.test_case "kset negative cell certified by adversary" `Slow
         kset_certify;
+      Alcotest.test_case "kset witness: timeline inside (S,2)" `Slow
+        kset_witness_inside_sk;
     ]
   @ List.map
       (fun ((name, _, _) as sc) ->

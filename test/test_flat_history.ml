@@ -1,7 +1,6 @@
 (* Differential tests of the flat struct-of-arrays history against the
    retained legacy cons-list implementation ({!History.Reference}), plus
-   arena-reuse isolation and pinned run digests for the whole
-   sim -> run -> digest pipeline. *)
+   pinned run digests for the whole sim -> run -> digest pipeline. *)
 
 let alpha owner tag = Action_id.make ~owner ~tag
 
@@ -95,42 +94,6 @@ let builder_matches_functional =
            (fun m ->
              same (History.prefix_upto sealed m) (History.prefix_upto f m))
            (List.init (max_tick + 2) Fun.id))
-
-(* Arena reuse must not leak state between acquisitions: re-acquired
-   builders come back reset, and histories sealed before the release are
-   immutable snapshots untouched by later generations. *)
-let arena_reuse_no_leak () =
-  let arena = History.Builder.arena () in
-  let bs, release = History.Builder.acquire arena ~n:2 in
-  History.Builder.append bs.(0) (Event.Init (alpha 0 0)) ~tick:1;
-  History.Builder.append bs.(0) (Event.Do (alpha 0 0)) ~tick:2;
-  History.Builder.append bs.(0) Event.Crash ~tick:5;
-  History.Builder.append bs.(1) (Event.Do (alpha 1 0)) ~tick:3;
-  let a0 = History.Builder.seal bs.(0) in
-  let a1 = History.Builder.seal bs.(1) in
-  release ();
-  let bs, release = History.Builder.acquire arena ~n:2 in
-  Alcotest.(check int) "reacquired builder is reset" 0
-    (History.Builder.length bs.(0));
-  Alcotest.(check bool) "crash flag is reset" false
-    (History.Builder.is_crashed bs.(0));
-  History.Builder.append bs.(0) (Event.Init (alpha 9 9)) ~tick:7;
-  let b0 = History.Builder.seal bs.(0) in
-  let b1 = History.Builder.seal bs.(1) in
-  release ();
-  Alcotest.(check bool) "second generation carries only its own events"
-    true
-    (History.timed_events b0 = [ (Event.Init (alpha 9 9), 7) ]
-    && History.length b1 = 0);
-  Alcotest.(check bool) "first-generation snapshots intact" true
-    (History.timed_events a0
-     = [
-         (Event.Init (alpha 0 0), 1);
-         (Event.Do (alpha 0 0), 2);
-         (Event.Crash, 5);
-       ]
-    && History.timed_events a1 = [ (Event.Do (alpha 1 0), 3) ]
-    && History.is_crashed a0)
 
 (* Run digests of fixed simulations. The first five runs were pinned
    under the legacy cons-list representation, before the flattening, and
@@ -433,7 +396,6 @@ let qsuite =
 
 let suite =
   [
-    Alcotest.test_case "arena reuse does not leak" `Quick arena_reuse_no_leak;
     Alcotest.test_case "run digests pinned to legacy representation" `Quick
       pinned_digests;
     Alcotest.test_case "digest separates a per-history hash collision" `Quick

@@ -1,6 +1,7 @@
-(* The sharded large-n engine: shards=1 bit-identity with Sim.execute,
-   determinism across shard/domain counts, record/replay, the ring
-   detector cores, and the statistical estimator. *)
+(* The sharded large-n engine: shards=1 bit-identity with Sim.execute
+   for every oracle, determinism across shard/domain counts,
+   record/replay, the ring detector cores, and the statistical
+   estimator. *)
 
 let ring_pair backend ~n ~degree =
   match Detector.Backends.of_ring_label backend with
@@ -30,11 +31,15 @@ let exec_sharded ?domains backend ~shards ~n ~seed ~ticks =
 
 (* ---------- Sim and Shard over random supported configurations ---------- *)
 
+(* The oracle a case runs under: the detector pair's own, none, or a
+   perfect oracle, which reports the view's crash set. *)
+type oracle = Pair | No_oracle | Perfect
+
 (* One configuration [Shard.validate] accepts, and how to rebuild its
    single-use detector pair for every execution. *)
 type case = {
   backend : string;
-  with_oracle : bool; (* the pair's oracle, or [Oracle.none] *)
+  oracle : oracle;
   committee : int; (* pids [0..c-1] run [Ack_udc]; 0 = no committee *)
   cfg : Sim.config; (* [oracle] is filled in by [build] *)
 }
@@ -50,21 +55,33 @@ let build c =
     | Some mk -> mk ~degree:2 ?committee ~n:c.cfg.Sim.n ()
     | None -> Alcotest.failf "unknown ring backend %s" c.backend
   in
-  ( {
-      c.cfg with
-      Sim.oracle =
-        (if c.with_oracle then pair.Detector.Backends.oracle else Oracle.none);
-    },
-    pair.Detector.Backends.protocol )
+  let oracle =
+    match c.oracle with
+    | Pair -> pair.Detector.Backends.oracle
+    | No_oracle -> Oracle.none
+    | Perfect ->
+        (* one instance per process, so windows ticking on different
+           domains share no table *)
+        let per_pid =
+          Array.init c.cfg.Sim.n (fun _ -> Detector.Oracles.perfect ())
+        in
+        { Oracle.name = "perfect"; poll = (fun p v -> per_pid.(p).poll p v) }
+  in
+  ({ c.cfg with Sim.oracle }, pair.Detector.Backends.protocol)
 
 let show_case c =
   let cfg = c.cfg in
   let pairs f l = String.concat "; " (List.map f l) in
   Format.asprintf
-    "%s oracle=%b committee=%d n=%d seed=%LdL ticks=%d loss=%g \
+    "%s oracle=%s committee=%d n=%d seed=%LdL ticks=%d loss=%g \
      link_loss=[%s] schedule=[%s] add=%s max_delay=%d max_drops=%d \
      faults=%a inits=%a"
-    c.backend c.with_oracle c.committee cfg.Sim.n cfg.Sim.seed
+    c.backend
+    (match c.oracle with
+    | Pair -> "pair"
+    | No_oracle -> "none"
+    | Perfect -> "perfect")
+    c.committee cfg.Sim.n cfg.Sim.seed
     cfg.Sim.max_ticks cfg.Sim.loss_rate
     (pairs (fun ((s, d), r) -> Printf.sprintf "%d->%d:%g" s d r)
        cfg.Sim.link_loss)
@@ -89,7 +106,7 @@ let current_cases =
         (fun seed ->
           {
             backend;
-            with_oracle = true;
+            oracle = Pair;
             committee = 0;
             cfg = scale_config ~n:7 ~seed ~ticks:120;
           })
@@ -98,7 +115,7 @@ let current_cases =
   @ [
       {
         backend = "gossip";
-        with_oracle = true;
+        oracle = Pair;
         committee = estimator.Scale.Estimate.committee;
         cfg = Scale.Estimate.config estimator ~seed:7L;
       };
@@ -112,7 +129,7 @@ let case_gen =
   let pid = int_range 0 (n - 1) in
   let tick = int_range 0 ticks in
   let* backend = oneofl Detector.Backends.labels
-  and* with_oracle = bool
+  and* oracle = oneofl [ Pair; No_oracle; Perfect ]
   and* committee = oneofl [ 0; 0; 2; 3 ]
   and* seed = ui64
   and* loss_rate = oneofl [ 0.0; 0.2; 0.45; 0.8 ]
@@ -146,7 +163,7 @@ let case_gen =
   return
     {
       backend;
-      with_oracle;
+      oracle;
       committee = min committee n;
       cfg =
         {
@@ -212,10 +229,10 @@ let engines_agree =
       true)
 
 (* Sharded digests pinned while Sim and Shard still carried two copies of
-   the scheduling slot: a refactor of the kernel must not move them.
-   n=13 splits unevenly at every shard count. The committee runs also
-   pin how the pair builder wires an application protocol under each
-   ring core. *)
+   the scheduling slot, and kept when they became one tick loop: a
+   refactor of the loop must not move them. n=13 splits unevenly at every
+   shard count. The committee runs also pin how the pair builder wires an
+   application protocol under each ring core. *)
 let sharded_pinned_digests () =
   let digest ?(committee = 0) ?add backend ~shards =
     let cfg = scale_config ~n:13 ~seed:2026L ~ticks:100 in
@@ -229,7 +246,7 @@ let sharded_pinned_digests () =
         { cfg with Sim.init_plan = Init_plan.one ~owner:0 ~at:1 }
       else cfg
     in
-    let cfg, proto = build { backend; with_oracle = true; committee; cfg } in
+    let cfg, proto = build { backend; oracle = Pair; committee; cfg } in
     Run.digest (Scale.Shard.execute ~shards cfg proto).Sim.run
   in
   let cells =
