@@ -331,6 +331,7 @@ let explore scenario t property proto_label n seed mode search_depth window
                 let property =
                   ok_or_usage "explore" (Explore.Property.of_string p)
                 in
+                ok_or_usage "explore" (Explore.Property.check property ~n);
                 let protocol =
                   ok_or_usage "explore"
                     (Explore.Protocols.instantiate proto_label ~n)

@@ -134,19 +134,18 @@ module P : Protocol.S = struct
 end
 
 let app_quiescent_after run =
-  let idx = Run_index.of_run run in
   let last_app_send = ref None in
   List.iter
     (fun p ->
-      Array.iter
-        (fun (e, tick) ->
+      History.iter
+        (fun e ~tick ->
           match e with
           | Event.Send { msg = Message.Heartbeat _; _ } -> ()
           | Event.Send _ ->
               if !last_app_send = None || Option.get !last_app_send < tick
               then last_app_send := Some tick
           | _ -> ())
-        (Run_index.events idx p))
+        (Run.history run p))
     (Pid.all (Run.n run));
   match !last_app_send with
   | Some t when t < Run.horizon run -> Some t

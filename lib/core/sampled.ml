@@ -23,8 +23,8 @@ let f_overclaim ?domains env =
     let reports = ref 0 and false_suspicions = ref 0 in
     List.iter
       (fun p ->
-        Array.iter
-          (fun (e, tick) ->
+        History.iter
+          (fun e ~tick ->
             match e with
             | Event.Suspect r ->
                 Pid.Set.iter
@@ -34,7 +34,7 @@ let f_overclaim ?domains env =
                       incr false_suspicions)
                   (Report.suspects r)
             | _ -> ())
-          (Run_index.events fidx p))
+          (Run.history fr p))
       (Pid.all (Run.n fr));
     let complete =
       Pid.Set.for_all

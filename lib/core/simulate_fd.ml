@@ -12,12 +12,11 @@ let subset_of_index ~n l =
 let transform env ~run:ri ~report =
   let sys = Epistemic.Checker.system env in
   let r = Epistemic.System.run sys ri in
-  let idx = Epistemic.System.index sys ri in
   let n = Run.n r in
   let horizon = Run.horizon r in
   let transform_process p =
-    let timed = Run_index.events idx p in
-    let len = Array.length timed in
+    let h = Run.history r p in
+    let len = History.length h in
     let crash_tick = Run.crash_tick r p in
     let alive_at m =
       match crash_tick with None -> true | Some tc -> tc > m
@@ -34,17 +33,14 @@ let transform env ~run:ri ~report =
           ~tick:((2 * m) + 1);
       (* skip failure-detector events of the original run *)
       while
-        !cursor < len && Event.is_failure_detector (fst timed.(!cursor))
+        !cursor < len && Event.is_failure_detector (History.event h !cursor)
       do
         incr cursor
       done;
       (* even tick 2m+2: the original event of tick m+1, if any *)
-      if !cursor < len then begin
-        let e, tick = timed.(!cursor) in
-        if tick = m + 1 then begin
-          History.Builder.append b e ~tick:((2 * m) + 2);
-          incr cursor
-        end
+      if !cursor < len && History.tick h !cursor = m + 1 then begin
+        History.Builder.append b (History.event h !cursor) ~tick:((2 * m) + 2);
+        incr cursor
       end
     done;
     History.Builder.seal b

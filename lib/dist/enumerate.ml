@@ -87,8 +87,8 @@ let last_suspect h =
   let rec go i =
     if i < 0 then None
     else
-      match History.get h i with
-      | Event.Suspect r, _ -> Some r
+      match History.event h i with
+      | Event.Suspect r -> Some r
       | _ -> go (i - 1)
   in
   go (History.length h - 1)

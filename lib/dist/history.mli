@@ -14,7 +14,12 @@
     O(log n) with full structure sharing. A history carries no cached
     hash. The functional {!append} copies and is the cold path. The
     simulator's hot loop appends through {!Builder}, one mutable builder
-    per process and run, sealed into a {!t} when the run ends. *)
+    per process and run, sealed into a {!t} when the run ends.
+
+    A sealed history is the only store of a run's events: the run index
+    keeps tables, not a copy, and the index, the checkers and the run
+    transforms read the history in place, through {!iter} or the
+    allocation-free positional reads {!event} and {!tick}. *)
 
 type t
 
@@ -39,20 +44,17 @@ val events : t -> Event.t list
 (** Events with their ticks, chronological. *)
 val timed_events : t -> (Event.t * int) list
 
-(** Events with their ticks, newest first. *)
-val rev_timed_events : t -> (Event.t * int) list
-
-(** Events with their ticks, chronological, as a fresh array — the
-    allocation-light bulk accessor for indexers. *)
-val timed_array : t -> (Event.t * int) array
-
 (** [iter f h] applies [f] to every event in chronological order without
     materializing a list. *)
 val iter : (Event.t -> tick:int -> unit) -> t -> unit
 
-(** [get h i] is the [i]-th event (chronological, 0-based) with its tick.
-    O(1). Raises [Invalid_argument] out of bounds. *)
-val get : t -> int -> Event.t * int
+(** [event h i] is the [i]-th event (chronological, 0-based). O(1), and
+    allocates nothing. Raises [Invalid_argument] out of bounds. *)
+val event : t -> int -> Event.t
+
+(** [tick h i] is the tick of the [i]-th event. O(1), and allocates
+    nothing. Raises [Invalid_argument] out of bounds. *)
+val tick : t -> int -> int
 
 (** [prefix_upto h m] is the history restricted to events with tick <= [m]
     — i.e. [p]'s component of the cut [r(m)]. O(log n), shares the
@@ -109,24 +111,4 @@ module Builder : sig
 
   (** Exact-size snapshot; shares nothing with the builder. *)
   val seal : t -> history
-end
-
-(** The legacy cons-list implementation, retained as the executable
-    specification for differential tests: same validation, same accessor
-    semantics, same chronological hash fold. *)
-module Reference : sig
-  type t
-
-  val empty : t
-  val append : t -> Event.t -> tick:int -> t
-  val length : t -> int
-  val is_crashed : t -> bool
-  val events : t -> Event.t list
-  val timed_events : t -> (Event.t * int) list
-  val rev_timed_events : t -> (Event.t * int) list
-  val prefix_upto : t -> int -> t
-  val last : t -> Event.t option
-  val last_tick : t -> int option
-  val equal_timed : t -> t -> bool
-  val hash_timed_events : t -> int
 end

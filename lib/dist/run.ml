@@ -48,8 +48,8 @@ let do_tick t p alpha =
   let rec go i =
     if i >= len then None
     else
-      match History.get h i with
-      | Event.Do a, tick when Action_id.equal a alpha -> Some tick
+      match History.event h i with
+      | Event.Do a when Action_id.equal a alpha -> Some (History.tick h i)
       | _ -> go (i + 1)
   in
   go 0
@@ -230,7 +230,7 @@ let check_r2 t =
     let rec go last i =
       if i >= len then Ok ()
       else
-        let _, tick = History.get h i in
+        let tick = History.tick h i in
         if tick <= last then errorf "R2 violated at %a: tick %d" Pid.pp p tick
         else if tick > t.horizon then
           errorf "R2 violated at %a: tick %d beyond horizon" Pid.pp p tick
@@ -292,8 +292,9 @@ let check_r3 t =
     let rec go i =
       if i >= len then Ok ()
       else
-        match History.get h i with
-        | Event.Recv { src; msg }, tick ->
+        match History.event h i with
+        | Event.Recv { src; msg } ->
+            let tick = History.tick h i in
             let key = (src, q, msg) in
             let cursor, consumed =
               Option.value ~default:(0, 0) (Channel_msg.find_opt state key)
@@ -325,7 +326,7 @@ let check_r4 t =
     let len = History.length h in
     let rec go i =
       if i >= len - 1 then Ok ()
-      else if Event.is_crash (fst (History.get h i)) then
+      else if Event.is_crash (History.event h i) then
         errorf "R4 violated at %a: crash is not last" Pid.pp p
       else go (i + 1)
     in

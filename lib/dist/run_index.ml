@@ -9,7 +9,6 @@ type counts = {
 
 type t = {
   run : Run.t;
-  events : (Event.t * int) array array; (* [p] -> chronological *)
   first_dos : (int * int * int, int) Hashtbl.t; (* p,owner,tag *)
   first_inits : (int * int, int) Hashtbl.t; (* owner,tag *)
   initiated : (Action_id.t * int) list;
@@ -41,7 +40,6 @@ let build r =
   let first tbl key tick =
     if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key tick
   in
-  let events = Array.init n (fun p -> History.timed_array (Run.history r p)) in
   let initiated_rev = ref [] in
   let susp_rev = Array.make n [] in
   let all_susp_rev = Array.make n [] in
@@ -56,8 +54,8 @@ let build r =
         gossip_cur.(p) <- cur'
       end
     in
-    Array.iter
-      (fun (e, tick) ->
+    History.iter
+      (fun e ~tick ->
         match e with
         | Event.Send _ -> incr sends
         | Event.Recv { msg; _ } -> (
@@ -94,12 +92,11 @@ let build r =
                 susp_rev.(p) <- (tick, s) :: susp_rev.(p);
                 gossip_grow tick std
             | Report.Correct_set _ -> susp_rev.(p) <- (tick, s) :: susp_rev.(p)))
-      events.(p)
+      (Run.history r p)
   done;
   Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) performers;
   {
     run = r;
-    events;
     first_dos;
     first_inits;
     initiated = List.rev !initiated_rev;
@@ -161,15 +158,19 @@ let of_run r =
               Cache.add cache r idx;
               idx)
 
-let events t p = t.events.(p)
-
-(* A scan, not a table: see [first_send] in the interface. *)
+(* A scan of the sealed history, not a table: see [first_send] in the
+   interface. *)
 let first_event t p matches =
-  if p < 0 || p >= Array.length t.events then None
+  if p < 0 || p >= Run.n t.run then None
   else
-    Array.find_map
-      (fun (e, tick) -> if matches e then Some tick else None)
-      t.events.(p)
+    let h = Run.history t.run p in
+    let len = History.length h in
+    let rec go i =
+      if i >= len then None
+      else if matches (History.event h i) then Some (History.tick h i)
+      else go (i + 1)
+    in
+    go 0
 
 let first_send t ~src ~dst msg =
   first_event t src (function

@@ -7,11 +7,13 @@
     happen", "what was the suspicion set at tick m", "which actions exist".
     Answering them off the raw [History.timed_events] lists re-walks the
     whole run at every call site. This module computes, once per run, the
-    tables those questions read in O(1)/O(log) time:
+    tables those questions read in O(1)/O(log) time, in one fold over
+    each sealed history ({!History.iter}). It keeps no copy of the
+    events: the run's histories are their only store, and a reader that
+    wants the events themselves walks [Run.history] in place.
 
-    - per-process chronological event arrays with ticks;
     - first-tick tables for the [Crashed]/[Did]/[Inited] primitives
-      ([Sent]/[Received] scan one process's event array instead: see
+      ([Sent]/[Received] scan one process's history instead: see
       {!first_send});
     - per-watcher suspicion timelines as sorted change-lists (both the raw
       detector timeline and the derived gossip timeline of Prop 2.1), and
@@ -28,18 +30,15 @@ type t
 (** [of_run r] builds — or returns the cached — index of [r]. *)
 val of_run : Run.t -> t
 
-(** All events of [p], chronological, with ticks. *)
-val events : t -> Pid.t -> (Event.t * int) array
-
 (** First tick at which [src] sent [msg] (under [Message.equal]) to [dst],
-    if ever. A scan of [src]'s event array, O(events of [src]): only the
+    if ever. A scan of [src]'s history, O(events of [src]): only the
     model checker's [Sent] tables ask, once per (primitive, run), so a
     table keyed by message would cost every send of every indexed run far
     more than the scans it saves. *)
 val first_send : t -> src:Pid.t -> dst:Pid.t -> Message.t -> int option
 
 (** First tick at which [dst] received [msg] (under [Message.equal]) from
-    [src], if ever. A scan of [dst]'s event array, as {!first_send}. *)
+    [src], if ever. A scan of [dst]'s history, as {!first_send}. *)
 val first_recv : t -> dst:Pid.t -> src:Pid.t -> Message.t -> int option
 
 (** Crash tick of [p] (same as {!Run.crash_tick}). *)

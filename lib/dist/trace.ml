@@ -14,7 +14,6 @@ end)
 (* Pair each receive with the earliest unmatched send of the same
    (src, dst, content): the same FIFO discipline as the R3 checker. *)
 let match_messages run =
-  let idx = Run_index.of_run run in
   let n = Run.n run in
   (* (src,dst,msg) -> (tick, id option ref) list; accumulated newest
      first (cons, not the quadratic [l @ [x]]), reversed once when
@@ -22,8 +21,8 @@ let match_messages run =
   let sends = ref Channel_map.empty in
   List.iter
     (fun p ->
-      Array.iter
-        (fun (e, tick) ->
+      History.iter
+        (fun e ~tick ->
           match e with
           | Event.Send { dst; msg } ->
               sends :=
@@ -32,7 +31,7 @@ let match_messages run =
                     Some ((tick, ref None) :: Option.value ~default:[] prev))
                   !sends
           | _ -> ())
-        (Run_index.events idx p))
+        (Run.history run p))
     (Pid.all n);
   let sends = Channel_map.map List.rev !sends in
   let counter = ref 0 in
@@ -40,8 +39,8 @@ let match_messages run =
   let send_ids = Hashtbl.create 64 and recv_ids = Hashtbl.create 64 in
   List.iter
     (fun q ->
-      Array.iter
-        (fun (e, tick) ->
+      History.iter
+        (fun e ~tick ->
           match e with
           | Event.Recv { src; msg } -> (
               match Channel_map.find_opt (src, q, msg) sends with
@@ -59,7 +58,7 @@ let match_messages run =
                       Hashtbl.replace send_ids (src, st) !counter;
                       Hashtbl.replace recv_ids (q, tick) !counter))
           | _ -> ())
-        (Run_index.events idx q))
+        (Run.history run q))
     (Pid.all n);
   (send_ids, recv_ids)
 
@@ -68,7 +67,7 @@ let cell_width = 24
 let pp ppf run =
   let n = Run.n run in
   let send_ids, recv_ids = match_messages run in
-  let describe p (e, tick) =
+  let describe p e ~tick =
     match e with
     | Event.Send { dst; msg } -> (
         let txt = Format.asprintf "%a" Message.pp msg in
@@ -89,14 +88,13 @@ let pp ppf run =
   (* events per (tick, pid) *)
   let cells = Hashtbl.create 64 in
   let ticks = ref [] in
-  let idx = Run_index.of_run run in
   List.iter
     (fun p ->
-      Array.iter
-        (fun ((_, tick) as te) ->
-          Hashtbl.replace cells (tick, p) (describe p te);
+      History.iter
+        (fun e ~tick ->
+          Hashtbl.replace cells (tick, p) (describe p e ~tick);
           ticks := tick :: !ticks)
-        (Run_index.events idx p))
+        (Run.history run p))
     (Pid.all n);
   let ticks = List.sort_uniq Int.compare !ticks in
   Format.fprintf ppf "%6s" "tick";

@@ -74,27 +74,25 @@ let of_runs run_list =
       let horizon = Run.horizon run in
       for p = 0 to n - 1 do
         let ids = Array.make (horizon + 1) 0 in
-        let timed = Run_index.events indexes.(ri) p in
-        let len = Array.length timed in
+        let h = Run.history run p in
+        let len = History.length h in
         let cls = ref 0 in
         let cursor = ref 0 in
         for tick = 0 to horizon do
-          (if !cursor < len then
-             let e, etick = timed.(!cursor) in
-             if etick = tick then begin
-               let eid = intern_event e in
-               let key = (!cls, eid) in
-               let next =
-                 match Hashtbl.find_opt tries.(p) key with
-                 | Some c -> c
-                 | None ->
-                     let c = fresh p in
-                     Hashtbl.add tries.(p) key c;
-                     c
-               in
-               cls := next;
-               incr cursor
-             end);
+          (if !cursor < len && History.tick h !cursor = tick then begin
+             let eid = intern_event (History.event h !cursor) in
+             let key = (!cls, eid) in
+             let next =
+               match Hashtbl.find_opt tries.(p) key with
+               | Some c -> c
+               | None ->
+                   let c = fresh p in
+                   Hashtbl.add tries.(p) key c;
+                   c
+             in
+             cls := next;
+             incr cursor
+           end);
           ids.(tick) <- !cls;
           member_add p !cls (ri, tick)
         done;

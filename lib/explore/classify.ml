@@ -342,12 +342,8 @@ let kset_knowledge ~k run =
   let ks2 = deciders <> [] && List.length core >= min k (List.length correct) in
   (ks1, ks2)
 
-(* n processes decide at most n values, so k-agreement with k >= n holds
-   on every run: such a cell would score a vacuous "attained" *)
-let check_k ~k ~n =
-  if k < 1 || k > n - 1 then
-    Error (Printf.sprintf "-k %d outside [1, %d]" k (n - 1))
-  else Ok ()
+(* a cell with k >= n would score a vacuous "attained" *)
+let check_k ~k ~n = Result.map_error (( ^ ) "-k ") (Property.check_k ~k ~n)
 
 (* one run's verdicts, which {!kset} counts over the ensemble *)
 type kset_run = {

@@ -79,6 +79,19 @@ let of_string s =
                s
                (String.concat " | " (List.map to_string all))))
 
+let check_k ~k ~n =
+  if k < 1 || k > n - 1 then
+    Error (Printf.sprintf "%d outside [1, %d]" k (n - 1))
+  else Ok ()
+
+let check t ~n =
+  match t with
+  | Kset k ->
+      Result.map_error
+        (fun e -> Printf.sprintf "property %s: k %s" (to_string t) e)
+        (check_k ~k ~n)
+  | _ -> Ok ()
+
 let of_violation = function Ok () -> None | Error e -> Some e
 
 (* The epistemic route: check the DC2 validity statement on the packed

@@ -29,6 +29,19 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 val all : t list
 
+(** [check_k ~k ~n] rejects a k-set bound outside [[1, n - 1]] with
+    ["K outside [1, N-1]"], which callers prefix with what names [k]:
+    [n] processes decide at most [n] values, so k-set agreement with
+    [k >= n] holds on every run, and a search or a cell scoring it would
+    certify a vacuous property. *)
+val check_k : k:int -> n:int -> (unit, string) result
+
+(** [check t ~n] rejects a property no run of [n] processes can violate:
+    [Kset k] with [k] outside [[1, n - 1]] ({!check_k}). Every other
+    property passes. [udc explore] runs it before any run, and a repro
+    file that fails it does not load. *)
+val check : t -> n:int -> (unit, string) result
+
 (** [violation t run] is [Some description] when the run violates the
     property (for [Expect], when it exhibits the expected violation). *)
 val violation : t -> Run.t -> string option

@@ -145,6 +145,9 @@ let of_string text =
   let* prop_s = field fields "property" in
   let* property = Property.of_string prop_s in
   let* n = int_field fields "n" in
+  let* () =
+    Result.map_error (( ^ ) "repro file: ") (Property.check property ~n)
+  in
   let* seed_s = field fields "seed" in
   let* seed =
     match Int64.of_string_opt seed_s with

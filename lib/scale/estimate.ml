@@ -15,10 +15,22 @@
    - strong accuracy: no change point anywhere names a not-yet-crashed
      process;
    - weak accuracy: some correct process is never falsely suspected;
-   - eventual variants: the same after the ◇-cutoff (3/4 of the horizon,
-     the audit convention [Explore.Classify] uses).
+   - eventual variants, the last-quarter reading: no suspicion-set
+     change at or after the ◇-cutoff (3/4 of the horizon) names a
+     process alive at its tick (strong), or some correct process is
+     named by none of them (weak).
    The class scores are the usual conjunctions (P = completeness ∧ strong
    accuracy, S = ∧ weak, ◇P / ◇S with the eventual variants).
+
+   The last-quarter reading is this module's own, not the one
+   [Explore.Classify] scores: the classifier calls
+   [Detector.Spec.satisfies], whose eventual accuracy asks that no false
+   suspicion be {e held} at the horizon (DESIGN.md, "Classification,
+   two ways"). A false suspicion raised and retracted in the last
+   quarter fails here and passes there; one raised before the cutoff and
+   held to the horizon with no later change passes here and fails
+   there. E17's and E18's ◇P / ◇S figures are not comparable cell for
+   cell.
 
    UDC conditions ride on the same runs: a small committee (pids
    [0..c-1]) runs [Core.Ack_udc] (clamped to the committee) under the

@@ -85,8 +85,16 @@ type report = {
   completeness : ci;  (** crashed targets finally suspected by their correct monitors *)
   strong_accuracy : ci;  (** no false suspicion anywhere in the run *)
   weak_accuracy : ci;  (** some correct process never falsely suspected *)
-  ev_strong_accuracy : ci;  (** no false suspicion after the 3/4-horizon cutoff *)
+  ev_strong_accuracy : ci;
+      (** the last-quarter reading: no suspicion-set change at or after
+          the ◇-cutoff (3/4 of the horizon) names a live process. Not
+          [Detector.Spec]'s eventual accuracy, which [Explore.Classify]
+          scores: that one asks that no false suspicion be held at the
+          horizon *)
   ev_weak_accuracy : ci;
+      (** the last-quarter reading of weak accuracy: some correct
+          process is named by no suspicion-set change at or after the
+          ◇-cutoff *)
   cls_p : ci;  (** completeness ∧ strong accuracy *)
   cls_s : ci;
   cls_sk : (int * ci) list;
@@ -94,8 +102,8 @@ type report = {
           #correct] correct processes never falsely suspected), for
           [k = 2, 3] — the scoped statistical face of
           {!Detector.Spec.cls.Strong_k} *)
-  cls_ev_p : ci;
-  cls_ev_s : ci;
+  cls_ev_p : ci;  (** completeness ∧ [ev_strong_accuracy] *)
+  cls_ev_s : ci;  (** completeness ∧ [ev_weak_accuracy] *)
   detection_latency : dist option;
   false_per_run : dist option;
   udc_uniformity : ci option;  (** someone performed ⇒ all correct members did *)

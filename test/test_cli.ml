@@ -139,6 +139,21 @@ let expect_contract () =
   check_exit "fuzz, --expect none" 2 fuzz;
   Alcotest.(check string) "fuzz, --expect none runs nothing" ""
     (run_stdout fuzz);
+  (* two processes decide at most two values, so kset:2 at n = 2 holds
+     on every run: the search exhausted 119 runs and certified it (0) *)
+  let vacuous =
+    [
+      "explore"; "--property"; "kset:2"; "--protocol"; "kset"; "-n"; "2";
+      "--depth"; "2"; "--max-ticks"; "30"; "--adversarial-oracle";
+      "--expect"; "none";
+    ]
+  in
+  let code, err = run_capture vacuous in
+  Alcotest.(check int) "vacuous kset:2 at n = 2" 2 code;
+  Alcotest.(check bool) "vacuous kset:2, message names it" true
+    (contains err "kset:2");
+  Alcotest.(check string) "vacuous kset:2 runs nothing" ""
+    (run_stdout vacuous);
   (* usage errors are 2 on both subcommands *)
   check_exit "explore: bad channel" 2
     (kset_search [ "--channel"; "bogus" ]);
@@ -233,6 +248,7 @@ let malformed_repro () =
           ("init", "9.0@1");
           ("digest", String.make 31 'a');
           ("protocol", "majority:-1");
+          ("property", "kset:4");
         ];
       (* a file from before the structural digest says to regenerate it *)
       List.iter

@@ -1,6 +1,6 @@
 (* Differential tests of the flat struct-of-arrays history against the
-   retained legacy cons-list implementation ({!History.Reference}), plus
-   pinned run digests for the whole sim -> run -> digest pipeline. *)
+   legacy cons-list implementation ({!History_reference}), plus pinned
+   run digests for the whole sim -> run -> digest pipeline. *)
 
 let alpha owner tag = Action_id.make ~owner ~tag
 
@@ -33,35 +33,52 @@ let flat_of script =
 
 let ref_of script =
   List.fold_left
-    (fun h (e, tick) -> History.Reference.append h e ~tick)
-    History.Reference.empty script
+    (fun h (e, tick) -> History_reference.append h e ~tick)
+    History_reference.empty script
+
+(* The positional reads agree with the reference's chronological list,
+   and reject every index outside [0, length). *)
+let positional_reads_match h timed =
+  let out_of_bounds read i =
+    match read h i with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.for_all2
+    (fun i (e, tick) ->
+      Event.equal (History.event h i) e && Int.equal (History.tick h i) tick)
+    (List.init (List.length timed) Fun.id)
+    timed
+  && List.for_all
+       (fun i -> out_of_bounds History.event i && out_of_bounds History.tick i)
+       [ -1; History.length h ]
 
 let raw_script =
   QCheck.(list_of_size Gen.(int_range 0 40) (pair (int_range 0 5) (int_range 1 3)))
 
 (* Every accessor of the flat implementation agrees with the legacy one,
-   on the full history and on every prefix cut. *)
+   on the full history and on every prefix cut (a cut shares its parent's
+   arrays, so its positional reads must stop at the cut). *)
 let flat_matches_reference =
   QCheck.Test.make ~name:"flat history = legacy Reference (differential)"
     ~count:300 raw_script (fun codes ->
       let script = build_script codes in
       let f = flat_of script and r = ref_of script in
       let max_tick = List.fold_left (fun a (_, t) -> max a t) 0 script in
-      History.length f = History.Reference.length r
-      && History.is_crashed f = History.Reference.is_crashed r
-      && History.events f = History.Reference.events r
-      && History.timed_events f = History.Reference.timed_events r
-      && History.rev_timed_events f = History.Reference.rev_timed_events r
-      && History.last f = History.Reference.last r
-      && History.last_tick f = History.Reference.last_tick r
-      && History.hash_timed_events f = History.Reference.hash_timed_events r
+      History.length f = History_reference.length r
+      && History.is_crashed f = History_reference.is_crashed r
+      && History.events f = History_reference.events r
+      && History.timed_events f = History_reference.timed_events r
+      && positional_reads_match f (History_reference.timed_events r)
+      && History.last f = History_reference.last r
+      && History.last_tick f = History_reference.last_tick r
+      && History.hash_timed_events f = History_reference.hash_timed_events r
       && List.for_all
            (fun m ->
              let pf = History.prefix_upto f m
-             and pr = History.Reference.prefix_upto r m in
-             History.timed_events pf = History.Reference.timed_events pr
+             and pr = History_reference.prefix_upto r m in
+             History.timed_events pf = History_reference.timed_events pr
+             && positional_reads_match pf (History_reference.timed_events pr)
              && History.hash_timed_events pf
-                = History.Reference.hash_timed_events pr)
+                = History_reference.hash_timed_events pr)
            (List.init (max_tick + 2) Fun.id))
 
 (* The two-history comparison agrees as well (including pairs that share
@@ -72,7 +89,7 @@ let equality_matches_reference =
     (fun (c1, c2) ->
       let s1 = build_script c1 and s2 = build_script c2 in
       History.equal_timed (flat_of s1) (flat_of s2)
-      = History.Reference.equal_timed (ref_of s1) (ref_of s2))
+      = History_reference.equal_timed (ref_of s1) (ref_of s2))
 
 (* The mutable builder and the functional append construct the same
    history, hash included, on every prefix cut. *)
